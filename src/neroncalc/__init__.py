@@ -22,7 +22,7 @@ from .curves import (
     validate,
 )
 from .cyclo import CycloProduct, cyclotomic
-from .linalg import FiniteAbelianGroup, cokernel, smith_diagonal, smith_quotient
+from .linalg import FiniteAbelianGroup, cokernel, smith_diagonal, smith_diagonal_sparse
 from .hj import HJChain, LocalPointData, hj_expand, hj_value, local_point_data, resolve_chain
 from .invariants import (
     InvariantReport,

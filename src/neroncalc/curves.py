@@ -13,6 +13,7 @@ computations need no side channel.
 
 from __future__ import annotations
 
+import heapq
 import json
 import warnings
 from collections import Counter
@@ -39,6 +40,10 @@ class SncdCurve:
 
     ``edges`` are unordered pairs of vertex ids; each pair is normalized to
     lexicographic order, the list order is preserved.
+
+    Derived data (adjacency, degrees, :func:`geometry`) is computed on first
+    use and cached in private attributes that are not dataclass fields, so
+    equality and hashing see only ``vertices``, ``edges`` and ``p``.
     """
 
     vertices: tuple[Vertex, ...]
@@ -74,6 +79,9 @@ class SncdCurve:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_by_id", {v.id: v for v in vertices})
+        object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_deg", None)
+        object.__setattr__(self, "_geo", None)
 
     def vertex(self, vid: str) -> Vertex:
         return self._by_id[vid]
@@ -86,19 +94,26 @@ class SncdCurve:
         return [v.id for v in self.vertices]
 
     def degree(self, vid: str) -> int:
-        return sum((a == vid) + (b == vid) for a, b in self.edges)
-
-    def edge_counts(self) -> Counter:
-        """Multiset of edges as a Counter over normalized pairs."""
-        return Counter(self.edges)
+        return self._degrees()[vid]
 
     def adjacency(self) -> dict[str, Counter]:
-        """Neighbour multiplicity count per vertex."""
-        adj: dict[str, Counter] = {v.id: Counter() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a][b] += 1
-            adj[b][a] += 1
-        return adj
+        """Neighbour multiplicity count per vertex.
+
+        Built once and cached on the curve; callers must not mutate it.
+        """
+        if self._adj is None:
+            adj: dict[str, Counter] = {v.id: Counter() for v in self.vertices}
+            for a, b in self.edges:
+                adj[a][b] += 1
+                adj[b][a] += 1
+            object.__setattr__(self, "_adj", adj)
+        return self._adj
+
+    def _degrees(self) -> dict[str, int]:
+        if self._deg is None:
+            deg = {vid: sum(nbrs.values()) for vid, nbrs in self.adjacency().items()}
+            object.__setattr__(self, "_deg", deg)
+        return self._deg
 
     def multiplicity_gcd(self) -> int:
         return gcd(*(v.N for v in self.vertices)) if self.vertices else 0
@@ -147,7 +162,10 @@ class ValidationReport:
 
 
 def validate(curve: SncdCurve) -> ValidationReport:
-    """Report every violated structural constraint (empty report = valid)."""
+    """Report every violated structural constraint (empty report = valid).
+
+    O(V + E) on the curve's cached adjacency.
+    """
     problems = []
     if not curve.is_connected():
         problems.append("graph is not connected")
@@ -172,9 +190,8 @@ def validate(curve: SncdCurve) -> ValidationReport:
 
 
 def _chi_weighted_sum(curve: SncdCurve) -> int:
-    return sum(
-        v.N * (2 - 2 * v.g - curve.degree(v.id)) for v in curve.vertices
-    )
+    deg = curve._degrees()
+    return sum(v.N * (2 - 2 * v.g - deg[v.id]) for v in curve.vertices)
 
 
 def genus(curve: SncdCurve) -> int:
@@ -192,14 +209,18 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
     """Per-vertex degree, open Euler characteristic, self-intersection.
 
     Raises :class:`MalformedFiber` when a self-intersection fails to be an
-    integer or the graph is disconnected.
+    integer or the graph is disconnected.  A successful result is cached on
+    the curve; a failing curve raises again on every call.
     """
+    if curve._geo is not None:
+        return curve._geo
     if not curve.is_connected():
         raise MalformedFiber("graph is not connected")
     adj = curve.adjacency()
+    deg = curve._degrees()
     out = {}
     for v in curve.vertices:
-        d = sum(adj[v.id].values())
+        d = deg[v.id]
         incident = sum(curve.multiplicity(w) * k for w, k in adj[v.id].items())
         if incident % v.N:
             raise MalformedFiber(
@@ -211,11 +232,13 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
             self_int=-(incident // v.N),
             principal=v.g > 0 or d >= 3,
         )
-    return CurveGeometry(
+    geo = CurveGeometry(
         vertices=out,
         b1=curve.b1(),
         abelian_rank=sum(v.g for v in curve.vertices),
     )
+    object.__setattr__(curve, "_geo", geo)
+    return geo
 
 
 def contract_minus_one(curve: SncdCurve) -> SncdCurve:
@@ -225,39 +248,59 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     -1 and at most two edge endpoints; in the two-endpoint case its edges
     must lead to two distinct vertices, which get joined by a new edge.
     Repeats until no vertex qualifies.  Surviving labels are untouched.
+
+    Each step contracts the first vertex (in the input's vertex order) that
+    qualifies at that moment.  Contracting a vertex changes only its
+    neighbours, so they alone are re-examined: a heap of input positions
+    holds the candidates, and a popped entry is checked again before use.
+    Surviving edges keep their input order, followed by the new edges in
+    the order they were made, and one curve is built at the end, in
+    O((V + E) log V) overall.  A curve with nothing to contract is returned
+    as is.
     """
-    cur = curve
-    while True:
-        target = _find_contractible(cur)
-        if target is None:
-            return cur
-        cur = _contract_vertex(cur, target)
-
-
-def _find_contractible(curve: SncdCurve):
+    vs = curve.vertices
     adj = curve.adjacency()
-    for v in curve.vertices:
-        if v.g != 0:
+    heap = [i for i, v in enumerate(vs) if _contractible(curve, v, adj[v.id])]
+    if not heap:
+        return curve
+    pos = {v.id: i for i, v in enumerate(vs)}
+    adj = {vid: Counter(nbrs) for vid, nbrs in adj.items()}  # edited below
+    removed: set[str] = set()
+    new_edges = []
+    while heap:
+        v = vs[heapq.heappop(heap)]
+        if v.id in removed or not _contractible(curve, v, adj[v.id]):
             continue
-        nbrs = adj[v.id]
-        d = sum(nbrs.values())
-        if d == 0 or d > 2:
-            continue
-        if d == 2 and len(nbrs) != 2:
-            continue  # both endpoints on one vertex: contraction makes a loop
-        incident = sum(curve.multiplicity(w) * k for w, k in nbrs.items())
-        if incident == v.N:  # derived self-intersection is exactly -1
-            return v.id
-    return None
+        removed.add(v.id)
+        nbrs = adj.pop(v.id)
+        for w in nbrs:
+            del adj[w][v.id]
+        if len(nbrs) == 2:
+            a, b = sorted(nbrs)
+            adj[a][b] += 1
+            adj[b][a] += 1
+            new_edges.append((a, b))
+        for w in nbrs:
+            if _contractible(curve, vs[pos[w]], adj[w]):
+                heapq.heappush(heap, pos[w])
+    return SncdCurve(
+        [v for v in vs if v.id not in removed],
+        [e for e in curve.edges + tuple(new_edges)
+         if e[0] not in removed and e[1] not in removed],
+        curve.p,
+    )
 
 
-def _contract_vertex(curve: SncdCurve, vid: str) -> SncdCurve:
-    neighbours = [w for e in curve.edges for w in e if vid in e and w != vid]
-    vertices = tuple(v for v in curve.vertices if v.id != vid)
-    edges = [e for e in curve.edges if vid not in e]
-    if len(neighbours) == 2:
-        edges.append(tuple(sorted(neighbours)))
-    return SncdCurve(vertices, edges, curve.p)
+def _contractible(curve: SncdCurve, v: Vertex, nbrs: Counter) -> bool:
+    if v.g != 0:
+        return False
+    d = sum(nbrs.values())
+    if d == 0 or d > 2:
+        return False
+    if d == 2 and len(nbrs) != 2:
+        return False  # both endpoints on one vertex: contraction makes a loop
+    # derived self-intersection is exactly -1
+    return sum(curve.multiplicity(w) * k for w, k in nbrs.items()) == v.N
 
 
 def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> SncdCurve:

@@ -75,10 +75,6 @@ def poly_eval(c: list[int], x):
     return out
 
 
-def poly_derivative(c: list[int]) -> list[int]:
-    return [i * v for i, v in enumerate(c)][1:]
-
-
 def poly_str(c: list[int], var: str = "t") -> str:
     """Human-readable form, highest degree first.
 

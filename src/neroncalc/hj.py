@@ -69,7 +69,11 @@ class HJChain:
     def __post_init__(self):
         if len(self.mu) != len(self.b) + 2:
             raise BadLocalData("chain length mismatch")
-        if hj_value(list(self.b)) != Fraction(self.n, self.r):
+        # convergents p_k = b_k p_{k-1} - p_{k-2} (same for q) of [b1, ..., bL]
+        p, p_prev, q, q_prev = 1, 0, 0, -1
+        for b in self.b:
+            p, p_prev, q, q_prev = b * p - p_prev, p, b * q - q_prev, q
+        if (p, q) != (self.n, self.r):
             raise BadLocalData("digits do not recompose n/r")
         for i in range(1, len(self.mu) - 1):
             if self.mu[i - 1] + self.mu[i + 1] != self.b[i - 1] * self.mu[i]:

@@ -16,22 +16,33 @@ from math import gcd, lcm
 from .curves import SncdCurve, genus, geometry
 from .cyclo import CycloProduct
 from .errors import MalformedFiber
-from .linalg import FiniteAbelianGroup, cokernel, prime_to_part
+from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
 
 
 def intersection_matrix(curve: SncdCurve) -> list[list[int]]:
     """Full intersection matrix: edge counts off the diagonal, derived
     self-intersections on it."""
-    geo = geometry(curve)
-    ids = curve.ids
-    pos = {vid: i for i, vid in enumerate(ids)}
-    M = [[0] * len(ids) for _ in ids]
-    for a, b in curve.edges:
-        M[pos[a]][pos[b]] += 1
-        M[pos[b]][pos[a]] += 1
-    for vid, i in pos.items():
-        M[i][i] = geo.vertices[vid].self_int
+    M = [[0] * len(curve.vertices) for _ in curve.vertices]
+    for i, row in _intersection_rows(curve).items():
+        for j, v in row.items():
+            M[i][j] = v
     return M
+
+
+def _intersection_rows(curve: SncdCurve) -> dict[int, dict[int, int]]:
+    """Nonzero entries of the intersection matrix, ``{row: {col: value}}``,
+    in vertex order, built from the adjacency in O(V + E)."""
+    geo = geometry(curve)
+    adj = curve.adjacency()
+    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    rows = {}
+    for i, v in enumerate(curve.vertices):
+        row = {pos[w]: k for w, k in adj[v.id].items()}
+        self_int = geo.vertices[v.id].self_int
+        if self_int:
+            row[i] = self_int
+        rows[i] = row
+    return rows
 
 
 def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
@@ -42,18 +53,25 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     makes ``beta . alpha = 0`` and the matrix has corank one on a connected
     graph, this quotient is exactly the torsion of ``coker(alpha)``
     (``coker(alpha)`` splits as the quotient times one copy of Z).
+
+    ``alpha`` is built sparse from the adjacency, the fiber relation
+    ``N_v self_v + sum_w N_w (E_v . E_w) = 0`` is checked per vertex, and
+    the invariant factors come from the heap-pivot kernel
+    :func:`~neroncalc.linalg.smith_diagonal_sparse`: about O((V + E) log V)
+    on a dual graph, with no dense V x V matrix.
     """
-    M = intersection_matrix(curve)
+    rows = _intersection_rows(curve)
     mult = [v.N for v in curve.vertices]
-    for j in range(len(mult)):
-        if sum(mult[i] * M[i][j] for i in range(len(mult))):
+    for j, row in rows.items():  # the matrix is symmetric: row j is column j
+        if sum(mult[i] * k for i, k in row.items()):
             raise MalformedFiber("fiber relation fails in column %d" % j)
-    torsion, free = cokernel(M)
+    diag = smith_diagonal_sparse(rows)
+    free = len(mult) - len(diag)
     if free != 1:
         raise MalformedFiber(
             "intersection matrix has corank %d, expected 1" % free
         )
-    return torsion
+    return FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
 
 
 def _char_product(curve: SncdCurve, reduce_p: bool) -> CycloProduct:

@@ -27,7 +27,6 @@ from neroncalc.invariants import (
     trace_identities,
 )
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, good_elliptic, kodaira_curve
-from neroncalc.linalg import smith_quotient
 from neroncalc.ratseries import RationalSeries
 from neroncalc.zeta import (
     JumpSet,
@@ -39,6 +38,7 @@ from neroncalc.zeta import (
 )
 
 from conftest import random_curve
+from linalg_oracles import smith_quotient
 from test_basechange import isomorphic
 
 ELLIPTIC_TABLE = {

@@ -22,9 +22,9 @@ from neroncalc.invariants import (
     trace_identities,
 )
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
-from neroncalc.linalg import smith_quotient
 
 from conftest import curves
+from linalg_oracles import smith_quotient
 
 
 def test_component_group_examples(all_fixture_curves):

@@ -11,11 +11,11 @@ from neroncalc.errors import DimensionMismatch
 from neroncalc.linalg import (
     FiniteAbelianGroup,
     cokernel,
-    kernel_basis,
     prime_to_part,
     smith_diagonal,
-    smith_quotient,
 )
+
+from linalg_oracles import kernel_basis, smith_quotient
 
 
 def minor_determinant(M, rows, cols):
