@@ -21,7 +21,7 @@ from .curves import (
     serialize_curve,
     validate,
 )
-from .cyclo import CycloProduct, cyclotomic
+from .cyclo import CycloProduct
 from .linalg import FiniteAbelianGroup, cokernel, smith_diagonal, smith_diagonal_sparse
 from .hj import HJChain, LocalPointData, hj_expand, hj_value, local_point_data, resolve_chain
 from .invariants import (
@@ -30,7 +30,6 @@ from .invariants import (
     char_poly,
     char_poly_prime,
     component_group,
-    e_from_roots,
     intersection_matrix,
     invariant_report,
     lorenzini_form,

@@ -41,8 +41,9 @@ class SncdCurve:
     ``edges`` are unordered pairs of vertex ids; each pair is normalized to
     lexicographic order, the list order is preserved.
 
-    Derived data (adjacency, degrees, :func:`geometry`) is computed on first
-    use and cached in private attributes that are not dataclass fields, so
+    Derived data (adjacency, degrees, :func:`geometry` and
+    :func:`~neroncalc.invariants.component_group`) is computed on first use
+    and cached in private attributes that are not dataclass fields, so
     equality and hashing see only ``vertices``, ``edges`` and ``p``.
     """
 
@@ -82,6 +83,7 @@ class SncdCurve:
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_geo", None)
+        object.__setattr__(self, "_phi", None)
 
     def vertex(self, vid: str) -> Vertex:
         return self._by_id[vid]

@@ -1,10 +1,13 @@
-"""Integer polynomials and exact factored products of ``t^a - 1``.
+"""Exact factored products of ``t^a - 1`` and their dense expansion.
 
 A polynomial over Z is a dense coefficient list starting with the constant
 term, so ``[ -1, 0, 1 ]`` is ``t^2 - 1``.  :class:`CycloProduct` represents
 an expression ``prod_a (t^a - 1)^{e_a}`` with integer (possibly negative)
-exponents without expanding it; conversion to the basis of cyclotomic
-polynomials is exact via ``t^a - 1 = prod_{m | a} Phi_m(t)``.
+exponents without expanding it.  Exponents in the basis of cyclotomic
+polynomials, from ``t^a - 1 = prod_{m | a} Phi_m(t)`` over the divisors of
+each ``a``, are bookkeeping only.  Expansion is direct: multiply by each
+``(t^a - 1)`` with positive exponent, then divide exactly by the others,
+each step linear in the degree.
 
 >>> P = CycloProduct({6: 1, 3: -1, 2: -1, 1: 1})
 >>> P.phi_exponents()
@@ -18,61 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import MalformedFiber
-
-# -- dense integer polynomial helpers ---------------------------------------
-
-
-def poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact division in Z[t]; raises ``ValueError`` on any remainder.
-
-    >>> poly_divexact([-1, 0, 0, 1], [-1, 1])
-    [1, 1, 1]
-    """
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not a:
-        return []
-    q = [0] * (len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        head = a[i + len(b) - 1]
-        if head % b[-1]:
-            raise ValueError("division is not exact")
-        q[i] = head // b[-1]
-        if q[i]:
-            for j, y in enumerate(b):
-                a[i + j] -= q[i] * y
-    if any(a):
-        raise ValueError("division is not exact")
-    return poly_trim(q)
-
-
-def poly_eval(c: list[int], x):
-    out = 0
-    for v in reversed(c):
-        out = out * x + v
-    return out
 
 
 def poly_str(c: list[int], var: str = "t") -> str:
@@ -108,28 +60,33 @@ def poly_str(c: list[int], var: str = "t") -> str:
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial.
+def _divisors(n: int) -> tuple[int, ...]:
+    """Ascending divisors of ``n >= 1`` by trial division up to sqrt(n).
 
-    >>> cyclotomic(1)
-    (-1, 1)
-    >>> cyclotomic(6)
-    (1, -1, 1)
+    >>> _divisors(12)
+    (1, 2, 3, 4, 6, 12)
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    num = [-1] + [0] * (m - 1) + [1]  # t^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            num = poly_divexact(num, list(cyclotomic(d)))
-    return tuple(num)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return tuple(small + large[::-1])
 
 
 def cyclotomic_at_one(m: int) -> int:
     """``Phi_m(1)``: 0 for m = 1, the prime p for m = p^k, else 1."""
+    if m < 1:
+        raise ValueError("m must be positive")
     if m == 1:
         return 0
-    return poly_eval(list(cyclotomic(m)), 1)
+    p = _divisors(m)[1]  # least prime factor
+    while m % p == 0:
+        m //= p
+    return p if m == 1 else 1
 
 
 # -- factored products of (t^a - 1) ------------------------------------------
@@ -187,9 +144,8 @@ class CycloProduct:
         """Exponents in the cyclotomic basis ``prod_m Phi_m^{k_m}``."""
         out: dict[int, int] = {}
         for a, e in self.factors:
-            for m in range(1, a + 1):
-                if a % m == 0:
-                    out[m] = out.get(m, 0) + e
+            for m in _divisors(a):
+                out[m] = out.get(m, 0) + e
         return {m: k for m, k in sorted(out.items()) if k}
 
     @property
@@ -206,13 +162,19 @@ class CycloProduct:
             ...
         ValueError: not a polynomial
         """
+        if not self.is_polynomial:
+            raise ValueError("not a polynomial")
         out = [1]
-        for m, k in self.phi_exponents().items():
-            if k < 0:
-                raise ValueError("not a polynomial")
-            phim = list(cyclotomic(m))
-            for _ in range(k):
-                out = poly_mul(out, phim)
+        for a, e in self.factors:
+            for _ in range(e):  # times (t^a - 1)
+                out = [x - y for x, y in zip([0] * a + out, out + [0] * a)]
+        for a, e in self.factors:
+            for _ in range(-e):  # exactly divided by (t^a - 1)
+                # q_i = q_{i-a} - c_i: running sums per residue mod a
+                q = [0] * (len(out) - a)
+                for r in range(min(a, len(q))):
+                    q[r::a] = [-s for s in accumulate(out[r : len(q) : a])]
+                out = q
         return out
 
     def power_d(self, d: int) -> "CycloProduct":

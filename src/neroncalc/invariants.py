@@ -58,8 +58,11 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     ``N_v self_v + sum_w N_w (E_v . E_w) = 0`` is checked per vertex, and
     the invariant factors come from the heap-pivot kernel
     :func:`~neroncalc.linalg.smith_diagonal_sparse`: about O((V + E) log V)
-    on a dual graph, with no dense V x V matrix.
+    on a dual graph, with no dense V x V matrix.  Cached on the curve
+    (failures are not).
     """
+    if curve._phi is not None:
+        return curve._phi
     rows = _intersection_rows(curve)
     mult = [v.N for v in curve.vertices]
     for j, row in rows.items():  # the matrix is symmetric: row j is column j
@@ -71,7 +74,9 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
         raise MalformedFiber(
             "intersection matrix has corank %d, expected 1" % free
         )
-    return FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
+    phi = FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
+    object.__setattr__(curve, "_phi", phi)
+    return phi
 
 
 def _char_product(curve: SncdCurve, reduce_p: bool) -> CycloProduct:
@@ -151,11 +156,6 @@ def stabilization_index(curve: SncdCurve) -> int:
     return lcm(*principal) if principal else 1
 
 
-def e_from_roots(P: CycloProduct) -> int:
-    """Smallest ``e`` with ``z^e = 1`` for every root of the polynomial."""
-    return P.root_order()
-
-
 def tame(curve: SncdCurve) -> bool:
     """True when the stabilization index is prime to ``p``.
 
@@ -172,10 +172,6 @@ class TraceReport:
     phi_prime_order: int               # prime-to-p part of |Phi|
     valency_product: Fraction          # prod (N'_i)^{d_i - 2}
     agree: bool
-
-    @property
-    def all_equal(self) -> bool:
-        return self.agree
 
 
 def trace_identities(curve: SncdCurve) -> TraceReport:
@@ -234,7 +230,13 @@ class InvariantReport:
 
 
 def invariant_report(curve: SncdCurve) -> InvariantReport:
-    """Assemble every invariant of the fiber in one pass."""
+    """Assemble every invariant of the fiber in one pass; a multiple
+    fiber is refused first, worded as in :func:`~neroncalc.curves.validate`."""
+    index = curve.multiplicity_gcd()
+    if index > 1:
+        raise MalformedFiber(
+            "index-one flag fails: gcd of multiplicities is %d" % index
+        )
     geo = geometry(curve)
     g = genus(curve)
     t, a = geo.b1, geo.abelian_rank

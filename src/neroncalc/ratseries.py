@@ -11,6 +11,10 @@ with no zero values; denominators are multisets of factors ``1 - L^a T^b``
 with ``b >= 1``.  Rational coefficients only appear transiently inside an
 assembly and callers assert integrality at the end.
 
+A sum is assembled once (:meth:`RationalSeries.sum`): one common
+denominator, one numerator, one reduction.  Reduction rejects a factor by
+the remainder modulo it, linear in the numerator's terms.
+
 >>> s = geometric_sum(2, 1, 0, 0)   # T + T^3 + T^5 + ...
 >>> str(s)
 '(T) / (1 - T^2)'
@@ -20,6 +24,7 @@ Fraction(1, 1)
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import NonIntegralAssembly, NonReducible
@@ -68,10 +73,24 @@ def _den_poly(den) -> Poly:
     return out
 
 
+def _remainder(num: Poly, a: int, b: int) -> Poly:
+    """``num`` modulo ``1 - L^a T^b`` via ``T^b -> L^{-a}``: the unique
+    remainder of T-degree below ``b``, zero exactly when the factor divides."""
+    out: Poly = {}
+    for (n, l, ab), v in num.items():
+        q, r = divmod(n, b)
+        k = (r, l - a * q, ab)
+        out[k] = out[k] + v if k in out else v
+    return _clean(out)
+
+
 def _divide_by_factor(num: Poly, a: int, b: int) -> Poly | None:
     """Exact quotient ``num / (1 - L^a T^b)`` or None if not divisible."""
     if not num:
         return {}
+    if _remainder(num, a, b):
+        return None
+    # divisible, so the recursion q_n = num_n + L^a q_{n-b} ends exactly
     max_n = max(k[0] for k in num)
     slices: dict[int, Poly] = {}
     for (n, l, ab), v in num.items():
@@ -91,8 +110,6 @@ def _divide_by_factor(num: Poly, a: int, b: int) -> Poly | None:
     for n, sl in q_slices.items():
         for (_, l, ab), v in sl.items():
             quotient[(n, l, ab)] = v
-    if _poly_mul(quotient, _factor_poly(a, b)) != _clean(num):
-        return None
     return quotient
 
 
@@ -151,22 +168,29 @@ class RationalSeries:
     def _num_dict(self) -> Poly:
         return dict(self.num)
 
+    @classmethod
+    def sum(cls, terms) -> "RationalSeries":
+        """Sum over the common denominator (each factor at its largest
+        multiplicity among the terms), reduced once.
+
+        >>> str(RationalSeries.sum(geometric_sum(2, b, 0, 0) for b in (1, 2)))
+        '(T + T^2) / (1 - T^2)'
+        """
+        terms = [(s._num_dict(), Counter(s.den)) for s in terms]
+        common: Counter = Counter()
+        for _, den in terms:
+            common |= den
+        num: Poly = {}
+        for part, den in terms:
+            missing = common - den
+            if missing:
+                part = _poly_mul(part, _den_poly(missing.elements()))
+            for k, v in part.items():
+                num[k] = num[k] + v if k in num else v
+        return cls(num, common.elements())
+
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        den1, den2 = list(self.den), list(other.den)
-        common: list[tuple[int, int]] = []
-        for f in set(den1) | set(den2):
-            common += [f] * max(den1.count(f), den2.count(f))
-        extra1 = list(common)
-        for f in den1:
-            extra1.remove(f)
-        extra2 = list(common)
-        for f in den2:
-            extra2.remove(f)
-        num = _poly_add(
-            _poly_mul(self._num_dict(), _den_poly(extra1)),
-            _poly_mul(other._num_dict(), _den_poly(extra2)),
-        )
-        return RationalSeries(num, common)
+        return RationalSeries.sum((self, other))
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries(

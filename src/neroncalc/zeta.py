@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import comb, floor, gcd, lcm
 
 from .curves import SncdCurve, genus, geometry, load_curve
+from .cyclo import _divisors
 from .errors import (
     InconsistentData,
     NotContained,
@@ -134,9 +135,7 @@ class ReductionProvider:
     def stable_degrees(self) -> list[int]:
         """Divisors of ``e`` prime to ``p``, ascending."""
         return [
-            a
-            for a in range(1, self.e + 1)
-            if self.e % a == 0 and (self.p == 1 or gcd(a, self.p) == 1)
+            a for a in _divisors(self.e) if self.p == 1 or gcd(a, self.p) == 1
         ]
 
     def curve_for(self, a: int) -> SncdCurve:
@@ -167,20 +166,23 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
     """
     provider.require_complete()
     e, p = provider.e, provider.p
-    total = RationalSeries.zero()
+    blocks = []
     for a in provider.stable_degrees():
         curve = provider.curve_for(a)
         t = geometry(curve).b1
         phi = component_group(curve).order
         e_a = e // a
         m = e_a if p == 1 else lcm(e_a, p)
-        block = RationalSeries.zero()
-        for b in range(1, m + 1):
-            if gcd(b, e_a) != 1 or (p > 1 and b % p == 0):
-                continue
-            block = block + geometric_sum(m, b, t, 0)
-        total = total + block.scale(phi).subs_T_power(a)
-    return total.require_integral("component series")
+        block = RationalSeries.sum(
+            geometric_sum(m, b, t, 0)
+            for b in range(1, m + 1)
+            if gcd(b, e_a) == 1 and (p == 1 or b % p)
+        )
+        blocks.append(block.scale(phi).subs_T_power(a))
+    # Every term has a power of one factor: (1 - T^m) in a block, and after
+    # T -> T^a (1 - T^e) or (1 - T^{e p}) for all blocks alike.  A reduced
+    # num / f^k is unique, so one-shot sums equal pairwise folds exactly.
+    return RationalSeries.sum(blocks).require_integral("component series")
 
 
 def _euler_blocks(provider: ReductionProvider):
@@ -207,7 +209,7 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     if w.denominator != 1:
         raise InconsistentData("e * c_tame = %s is not an integer" % w)
     w = int(w)
-    total = RationalSeries.zero()
+    blocks = []
     for alpha, aprime, curve in _euler_blocks(provider):
         geo = geometry(curve)
         t, a_rank = geo.b1, geo.abelian_rank
@@ -222,8 +224,9 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
             shape.mul_monomial(phi_alpha, l=u + ord_function(jumps, alpha), ab=ab)
             * torus
         )
-        total = total + block.require_integral("zeta block at residue %d" % alpha)
-    return total.require_integral("motivic zeta")
+        blocks.append(block.require_integral("zeta block at residue %d" % alpha))
+    # One factor (1 - L^w T^e) throughout, as in component_series.
+    return RationalSeries.sum(blocks).require_integral("motivic zeta")
 
 
 def euler_specialize(provider: ReductionProvider) -> RationalSeries:
@@ -231,15 +234,14 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
     additive reduction and 0 elsewhere."""
     provider.require_complete()
     e = provider.e
-    total = RationalSeries.zero()
+    terms = []
     for alpha, _, curve in _euler_blocks(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             phi = component_group(curve).order
-            total = total + RationalSeries(
-                {(alpha, 0, ()): Fraction(phi)}, ((0, e),)
-            )
-    return total.require_integral("euler specialization")
+            terms.append(RationalSeries({(alpha, 0, ()): Fraction(phi)}, ((0, e),)))
+    # One factor (1 - T^e) throughout, as in component_series.
+    return RationalSeries.sum(terms).require_integral("euler specialization")
 
 
 def euler_characteristic_map(series: RationalSeries) -> RationalSeries:

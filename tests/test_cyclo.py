@@ -7,15 +7,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.cyclo import (
-    CycloProduct,
-    cyclotomic,
-    cyclotomic_at_one,
-    poly_divexact,
-    poly_eval,
-    poly_mul,
-    poly_str,
-)
+from neroncalc.cyclo import CycloProduct, cyclotomic_at_one, poly_str
+
+from cyclo_oracles import cyclotomic, poly_divexact, poly_eval, poly_mul
 
 t, x = sympy.symbols("t x")
 
@@ -64,6 +58,7 @@ def test_cyclotomic_at_one_divides_m():
     for m in range(2, 80):
         v = cyclotomic_at_one(m)
         assert v > 0 and m % v == 0
+        assert v == poly_eval(list(cyclotomic(m)), 1)
     assert cyclotomic_at_one(1) == 0
 
 

@@ -1,5 +1,6 @@
 """Fiber invariants: component groups, characteristic polynomials, ranks."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from neroncalc.invariants import (
     char_poly,
     char_poly_prime,
     component_group,
-    e_from_roots,
     intersection_matrix,
     invariant_report,
     lorenzini_form,
@@ -97,10 +97,23 @@ def test_stabilization_examples(all_fixture_curves):
     assert stabilization_index(all_fixture_curves["I2"]) == 1
 
 
-def test_e_from_roots_matches_index_on_minimal_fixtures(all_fixture_curves):
+def test_root_order_matches_index_on_minimal_fixtures(all_fixture_curves):
     for name in ALL_FIXTURES:
         curve = all_fixture_curves[name]
-        assert e_from_roots(char_poly(curve)) == stabilization_index(curve)
+        assert char_poly(curve).root_order() == stabilization_index(curve)
+
+
+@pytest.mark.parametrize("scale", [2, 10**6])
+def test_multiple_fiber_is_refused_up_front(scale):
+    curve = kodaira_curve("II")
+    multiple = SncdCurve(
+        [(v.id, v.N * scale, v.g) for v in curve.vertices], curve.edges
+    )
+    message = "^index-one flag fails: gcd of multiplicities is %d$" % scale
+    start = time.perf_counter()
+    with pytest.raises(MalformedFiber, match=message):
+        invariant_report(multiple)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_tame_examples():

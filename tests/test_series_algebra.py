@@ -1,0 +1,194 @@
+"""One-shot series assembly and direct cyclotomic expansion against the
+pairwise and Phi-basis routes they replace."""
+
+import os
+import time
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from neroncalc.cyclo import CycloProduct, _divisors
+from neroncalc.kodaira import kodaira_curve
+from neroncalc.ratseries import (
+    RationalSeries,
+    _clean,
+    _den_poly,
+    _divide_by_factor,
+    _factor_poly,
+    _poly_add,
+    _poly_mul,
+    _remainder,
+)
+from neroncalc.zeta import (
+    ReductionProvider,
+    component_series,
+    euler_specialize,
+    load_provider,
+    motivic_zeta,
+)
+
+from cyclo_oracles import phi_basis_as_poly
+
+# -- oracles: the pairwise sum and the verified division ------------------------
+
+
+def pairwise_add(x: RationalSeries, y: RationalSeries) -> RationalSeries:
+    """Two-term sum over the common denominator, built factor by factor."""
+    den1, den2 = list(x.den), list(y.den)
+    common = []
+    for f in set(den1) | set(den2):
+        common += [f] * max(den1.count(f), den2.count(f))
+    extra1, extra2 = list(common), list(common)
+    for f in den1:
+        extra1.remove(f)
+    for f in den2:
+        extra2.remove(f)
+    num = _poly_add(
+        _poly_mul(dict(x.num), _den_poly(extra1)),
+        _poly_mul(dict(y.num), _den_poly(extra2)),
+    )
+    return RationalSeries(num, common)
+
+
+def fold(terms) -> RationalSeries:
+    return reduce(pairwise_add, terms, RationalSeries.zero())
+
+
+def divide_by_verified_quotient(num, a, b):
+    """Quotient by ``1 - L^a T^b`` from the slice recursion, accepted only
+    when quotient times factor gives ``num`` back."""
+    if not num:
+        return {}
+    slices = {}
+    for (n, l, ab), v in num.items():
+        slices.setdefault(n, {})[(l, ab)] = v
+    quotient = {}
+    for n in range(max(slices) + 1):
+        cur = dict(slices.get(n, {}))
+        for (l, ab), v in quotient.get(n - b, {}).items():
+            cur[(l + a, ab)] = cur.get((l + a, ab), Fraction(0)) + v
+        cur = {k: v for k, v in cur.items() if v}
+        if cur:
+            quotient[n] = cur
+    flat = {(n, l, ab): v for n, sl in quotient.items() for (l, ab), v in sl.items()}
+    if _poly_mul(flat, _factor_poly(a, b)) != _clean(dict(num)):
+        return None
+    return flat
+
+
+# -- strategies -------------------------------------------------------------------
+
+AB = st.sampled_from([(), (1,), (2,), (1, 2)])
+numerators = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(-3, 3), AB),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    max_size=6,
+)
+FACTORS = [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (-1, 1)]
+
+
+@st.composite
+def series(draw, factors=st.sampled_from(FACTORS)):
+    num = draw(numerators)
+    den = draw(st.lists(factors, max_size=2))
+    if den and draw(st.booleans()):  # make some factor cancel on construction
+        for f in draw(st.lists(st.sampled_from(den), max_size=2)):
+            num = _poly_mul(num, _factor_poly(*f))
+    return RationalSeries(num, den)
+
+
+# -- one-shot assembly ---------------------------------------------------------------
+
+
+@given(st.lists(series(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_sum_equals_pairwise_fold_on_mixed_denominators(terms):
+    assert RationalSeries.sum(terms) == fold(terms)
+    assert RationalSeries.sum(terms) == reduce(lambda x, y: x + y, terms)
+
+
+@given(st.sampled_from(FACTORS).flatmap(
+    lambda f: st.lists(series(st.just(f)), min_size=1, max_size=4)))
+@settings(max_examples=100, deadline=None)
+def test_sum_is_identical_to_fold_over_one_factor(terms):
+    folded = fold(terms)
+    assume(folded.num)  # a zero numerator keeps whatever denominator it met
+    assert RationalSeries.sum(terms).to_dict() == folded.to_dict()
+
+
+def test_sum_of_nothing_is_zero():
+    assert RationalSeries.sum([]).to_dict() == RationalSeries.zero().to_dict()
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _providers():
+    for name in ("provider_II.json", "provider_I0star.json", "provider_I2.json"):
+        yield load_provider(os.path.join(FIXTURES, name))
+    yield ReductionProvider(kodaira_curve("I3", p=11))
+    yield ReductionProvider(kodaira_curve("I5", p=3))
+
+
+@pytest.mark.parametrize("provider", list(_providers()))
+def test_callers_assemble_as_the_pairwise_fold(provider, monkeypatch):
+    assemblies = [component_series, euler_specialize]
+    if provider.jumps is not None:
+        assemblies.append(motivic_zeta)
+    one_shot = [f(provider).to_dict() for f in assemblies]
+    monkeypatch.setattr(RationalSeries, "sum", classmethod(lambda cls, ts: fold(ts)))
+    assert [f(provider).to_dict() for f in assemblies] == one_shot
+
+
+# -- remainder test for divisibility -------------------------------------------------
+
+
+@given(numerators, st.integers(-3, 3), st.integers(1, 4), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_remainder_agrees_with_verified_quotient(num, a, b, multiply):
+    num = _clean(num)
+    if multiply:
+        num = _poly_mul(num, _factor_poly(a, b))
+    want = divide_by_verified_quotient(num, a, b)
+    assert (not _remainder(num, a, b)) == (want is not None)
+    assert _divide_by_factor(num, a, b) == want
+
+
+# -- direct expansion ----------------------------------------------------------------
+
+
+def test_divisors():
+    for n in range(1, 400):
+        assert list(_divisors(n)) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+@given(st.dictionaries(st.integers(1, 24), st.integers(-3, 3), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_as_poly_equals_phi_basis_expansion(factors):
+    P = CycloProduct(factors)
+    # raise each negative Phi_m exponent with (t^m - 1): no exponent drops
+    fix = {m: -k for m, k in P.phi_exponents().items() if k < 0}
+    P = P * CycloProduct(fix)
+    assert P.is_polynomial
+    assert P.as_poly() == phi_basis_as_poly(P)
+
+
+def test_expansion_of_a_large_composite_period_is_direct():
+    start = time.perf_counter()
+    assert CycloProduct({30030: 1}).poly_str() == "t^30030 - 1"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_component_series_at_period_near_2310():
+    p = 2309
+    provider = ReductionProvider(kodaira_curve("I3", p=p))
+    start = time.perf_counter()
+    s = component_series(provider)
+    assert time.perf_counter() - start < 3.0
+    # |Phi(d)| = 3 d for p not dividing d, 0 otherwise
+    all_d = RationalSeries({(1, 0, ()): 3}, [(0, 1), (0, 1)])
+    multiples = RationalSeries({(p, 0, ()): 3 * p}, [(0, p), (0, p)])
+    assert s == all_d + multiples.scale(-1)

@@ -184,6 +184,9 @@ def test_caches_leave_equality_and_hash_alone():
         assert repr(cached) == repr(fresh)
         assert geometry(cached) is geometry(cached)
         assert geometry(cached) == geometry(fresh)
+        assert component_group(cached) is component_group(cached)
+        assert component_group(cached) == component_group(fresh)
+        assert cached == fresh and hash(cached) == before
 
 
 @pytest.mark.parametrize("curve", [
