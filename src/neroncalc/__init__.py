@@ -38,13 +38,7 @@ from .invariants import (
     tame,
     trace_identities,
 )
-from .basechange import (
-    BaseChangeTrace,
-    charpoly_commutation,
-    compfu_check,
-    e_division_law,
-    transform,
-)
+from .basechange import BaseChangeLaws, BaseChangeTrace, base_change_laws, transform
 from .ratseries import RationalSeries, geometric_sum
 from .zeta import (
     JumpSet,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .curves import SncdCurve, Vertex, serialize_curve
-from .cyclo import CycloProduct
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
@@ -36,7 +35,6 @@ class BaseChangeTrace:
     d: int
     vertex_records: tuple[tuple[str, int, int, int], ...]  # id, old N, gcd, new N
     edge_records: tuple[EdgeRecord, ...]
-    output: SncdCurve
 
     def to_dict(self) -> dict:
         return {
@@ -117,46 +115,59 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
             new_edges.append((u, w))
         erecords.append(EdgeRecord((a, b), (na, nb), local, tuple(ids)))
     out = SncdCurve(new_vertices, new_edges, curve.p)
-    trace = BaseChangeTrace(digest, d, tuple(vrecords), tuple(erecords), out)
-    return out, trace
+    return out, BaseChangeTrace(digest, d, tuple(vrecords), tuple(erecords))
 
 
-def e_division_law(
-    curve: SncdCurve, d: int, transformed: SncdCurve | None = None
-) -> tuple[int, int]:
-    """``(predicted, measured)`` stabilization index after base change.
+@dataclass(frozen=True)
+class BaseChangeLaws:
+    """The three base change laws at degree ``d``, read from one transform.
 
-    The prediction is ``e / gcd(e, d)``.  Without a supplied output graph
-    the transform is run, which restricts ``d`` to its preconditions (and
-    then the two values must agree).
+    ``|Phi|`` grows by ``d^{b1}``, the stabilization index becomes
+    ``e / gcd(e, d)``, and the characteristic polynomial of the output is
+    the input's under the root-power map ``z -> z^d``.
     """
-    e = stabilization_index(curve)
-    predicted = e // gcd(e, d)
-    if transformed is None:
-        transformed, _ = transform(curve, d)
-    return predicted, stabilization_index(transformed)
+
+    d: int
+    phi_before: int
+    phi_after: int
+    factor: int
+    index_predicted: int
+    index_measured: int
+    charpoly_commutes: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "component_growth": {
+                "before": self.phi_before,
+                "after": self.phi_after,
+                "factor": self.factor,
+                "pass": self.phi_after == self.factor * self.phi_before,
+            },
+            "index_division": {
+                "predicted": self.index_predicted,
+                "measured": self.index_measured,
+                "pass": self.index_predicted == self.index_measured,
+            },
+            "charpoly_commutation": {"pass": self.charpoly_commutes},
+        }
+
+    @property
+    def ok(self) -> bool:
+        return all(law["pass"] for law in self.to_dict().values())
 
 
-def compfu_check(curve: SncdCurve, d: int) -> tuple[int, int, int]:
-    """Component group growth ``|Phi| -> d^{b1} |Phi|`` under the transform.
-
-    Returns ``(order before, order after, d^{b1})``; raises
-    :class:`InternalError` if the law fails.
-    """
+def base_change_laws(curve: SncdCurve, d: int) -> BaseChangeLaws:
+    """Run :func:`transform` once and read the three laws off its output;
+    raises :class:`PreconditionError` where the transform does."""
     before = component_group(curve).order
     out, _ = transform(curve, d)
-    after = component_group(out).order
-    factor = d ** curve.b1()
-    if after != factor * before:
-        raise InternalError(
-            "component growth %d -> %d violates factor %d" % (before, after, factor)
-        )
-    return before, after, factor
-
-
-def charpoly_commutation(curve: SncdCurve, d: int) -> bool:
-    """Does base change of the graph commute with the root-power map on P?"""
-    out, _ = transform(curve, d)
-    direct: CycloProduct = char_poly(out)
-    via_roots = char_poly(curve).power_d(d)
-    return direct == via_roots
+    e = stabilization_index(curve)
+    return BaseChangeLaws(
+        d=d,
+        phi_before=before,
+        phi_after=component_group(out).order,
+        factor=d ** curve.b1(),
+        index_predicted=e // gcd(e, d),
+        index_measured=stabilization_index(out),
+        charpoly_commutes=char_poly(out) == char_poly(curve).power_d(d),
+    )

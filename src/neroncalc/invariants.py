@@ -18,6 +18,8 @@ from .cyclo import CycloProduct
 from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
 
+_T_MINUS_ONE_SQUARED = CycloProduct({1: 2})
+
 
 def intersection_matrix(curve: SncdCurve) -> list[list[int]]:
     """Full intersection matrix: edge counts off the diagonal, derived
@@ -79,20 +81,22 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     return phi
 
 
-def _char_product(curve: SncdCurve, reduce_p: bool) -> CycloProduct:
+def _chi_product(curve: SncdCurve, p: int) -> CycloProduct:
+    """``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}`` with ``N'_i`` the prime-to-``p``
+    part of ``N_i`` (``p = 1`` strips nothing)."""
     geo = geometry(curve)
-    factors = {1: 2}
+    factors: dict[int, int] = {}
     for v in curve.vertices:
         chi = geo.vertices[v.id].chi_open
         if chi:
-            n = prime_to_part(v.N, curve.p) if reduce_p else v.N
+            n = prime_to_part(v.N, p)
             factors[n] = factors.get(n, 0) - chi
     return CycloProduct(factors)
 
 
 def char_poly(curve: SncdCurve) -> CycloProduct:
     """``(t-1)^2 prod_i (t^{N_i}-1)^{-chi(E_i^o)}``, monic of degree 2g."""
-    P = _char_product(curve, reduce_p=False)
+    P = _T_MINUS_ONE_SQUARED * _chi_product(curve, 1)
     if not P.is_polynomial:
         raise MalformedFiber("characteristic product is not a polynomial")
     if P.degree != 2 * genus(curve):
@@ -103,29 +107,22 @@ def char_poly(curve: SncdCurve) -> CycloProduct:
 
 
 def char_poly_prime(curve: SncdCurve) -> CycloProduct:
-    """Same product with every multiplicity replaced by its prime-to-p part.
+    """``(t-1)^2`` times :func:`monodromy_zeta`: the characteristic product
+    with every multiplicity replaced by its prime-to-p part.
 
     Divides :func:`char_poly`; they agree exactly on tame fibers.
     """
-    P = _char_product(curve, reduce_p=True)
+    P = _T_MINUS_ONE_SQUARED * monodromy_zeta(curve)
     if not P.is_polynomial:
         raise MalformedFiber("prime-to-p characteristic product is not a polynomial")
-    full = _char_product(curve, reduce_p=False)
-    if not P.divides(full):
+    if not P.divides(_T_MINUS_ONE_SQUARED * _chi_product(curve, 1)):
         raise MalformedFiber("prime-to-p polynomial does not divide the full one")
     return P
 
 
 def monodromy_zeta(curve: SncdCurve) -> CycloProduct:
     """A'Campo-style zeta: ``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}``."""
-    geo = geometry(curve)
-    factors: dict[int, int] = {}
-    for v in curve.vertices:
-        chi = geo.vertices[v.id].chi_open
-        if chi:
-            n = prime_to_part(v.N, curve.p)
-            factors[n] = factors.get(n, 0) - chi
-    return CycloProduct(factors)
+    return _chi_product(curve, curve.p)
 
 
 def lorenzini_form(curve: SncdCurve) -> CycloProduct:
@@ -246,7 +243,7 @@ def invariant_report(curve: SncdCurve) -> InvariantReport:
     P = char_poly(curve)
     Pp = char_poly_prime(curve)
     zeta = monodromy_zeta(curve)
-    if lorenzini_form(curve) != CycloProduct({1: 2}) * zeta:
+    if lorenzini_form(curve) != _T_MINUS_ONE_SQUARED * zeta:
         raise MalformedFiber("valency and stratum assemblies disagree")
     e_model = stabilization_index(curve)
     return InvariantReport(

@@ -32,6 +32,8 @@ from .errors import NonIntegralAssembly, NonReducible
 Key = tuple[int, int, tuple[int, ...]]
 Poly = dict[Key, Fraction]
 
+_HASH_ORDER = 8  # T-order of the expansion that __hash__ reads
+
 
 def _clean(poly: Poly) -> Poly:
     return {k: v for k, v in poly.items() if v}
@@ -133,7 +135,8 @@ class RationalSeries:
     """Numerator polynomial over a multiset of ``1 - L^a T^b`` factors.
 
     Instances are immutable; identical factors are cancelled against the
-    numerator whenever exact division succeeds.
+    numerator whenever exact division succeeds, and the zero series has no
+    denominator.
     """
 
     __slots__ = ("num", "den")
@@ -146,7 +149,7 @@ class RationalSeries:
         for a, b in den:
             if b < 1:
                 raise ValueError("denominator factor needs b >= 1")
-        poly, den = _reduce(poly, den)
+        poly, den = _reduce(poly, den) if poly else (poly, ())
         object.__setattr__(self, "num", tuple(sorted(poly.items())))
         object.__setattr__(self, "den", den)
 
@@ -220,7 +223,8 @@ class RationalSeries:
         return lhs == rhs
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal series share their power series, not their (num, den)
+        return hash(frozenset(self.expand(_HASH_ORDER).items()))
 
     def __repr__(self):
         return "RationalSeries(%s)" % self

@@ -1,5 +1,7 @@
 """Base change transform: graph surgery and the laws it must satisfy."""
 
+import json
+import os
 from math import gcd
 
 import networkx as nx
@@ -7,12 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.basechange import (
-    charpoly_commutation,
-    compfu_check,
-    e_division_law,
-    transform,
-)
+import neroncalc.basechange
+from neroncalc import cli
+from neroncalc.basechange import BaseChangeLaws, base_change_laws, transform
 from neroncalc.curves import SncdCurve, contract_minus_one, genus, validate
 from neroncalc.errors import PreconditionError
 from neroncalc.invariants import (
@@ -22,6 +21,8 @@ from neroncalc.invariants import (
     stabilization_index,
 )
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def as_multigraph(curve: SncdCurve) -> nx.MultiGraph:
@@ -71,29 +72,83 @@ def test_trace_records(all_fixture_curves):
 
 
 def test_e_division_law_examples(all_fixture_curves):
-    assert e_division_law(all_fixture_curves["II"], 5) == (6, 6)
-    assert e_division_law(all_fixture_curves["I0*"], 3) == (2, 2)
-    assert e_division_law(all_fixture_curves["I2"], 4) == (1, 1)
-
-
-def test_e_division_law_report_only():
-    # user-supplied output graph: predicted index follows the division law
-    ii = fixture_curve("II")
-    predicted, measured = e_division_law(ii, 2, transformed=fixture_curve("IV"))
-    assert predicted == 3 == measured
+    for name, d, e in (("II", 5, 6), ("I0*", 3, 2), ("I2", 4, 1)):
+        laws = base_change_laws(all_fixture_curves[name], d)
+        assert (laws.index_predicted, laws.index_measured) == (e, e)
 
 
 def test_compfu_examples(all_fixture_curves):
-    assert compfu_check(all_fixture_curves["I2"], 3) == (2, 6, 3)
-    assert compfu_check(all_fixture_curves["II"], 5) == (1, 1, 1)
-    assert compfu_check(all_fixture_curves["I0*"], 3) == (4, 4, 1)
+    for name, d, growth in (("I2", 3, (2, 6, 3)), ("II", 5, (1, 1, 1)), ("I0*", 3, (4, 4, 1))):
+        laws = base_change_laws(all_fixture_curves[name], d)
+        assert (laws.phi_before, laws.phi_after, laws.factor) == growth
 
 
 def test_charpoly_commutation_examples(all_fixture_curves):
-    assert charpoly_commutation(all_fixture_curves["I2"], 3)
-    assert charpoly_commutation(all_fixture_curves["II"], 5)
+    assert base_change_laws(all_fixture_curves["I2"], 3).charpoly_commutes
+    assert base_change_laws(all_fixture_curves["II"], 5).charpoly_commutes
     # a factor (t^3 - 1) is fixed by a coprime power map
-    assert charpoly_commutation(all_fixture_curves["IV"], 2)
+    assert base_change_laws(all_fixture_curves["IV"], 2).charpoly_commutes
+
+
+def test_laws_read_from_one_transform(monkeypatch, capsys):
+    calls = []
+
+    def spy(curve, d):
+        calls.append(d)
+        return transform(curve, d)
+
+    monkeypatch.setattr(neroncalc.basechange, "transform", spy)
+    assert cli.main(["check", os.path.join(FIXTURES, "I2.json"), "-d", "3", "--json"]) == 0
+    assert calls == [3]
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+TREES = [name for name in ALL_FIXTURES if fixture_curve(name).b1() == 0]
+SWEEP = TREES + ["I%d" % n for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_laws_agree_with_the_transform_sweep(name):
+    curve = fixture_curve(name)
+    e = stabilization_index(curve)
+    for d in range(1, 26):
+        if gcd(d, e * curve.p) != 1:
+            continue
+        out, _ = transform(curve, d)
+        before, after = component_group(curve).order, component_group(out).order
+        factor = d ** curve.b1()
+        commutes = char_poly(out) == char_poly(curve).power_d(d)
+        laws = base_change_laws(curve, d)
+        assert laws == BaseChangeLaws(
+            d, before, after, factor, e // gcd(e, d), stabilization_index(out), commutes
+        ), (name, d)
+        assert laws.ok, (name, d)
+        assert laws.to_dict() == {
+            "component_growth": {"before": before, "after": after, "factor": factor, "pass": True},
+            "index_division": {"predicted": e, "measured": e, "pass": True},
+            "charpoly_commutation": {"pass": True},
+        }
+
+
+def test_failed_laws_are_reported_not_raised(monkeypatch, capsys):
+    # a transform that answers IV for II at d = 5 breaks all three laws
+    monkeypatch.setattr(
+        neroncalc.basechange, "transform", lambda curve, d: (fixture_curve("IV"), None)
+    )
+    laws = base_change_laws(fixture_curve("II"), 5)
+    assert (laws.phi_before, laws.phi_after, laws.factor) == (1, 3, 1)
+    assert (laws.index_predicted, laws.index_measured) == (6, 3)
+    assert not laws.charpoly_commutes and not laws.ok
+    assert cli.main(["check", os.path.join(FIXTURES, "II.json"), "-d", "5"]) == 1
+    assert capsys.readouterr().out == (
+        "component_growth: FAIL\nindex_division: FAIL\ncharpoly_commutation: FAIL\n"
+    )
+    # IV is II's reduction at d = 2, a degree the real transform refuses:
+    # e goes to 6/2 and P to its squared roots, but Phi is not a d^b1 multiple
+    laws = base_change_laws(fixture_curve("II"), 2)
+    assert (laws.index_predicted, laws.index_measured) == (3, 3)
+    assert laws.charpoly_commutes
+    assert (laws.phi_before, laws.phi_after, laws.factor) == (1, 3, 1)
 
 
 def test_preconditions():
@@ -169,7 +224,7 @@ def test_charpoly_commutes_generically(name, d):
     e = stabilization_index(curve)
     if gcd(d, e) != 1:
         return
-    assert charpoly_commutation(curve, d)
+    assert base_change_laws(curve, d).charpoly_commutes
     assert char_poly(transform(curve, d)[0]) == char_poly(curve).power_d(d)
 
 

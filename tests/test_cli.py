@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from math import gcd
 
 import pytest
 
 from neroncalc.cli import main
+from neroncalc.curves import load_curve
+from neroncalc.invariants import stabilization_index
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -146,3 +151,43 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basechange", fx("II.json")])  # missing -d
     assert exc.value.code == 2
+
+
+def _determinism_commands() -> list[list[str]]:
+    commands = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.startswith("provider"):
+            commands += [["series", fx(name)], ["zeta", fx(name)]]
+            continue
+        curve = load_curve(fx(name))
+        commands.append(["analyze", fx(name)])
+        for d in (5, 7):
+            if gcd(d, stabilization_index(curve) * curve.p) == 1:
+                commands.append(["check", fx(name), "-d", str(d)])
+    return commands
+
+
+CHILD = """
+import json, sys
+from neroncalc.cli import main
+sys.exit(max(main(argv) for argv in json.load(sys.stdin)))
+"""
+
+
+def test_stdout_is_identical_across_hash_seeds():
+    commands = _determinism_commands()
+    checks = sum(argv[0] == "check" for argv in commands)
+    assert checks > 20
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", CHILD], input=json.dumps(commands),
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr  # every command succeeded
+        outputs.append(child.stdout)
+    assert outputs[0].count("charpoly_commutation: PASS") == checks
+    assert outputs[0] == outputs[1] == outputs[2]

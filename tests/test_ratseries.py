@@ -107,7 +107,40 @@ def test_equality_is_representation_free():
     lhs = series_from({(1, 0, ()): 1}, [(0, 1)])
     rhs = series_from({(1, 0, ()): 1, (2, 0, ()): -1}, [(0, 1), (0, 1)])
     assert lhs == rhs
-    assert hash(lhs) == hash(rhs)  # reduction makes representations canonical
+    assert hash(lhs) == hash(rhs)
+
+
+def test_equal_series_hash_alike_across_factor_periods():
+    # 1/(1 - T) == (1 + T)/(1 - T^2), but neither form reduces to the other
+    lhs = series_from({(0, 0, ()): 1}, [(0, 1)])
+    rhs = series_from({(0, 0, ()): 1, (1, 0, ()): 1}, [(0, 2)])
+    assert lhs == rhs and lhs.den != rhs.den
+    assert len({lhs, rhs}) == 1
+
+
+@given(
+    st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=3),
+    st.sampled_from([(0, 1), (0, 2), (1, 1), (1, 3)]),
+    st.integers(2, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_hash_survives_widening_a_factor(coeffs, factor, k):
+    # num/(1 - L^a T^b) == num (1 + ... + L^{(k-1)a} T^{(k-1)b}) / (1 - L^{ka} T^{kb})
+    a, b = factor
+    num = {(n, 0, ()): c for n, c in coeffs.items()}
+    wide = {}
+    for (n, l, ab), c in num.items():
+        for j in range(k):
+            key = (n + j * b, l + j * a, ab)
+            wide[key] = wide.get(key, 0) + c
+    lhs = series_from(num, [factor])
+    rhs = series_from(wide, [(k * a, k * b)])
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+
+
+def test_zero_series_has_no_denominator():
+    assert series_from({}, [(0, 1)]).to_dict() == RationalSeries.zero().to_dict()
+    assert (geometric_sum(2, 1, 0, 0) + geometric_sum(2, 1, 0, 0).scale(-1)).den == ()
 
 
 def test_pretty_and_json_round():

@@ -54,6 +54,13 @@ def provider_II():
     )
 
 
+def test_provider_takes_a_degree_dividing_the_index():
+    # II at d = 2 is IV; transform refuses d = 2 | e, the provider checks e / 2
+    provider = ReductionProvider(fixture_curve("II"), {2: fixture_curve("IV")})
+    assert provider.e == 6
+    assert stabilization_index(provider.curve_for(2)) == 3
+
+
 def provider_good():
     return ReductionProvider(good_elliptic(), {}, JumpSet([(Fraction(0), 1)]))
 
