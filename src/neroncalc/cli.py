@@ -8,6 +8,7 @@ unless ``--json`` is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,7 @@ from .conductors import (
     wild_defect,
 )
 from .curves import SncdCurve, contract_minus_one, load_curve, serialize_curve, validate
-from .errors import NeroncalcError
+from .errors import MalformedFiber, NeroncalcError
 from .hj import hj_expand, local_point_data
 from .invariants import invariant_report
 from .zeta import (
@@ -39,17 +40,18 @@ def _emit(doc: dict, args) -> None:
     print(json.dumps(doc, ensure_ascii=False, separators=(", ", ": ")))
 
 
-def _fail(message: str, args) -> int:
+def _fail(exc: Exception, args) -> int:
     if getattr(args, "json", False):
-        print(json.dumps({"error": message}, ensure_ascii=False), file=sys.stderr)
+        doc = {"error": str(exc), "type": type(exc).__name__}
+        print(json.dumps(doc, ensure_ascii=False), file=sys.stderr)
     else:
-        print("error: %s" % message, file=sys.stderr)
+        print("error: %s" % exc, file=sys.stderr)
     return 1
 
 
 def _load(args):
     curve = load_curve(args.curve)
-    if getattr(args, "p", None):
+    if args.p is not None:
         curve = SncdCurve(curve.vertices, curve.edges, args.p)
     return curve
 
@@ -58,7 +60,7 @@ def _cmd_analyze(args) -> int:
     curve = _load(args)
     report = validate(curve)
     if not report.ok:
-        return _fail("; ".join(report.problems), args)
+        raise MalformedFiber("; ".join(report.problems))
     doc = invariant_report(curve).to_dict()
     doc["p"] = curve.p
     _emit(doc, args)
@@ -257,10 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call.
+
+    ``parse_args`` starts every call from a fresh namespace, so one parser
+    serves any number of calls in a process.  :func:`build_parser` stays a
+    plain constructor: a caller that edits its parser does not change this one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (NeroncalcError, ValueError, OSError) as exc:
-        return _fail(str(exc), args)
+        return _fail(exc, args)

@@ -355,13 +355,14 @@ def parse_curve(text: str) -> SncdCurve:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
+    # ``type(x) is int`` refuses JSON true and false, which load as bool.
     if "p" in doc:
         p = doc["p"]
-        if not isinstance(p, int) or p < 1:
+        if type(p) is not int or p < 1:
             raise ParseError("field 'p' must be a positive integer")
     else:
         p = 1
@@ -380,7 +381,7 @@ def parse_curve(text: str) -> SncdCurve:
             vid, n, g = rv["id"], rv["N"], rv["g"]
         except KeyError as exc:
             raise ParseError("vertex %d misses field %s" % (i, exc)) from exc
-        if not isinstance(vid, str) or not isinstance(n, int) or not isinstance(g, int):
+        if not isinstance(vid, str) or type(n) is not int or type(g) is not int:
             raise ParseError("vertex %d has wrongly typed fields" % i)
         vertices.append(Vertex(vid, n, g))
     edges = []
@@ -388,6 +389,8 @@ def parse_curve(text: str) -> SncdCurve:
         if not isinstance(re_, list) or len(re_) != 2:
             raise ParseError("edge %d must be a pair" % i)
         a, b = re_
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ParseError("edge %d must join two vertex ids" % i)
         if a == b:
             raise ParseError("edge %d is a loop at %r" % (i, a))
         edges.append((a, b))

@@ -274,31 +274,46 @@ def load_provider(path: str) -> ReductionProvider:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError("invalid provider JSON: %s" % exc) from exc
     if not isinstance(doc, dict) or "base" not in doc:
         raise ParseError("provider document needs a 'base' field")
+    if not isinstance(doc["base"], str):
+        raise ParseError("field 'base' must be a file name")
+    raw_curves = doc.get("curves") or {}
+    if not isinstance(raw_curves, dict) or not all(
+        isinstance(name, str) for name in raw_curves.values()
+    ):
+        raise ParseError("field 'curves' must map degrees to file names")
+    if not isinstance(doc.get("jumps", []), list):
+        raise ParseError("field 'jumps' must be a list")
     root = os.path.dirname(os.path.abspath(path))
 
     def _resolve(name):
         return name if os.path.isabs(name) else os.path.join(root, name)
 
     base = load_curve(_resolve(doc["base"]))
-    if "p" in doc and doc["p"] != base.p:
+    if "p" in doc and (type(doc["p"]) is not int or doc["p"] != base.p):
         raise ParseError(
             "provider p=%r contradicts base curve p=%d" % (doc["p"], base.p)
         )
-    curves = {
-        int(a): load_curve(_resolve(name))
-        for a, name in (doc.get("curves") or {}).items()
-    }
+    curves = {}
+    for a, name in raw_curves.items():
+        try:
+            degree = int(a)
+        except ValueError as exc:
+            raise ParseError("curve degree %r is not an integer" % a) from exc
+        curves[degree] = load_curve(_resolve(name))
     jumps = None
     if "jumps" in doc:
         items = []
         for entry in doc["jumps"]:
             try:
-                items.append((Fraction(str(entry["j"])), int(entry.get("m", 1))))
-            except (KeyError, ValueError, ZeroDivisionError) as exc:
+                j, m = Fraction(str(entry["j"])), entry.get("m", 1)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad jump entry %r" % (entry,)) from exc
+            if type(m) is not int:  # refuses 1.5 and true as well as "1"
+                raise ParseError("bad jump entry %r" % (entry,))
+            items.append((j, m))
         jumps = JumpSet(items)
     return ReductionProvider(base, curves, jumps)

@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from neroncalc import cli
 from neroncalc.cli import main
 from neroncalc.curves import load_curve
 from neroncalc.invariants import stabilization_index
@@ -169,6 +170,7 @@ def _determinism_commands() -> list[list[str]]:
 
 CHILD = """
 import json, sys
+from neroncalc import cli
 from neroncalc.cli import main
 sys.exit(max(main(argv) for argv in json.load(sys.stdin)))
 """
@@ -191,3 +193,152 @@ def test_stdout_is_identical_across_hash_seeds():
         outputs.append(child.stdout)
     assert outputs[0].count("charpoly_commutation: PASS") == checks
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_child(*argv):
+    child = subprocess.run(
+        [sys.executable, "-m", "neroncalc", *argv], env=child_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+def run_catching_exit(capsys, *argv):
+    """Like :func:`run`, with argparse's ``SystemExit`` read as an exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_process_per_call(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    target = str(tmp_path / "out.json")
+    sequence = [
+        ["check", fx("II.json"), "-d", "5", "--json"],
+        ["check", fx("II.json"), "-d", "5"],
+        ["analyze", fx("II.json"), "--p", "2"],
+        ["analyze", fx("II.json")],
+        ["basechange", fx("II.json")],  # usage error: -d is missing
+        ["--version"],
+        ["basechange", fx("I2.json"), "-d", "3", "-o", target],
+    ]
+    in_process = [run_catching_exit(capsys, *argv) for argv in sequence]
+    written = open(target).read(), open(target + ".trace.json").read()
+    assert [r[0] for r in in_process] == [0, 0, 0, 0, 2, 0, 0]
+    assert '"p": 2' in in_process[2][1] and '"p": 1' in in_process[3][1]
+    for argv, result in zip(sequence, in_process):
+        assert run_child(*argv) == result, argv
+    assert (open(target).read(), open(target + ".trace.json").read()) == written
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    calls = []
+    real = cli.build_parser
+
+    def spy():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        for n in range(2, 12):
+            assert run(capsys, "hj", "--n", str(n), "--r", "1")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", fx("II.json")],
+    ["basechange", fx("II.json"), "-d", "5"],
+    ["check", fx("II.json"), "-d", "5"],
+])
+def test_p_zero_is_rejected(capsys, command):
+    code, out, err = run(capsys, *command, "--p", "0")
+    assert (code, out, err) == (1, "", "error: characteristic exponent must be >= 1\n")
+
+
+HOSTILE_CURVES = {
+    "edge_endpoint_list": '{"p": 1, "vertices": [{"id": "a", "N": 1, "g": 0}, '
+    '{"id": "b", "N": 1, "g": 0}], "edges": [[["a"], "b"]]}',
+    "p_bool": '{"p": true, "vertices": [{"id": "a", "N": 1, "g": 1}], "edges": []}',
+    "N_bool": '{"p": 1, "vertices": [{"id": "a", "N": true, "g": 1}], "edges": []}',
+    "g_bool": '{"p": 1, "vertices": [{"id": "a", "N": 1, "g": true}], "edges": []}',
+    "deep_nesting": "[" * 100000,
+}
+HOSTILE_PROVIDERS = {
+    "base_int": {"base": 5},
+    "curves_list": {"base": "II.json", "curves": ["x"]},
+    "curves_degree": {"base": "II.json", "curves": {"two": "IV.json"}},
+    "jumps_int": {"base": "II.json", "jumps": 5},
+    "jumps_strings": {"base": "II.json", "jumps": ["1/6"]},
+    "jump_fractional_m": {"base": "II.json", "jumps": [{"j": "1/6", "m": 1.5}]},
+    "p_bool": {"p": True, "base": "II.json"},
+}
+
+
+def _assert_parse_error(path, *text_argv, json_argv):
+    """One ``error:`` line in text mode and a ``ParseError`` with ``--json``,
+    each from a fresh child, with no traceback and nothing on stdout."""
+    code, out, err = run_child(*text_argv, str(path))
+    assert (code, out) == (1, "") and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    code, out, err = run_child(*json_argv, str(path), "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": lines[0][len("error: "):], "type": "ParseError"}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CURVES))
+def test_hostile_curve_ends_in_parse_error(tmp_path, name):
+    path = tmp_path / "curve.json"
+    path.write_text(HOSTILE_CURVES[name])
+    _assert_parse_error(path, "analyze", json_argv=["basechange", "-d", "5"])
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_PROVIDERS))
+def test_hostile_provider_ends_in_parse_error(tmp_path, name):
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    path.write_text(json.dumps(HOSTILE_PROVIDERS[name]))
+    _assert_parse_error(path, "series", json_argv=["zeta"])
+
+
+def test_json_errors_name_their_type(tmp_path, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(open(fx("II.json")).read()[:40])
+    fibre = tmp_path / "gcd.json"
+    fibre.write_text(
+        '{"p": 1, "vertices": [{"id": "a", "N": 2, "g": 0}, '
+        '{"id": "b", "N": 2, "g": 0}], "edges": [["a", "b"]]}'
+    )
+    cases = {
+        "ParseError": ["analyze", str(truncated)],
+        "PreconditionError": ["basechange", fx("II.json"), "-d", "2"],
+        "FileNotFoundError": ["analyze", str(tmp_path / "missing.json")],
+        "MalformedFiber": ["analyze", str(fibre)],
+    }
+    for kind, argv in cases.items():
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert list(doc) == ["error", "type"] and doc["type"] == kind
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % doc["error"])
