@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 validation/domain failure, 2 usage error.
 All machine output is deterministic JSON; human-readable lines go to stdout
-unless ``--json`` is given.
+unless ``--json`` is given.  With ``--json`` in the arguments, every error,
+usage errors included, is one JSON line on stderr naming its type.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import json
 import sys
@@ -40,10 +42,14 @@ def _emit(doc: dict, args) -> None:
     print(json.dumps(doc, ensure_ascii=False, separators=(", ", ": ")))
 
 
+def _json_error(message: str, kind: str) -> None:
+    doc = {"error": message, "type": kind}
+    print(json.dumps(doc, ensure_ascii=False), file=sys.stderr)
+
+
 def _fail(exc: Exception, args) -> int:
     if getattr(args, "json", False):
-        doc = {"error": str(exc), "type": type(exc).__name__}
-        print(json.dumps(doc, ensure_ascii=False), file=sys.stderr)
+        _json_error(str(exc), type(exc).__name__)
     else:
         print("error: %s" % exc, file=sys.stderr)
     return 1
@@ -177,8 +183,24 @@ def _cmd_genus2(args) -> int:
     return 0
 
 
+# Set by main for the length of one parse: the subparser that reports a
+# usage error does not see main's argv, and parsers used outside main keep
+# argparse's own reporting.
+_JSON_USAGE = contextvars.ContextVar("json_usage", default=False)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors follow ``--json`` inside :func:`main`."""
+
+    def error(self, message):
+        if _JSON_USAGE.get():
+            _json_error(message, "UsageError")
+            self.exit(2)
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neroncalc",
         description="exact invariants of degenerating curves from dual graphs",
     )
@@ -271,7 +293,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    token = _JSON_USAGE.set("--json" in argv)
+    try:
+        args = _parser().parse_args(argv)
+    finally:
+        _JSON_USAGE.reset(token)
     try:
         return args.func(args)
     except (NeroncalcError, ValueError, OSError) as exc:

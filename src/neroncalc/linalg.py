@@ -3,8 +3,8 @@
 Dense matrices are plain lists of rows of Python ints and sparse ones are
 ``{row: {col: value}}`` dicts, so all arithmetic is arbitrary precision.
 There is one elimination kernel, :func:`smith_diagonal_sparse`: it takes
-unit pivots from a heap ordered by Markowitz cost and hands the residual
-block, small on graph-shaped matrices, to a dense reduction.
+unit pivots from a heap ordered by Markowitz cost and, when no unit is left,
+pivots on the smallest entry with Euclid steps in the same sparse loop.
 :func:`smith_diagonal` and :func:`cokernel` take dense rows.
 
 >>> cokernel([[2, 0], [0, 6]])
@@ -101,66 +101,6 @@ class FiniteAbelianGroup:
         return " x ".join("C%d" % d for d in self.factors)
 
 
-def _row_sub(row_i, row_t, q):
-    for j, v in enumerate(row_t):
-        if v:
-            row_i[j] -= q * v
-
-
-def _snf_diagonal_dense(M: list[list[int]]) -> list[int]:
-    """Diagonal left by reducing ``M`` to diagonal form (destroys ``M``).
-
-    Returns the nonzero diagonal entries, positive, in no particular order;
-    they need not form a divisibility chain.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # Smallest nonzero entry of the trailing submatrix as pivot.
-        pivot = None
-        for i in range(t, m):
-            row = M[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (pivot is None or abs(v) < pivot[0]):
-                    pivot = (abs(v), i, j)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        M[t], M[pi] = M[pi], M[t]
-        if pj != t:
-            for row in M:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    if q:
-                        _row_sub(M[i], M[t], q)
-                    if M[i][t]:
-                        M[t], M[i] = M[i], M[t]
-                        dirty = True
-            col_dirty = False
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    if q:
-                        for row in M:
-                            row[j] -= q * row[t]
-                    if M[t][j]:
-                        for row in M:
-                            row[t], row[j] = row[j], row[t]
-                        col_dirty = True
-            if not dirty and not col_dirty:
-                break
-        diag.append(abs(M[t][t]))
-        t += 1
-    return diag
-
-
 def smith_diagonal_sparse(rows: dict[int, dict[int, int]]) -> list[int]:
     """Nonzero invariant factors of a sparse integer matrix (destroys ``rows``).
 
@@ -168,49 +108,67 @@ def smith_diagonal_sparse(rows: dict[int, dict[int, int]]) -> list[int]:
     need not be contiguous.  The result lists the invariant factors in
     divisibility order, one per unit of rank, 1s included.
 
-    Every ``+-1`` entry is a candidate pivot, kept in a heap keyed by its
-    Markowitz cost ``len(row) * len(column)``.  Keys go stale as the matrix
-    changes, so a popped entry is checked again: one that is no longer a
-    unit is dropped, one whose cost changed is pushed back with the new
-    cost.  A unit pivot clears its column with row operations and then
-    leaves the matrix with its row and column, contributing a factor 1;
-    the unit entries of every row it touched are pushed.  When no unit is
-    left, the residual block goes through the dense reduction.  On the
-    intersection matrix of a dual graph nearly every pivot is a unit and
-    the residual block stays a few rows wide, so the cost is about
-    O((V + E) log V) instead of a rescan of the whole matrix per pivot.
+    Units first: every ``+-1`` entry is a candidate pivot, kept in a heap
+    keyed by ``(1, cost)`` with the Markowitz cost ``len(row) * len(column)``.
+    Keys go stale as the matrix changes, so a popped entry is checked again:
+    one whose absolute value changed is dropped, one whose cost changed is
+    pushed back with the new cost.  When no unit is left, the heap is rebuilt
+    from every live entry keyed by ``(|v|, cost)``, and from then on every
+    entry an elimination step changes is pushed as well.  The pivot is then
+    the live entry of smallest absolute value, ties broken by cost.
+
+    A pivot ``v`` takes Euclid steps.  Row operations reduce its column,
+    leaving each entry's remainder modulo ``v``; once the column is clear,
+    column operations, which touch only the pivot row, reduce its row the
+    same way.  If a remainder survives, the attempt fails and the next
+    pivot is chosen afresh; it is smaller than every entry that was live,
+    so a run of failed attempts is finite.  Otherwise the pivot leaves the
+    matrix with its row and column and contributes ``|v|``, and the unit
+    entries of every row it touched are pushed.  There is no dense
+    reduction.  On the intersection matrix of a dual graph nearly every
+    pivot is a unit, so the cost is about O((V + E) log V).  Around a hub
+    vertex the pivots left without units divide their rows and columns,
+    so each leaves at its first attempt.
 
     >>> smith_diagonal_sparse({0: {0: 2, 3: 1}, 2: {0: 4, 3: 2}, 7: {1: 6}})
     [1, 6]
+    >>> smith_diagonal_sparse({0: {0: 10, 3: 3}, 1: {3: 35}})
+    [1, 350]
     """
     rows = {i: r for i, r in rows.items() if r}
     cols: dict[int, set[int]] = {}
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
-    heap = [(len(r) * len(cols[j]), i, j)
+    heap = [(1, len(r) * len(cols[j]), i, j)
             for i, r in rows.items() for j, v in r.items() if v in (1, -1)]
     heapq.heapify(heap)
-    units = 0
-    while heap:
-        cost, pi, pj = heapq.heappop(heap)
+    euclid = False  # set when the units run out: the heap then holds every entry
+    diag: list[int] = []  # |pivot| of every pivot that is not a unit
+    rank = 0
+    while heap or not euclid:
+        if not heap:
+            euclid = True
+            heap = [(abs(v), len(r) * len(cols[j]), i, j)
+                    for i, r in rows.items() for j, v in r.items()]
+            heapq.heapify(heap)
+            continue
+        size, cost, pi, pj = heapq.heappop(heap)
         prow = rows.get(pi)
-        if prow is None or prow.get(pj) not in (1, -1):
+        if prow is None or abs(prow.get(pj, 0)) != size:
             continue
         now = len(prow) * len(cols[pj])
         if now != cost:
-            heapq.heappush(heap, (now, pi, pj))
+            heapq.heappush(heap, (size, now, pi, pj))
             continue
-        del rows[pi]
-        sign = prow.pop(pj)
-        for j in prow:
-            cols[j].discard(pi)
+        pivot = prow.pop(pj)
+        col = cols.pop(pj)
+        col.discard(pi)
+        left = {pi}  # rows keeping an entry in column pj
         touched = []
-        for i in cols.pop(pj):
-            if i == pi:
-                continue
+        for i in col:
             row = rows[i]
-            q = row.pop(pj) * sign  # entry / pivot with pivot = +-1
+            q, r = divmod(row.pop(pj), pivot)
             for j, v in prow.items():
                 new = row.get(j, 0) - q * v
                 if new:
@@ -219,24 +177,39 @@ def smith_diagonal_sparse(rows: dict[int, dict[int, int]]) -> list[int]:
                 else:
                     del row[j]
                     cols[j].discard(i)
+            if r:
+                row[pj] = r
+                left.add(i)
             if row:
                 touched.append(i)
             else:
                 del rows[i]
+        changed = {pj, *prow} if euclid else ()
+        for j in prow:
+            cols[j].discard(pi)
+        if size > 1 and len(left) == 1:
+            # The column is clear, so column operations reduce the pivot row
+            # modulo the pivot without touching another row.
+            prow = {j: r for j, v in prow.items() if (r := v % pivot)}
+        if size == 1 or len(left) == 1 and not prow:
+            del rows[pi]
+            rank += 1
+            if size > 1:
+                diag.append(size)
+        else:  # a remainder survives: the pivot row stays for another attempt
+            prow[pj] = pivot
+            rows[pi] = prow
+            cols[pj] = left
+            for j in prow:
+                cols[j].add(pi)
+            touched.append(pi)
         for i in touched:
             row = rows[i]
             for j, v in row.items():
-                if v in (1, -1):
-                    heapq.heappush(heap, (len(row) * len(cols[j]), i, j))
-        units += 1
-    colpos = {j: k for k, j in enumerate({j for r in rows.values() for j in r})}
-    dense = [[0] * len(colpos) for _ in rows]
-    for dense_row, row in zip(dense, rows.values()):
-        for j, v in row.items():
-            dense_row[colpos[j]] = v
-    rest = _snf_diagonal_dense(dense)
-    factors = FiniteAbelianGroup.from_factors(rest).factors
-    return [1] * (units + len(rest) - len(factors)) + list(factors)
+                if v in (1, -1) or j in changed:
+                    heapq.heappush(heap, (abs(v), len(row) * len(cols[j]), i, j))
+    factors = FiniteAbelianGroup.from_factors(diag).factors
+    return [1] * (rank - len(factors)) + list(factors)
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:

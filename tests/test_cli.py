@@ -154,6 +154,18 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+def test_json_usage_error_is_one_json_line(capsys):
+    want = {"error": "the following arguments are required: -d", "type": "UsageError"}
+    code, out, err = run_child("basechange", "--json", fx("II.json"))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert json.loads(err) == want
+    assert run_catching_exit(capsys, "basechange", "--json", fx("II.json")) == (2, "", err)
+    # the next call without --json prints argparse's usage text again
+    code, out, err = run_catching_exit(capsys, "basechange", fx("II.json"))
+    assert code == 2 and err.startswith("usage: ")
+    assert err.endswith("error: the following arguments are required: -d\n")
+
+
 def _determinism_commands() -> list[list[str]]:
     commands = []
     for name in sorted(os.listdir(FIXTURES)):

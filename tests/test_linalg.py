@@ -1,5 +1,6 @@
 """Smith normal form against an independent determinantal-divisor oracle."""
 
+import time
 from itertools import combinations
 from math import gcd, prod
 
@@ -96,6 +97,30 @@ def test_cokernel_examples():
     assert cokernel([[2]]) == (FiniteAbelianGroup((2,)), 0)
     assert cokernel([[0, 0], [0, 0]]) == (FiniteAbelianGroup(), 2)
     assert cokernel([[2, 0], [0, 6]]) == (FiniteAbelianGroup((2, 6)), 0)
+
+
+# Entries at most 35 and no unit after the first two pivots: an elimination
+# that lets its coefficients grow reaches entries of hundreds of digits
+# here.  Invariant factors checked against sympy.
+NO_UNIT_BLOW_UP = [
+    [0, -2, 12, 0, 1, 0],
+    [0, 35, 10, 0, -1, 12],
+    [0, 0, 0, 4, 2, 0],
+    [35, 0, 12, 0, 0, 0],
+    [0, 0, 35, 0, 0, 0],
+    [0, 0, 2, 0, 6, 12],
+    [3, 3, -2, -2, 35, -2],
+]
+
+
+def test_smith_form_without_units_keeps_entries_small():
+    t0 = time.perf_counter()
+    assert smith_diagonal([row[:] for row in NO_UNIT_BLOW_UP]) == [1, 1, 1, 1, 2, 84]
+    # 7 rows of rank 6: one free generator; the 6 x 7 transpose has none
+    assert cokernel(NO_UNIT_BLOW_UP) == (FiniteAbelianGroup((2, 84)), 1)
+    transpose = [list(col) for col in zip(*NO_UNIT_BLOW_UP)]
+    assert cokernel(transpose) == (FiniteAbelianGroup((2, 84)), 0)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_smith_quotient_full_lattice_cases():

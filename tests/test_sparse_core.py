@@ -116,13 +116,17 @@ def test_contraction_returns_input_when_nothing_qualifies():
 # -- sparse Smith kernel -------------------------------------------------------
 
 
-def random_sparse(rng: random.Random, m: int, n: int, density: float):
-    """Matrix with unit and non-unit entries, zero rows and zero columns."""
+MIXED = (1, -1, 1, -1, 2, -2, 3, 4, -6)
+UNIT_FREE = (2, -2, 3, -3, 4, 6, -9, 10, 12, 35)  # every pivot takes Euclid steps
+
+
+def random_sparse(rng: random.Random, m: int, n: int, density: float, pool=MIXED):
+    """Matrix with entries from ``pool``, zero rows and zero columns."""
     M = [[0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
             if rng.random() < density:
-                M[i][j] = rng.choice([1, -1, 1, -1, 2, -2, 3, 4, -6])
+                M[i][j] = rng.choice(pool)
     if m > 1:
         M[rng.randrange(m)] = [0] * n
     if n > 1:
@@ -144,11 +148,12 @@ def sympy_invariants(M):
     return sorted(abs(D[k, k]) for k in range(min(D.shape)) if D[k, k])
 
 
-@given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(0, 10 ** 9), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([MIXED, UNIT_FREE]))
 @settings(max_examples=200, deadline=None)
-def test_sparse_kernel_matches_determinantal_divisors(seed, m, n):
+def test_sparse_kernel_matches_determinantal_divisors(seed, m, n, pool):
     rng = random.Random(seed)
-    M = random_sparse(rng, m, n, 0.6)
+    M = random_sparse(rng, m, n, 0.6, pool)
     assert smith_diagonal_sparse(to_sparse(M, rng)) == determinantal_divisors(M)
 
 
@@ -156,10 +161,14 @@ def test_sparse_kernel_matches_determinantal_divisors(seed, m, n):
 def test_sparse_kernel_matches_sympy(seed):
     rng = random.Random(seed)
     m, n = rng.randint(2, 9), rng.randint(2, 9)
-    M = random_sparse(rng, m, n, rng.choice([0.2, 0.35, 0.6]))
-    want = sympy_invariants(M)
-    assert smith_diagonal_sparse(to_sparse(M, rng)) == want
-    assert smith_diagonal([row[:] for row in M]) == want
+    inputs = [random_sparse(rng, m, n, rng.choice([0.2, 0.35, 0.6]))]
+    for _ in range(3):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        inputs.append(random_sparse(rng, m, n, rng.choice([0.35, 0.6, 0.9]), UNIT_FREE))
+    for M in inputs:
+        want = sympy_invariants(M)
+        assert smith_diagonal_sparse(to_sparse(M, rng)) == want
+        assert smith_diagonal([row[:] for row in M]) == want
 
 
 def test_sparse_kernel_edge_cases():
@@ -226,6 +235,17 @@ def _component_group_seconds(n: int) -> float:
         assert component_group(curve).order == n
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+@pytest.mark.parametrize("q", [101, 307, 1009])
+def test_hub_without_units_stays_sparse(q):
+    # centre of multiplicity q with q reduced arms: no unit is left once the
+    # centre is eliminated, and Phi = (Z/q)^(q-2)
+    arms = ["a%d" % k for k in range(q)]
+    star = SncdCurve([("c", q, 0)] + [(a, 1, 0) for a in arms], [(a, "c") for a in arms])
+    t0 = time.perf_counter()
+    assert component_group(star).factors == (q,) * (q - 2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_component_group_scales_near_linearly():
