@@ -11,7 +11,6 @@ minimal model apply :func:`~neroncalc.curves.contract_minus_one`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from math import gcd
 
@@ -31,10 +30,17 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class BaseChangeTrace:
-    input_digest: str
+    input_curve: SncdCurve
     d: int
     vertex_records: tuple[tuple[str, int, int, int], ...]  # id, old N, gcd, new N
     edge_records: tuple[EdgeRecord, ...]
+
+    @property
+    def input_digest(self) -> str:
+        """SHA-256 of the serialized input curve, made only when asked for."""
+        import hashlib
+
+        return hashlib.sha256(serialize_curve(self.input_curve).encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -84,7 +90,6 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     adjacent to the second endpoint carries ``mu_1``.
     """
     _check_preconditions(curve, d)
-    digest = hashlib.sha256(serialize_curve(curve).encode()).hexdigest()
     new_vertices = []
     vrecords = []
     for v in curve.vertices:
@@ -115,7 +120,7 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
             new_edges.append((u, w))
         erecords.append(EdgeRecord((a, b), (na, nb), local, tuple(ids)))
     out = SncdCurve(new_vertices, new_edges, curve.p)
-    return out, BaseChangeTrace(digest, d, tuple(vrecords), tuple(erecords))
+    return out, BaseChangeTrace(curve, d, tuple(vrecords), tuple(erecords))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .zeta import (
 )
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict) -> None:
     print(json.dumps(doc, ensure_ascii=False, separators=(", ", ": ")))
 
 
@@ -69,7 +69,7 @@ def _cmd_analyze(args) -> int:
         raise MalformedFiber("; ".join(report.problems))
     doc = invariant_report(curve).to_dict()
     doc["p"] = curve.p
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
@@ -86,24 +86,21 @@ def _cmd_basechange(args) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_curve(out) + "\n")
         with open(args.output + ".trace.json", "w", encoding="utf-8") as fh:
-            json.dump(trace.to_dict(), fh, ensure_ascii=False, indent=1)
+            json.dump(doc["trace"], fh, ensure_ascii=False, indent=1)
             fh.write("\n")
     else:
-        _emit(doc, args)
+        _emit(doc)
     return 0
 
 
 def _cmd_series(args) -> int:
     provider = load_provider(args.provider)
     series = component_series(provider)
-    _emit(
-        {
-            "series": series.to_dict(),
-            "pole_order_at_1": series.pole_order_at_one(),
-            "degree": series.degree(),
-        },
-        args,
-    )
+    _emit({
+        "series": series.to_dict(),
+        "pole_order_at_1": series.pole_order_at_one(),
+        "degree": series.degree(),
+    })
     return 0
 
 
@@ -112,15 +109,12 @@ def _cmd_zeta(args) -> int:
     series = motivic_zeta(provider)
     slope, order = series.unique_pole_slope()
     euler = euler_specialize(provider)
-    _emit(
-        {
-            "zeta": series.to_dict(),
-            "pole": {"slope": str(slope), "order": order},
-            "degree": series.degree(),
-            "euler": euler.to_dict(),
-        },
-        args,
-    )
+    _emit({
+        "zeta": series.to_dict(),
+        "pole": {"slope": str(slope), "order": order},
+        "degree": series.degree(),
+        "euler": euler.to_dict(),
+    })
     return 0
 
 
@@ -128,7 +122,7 @@ def _cmd_check(args) -> int:
     laws = base_change_laws(_load(args), args.d)
     checks = laws.to_dict()
     if args.json:
-        _emit({"d": args.d, "checks": checks, "pass": laws.ok}, args)
+        _emit({"d": args.d, "checks": checks, "pass": laws.ok})
     else:
         for name, r in checks.items():
             print("%s: %s" % (name, "PASS" if r["pass"] else "FAIL"))
@@ -136,7 +130,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_hj(args) -> int:
-    _emit({"b": hj_expand(args.n, args.r)}, args)
+    _emit({"b": hj_expand(args.n, args.r)})
     return 0
 
 
@@ -147,7 +141,7 @@ def _cmd_resolve(args) -> int:
         "mu": list(local.chain.mu) if local.chain else [],
         "c": local.num_points,
     }
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
@@ -173,13 +167,13 @@ def _cmd_elliptic(args) -> int:
     }
     if defect.v_j_derived is not None:
         doc["v_j_derived"] = defect.v_j_derived
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
 def _cmd_genus2(args) -> int:
     c = genus2_c(args.vdmin, args.sigma, args.tau, args.deg)
-    _emit({"c": str(c)}, args)
+    _emit({"c": str(c)})
     return 0
 
 

@@ -41,7 +41,8 @@ class SncdCurve:
     ``edges`` are unordered pairs of vertex ids; each pair is normalized to
     lexicographic order, the list order is preserved.
 
-    Derived data (adjacency, degrees, :func:`geometry` and
+    Derived data (the adjacency, the one fiber pass that :func:`validate`,
+    :func:`geometry` and :func:`genus` read, and
     :func:`~neroncalc.invariants.component_group`) is computed on first use
     and cached in private attributes that are not dataclass fields, so
     equality and hashing see only ``vertices``, ``edges`` and ``p``.
@@ -81,7 +82,6 @@ class SncdCurve:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_by_id", {v.id: v for v in vertices})
         object.__setattr__(self, "_adj", None)
-        object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_geo", None)
         object.__setattr__(self, "_phi", None)
 
@@ -95,9 +95,6 @@ class SncdCurve:
     def ids(self) -> list[str]:
         return [v.id for v in self.vertices]
 
-    def degree(self, vid: str) -> int:
-        return self._degrees()[vid]
-
     def adjacency(self) -> dict[str, Counter]:
         """Neighbour multiplicity count per vertex.
 
@@ -110,12 +107,6 @@ class SncdCurve:
                 adj[b][a] += 1
             object.__setattr__(self, "_adj", adj)
         return self._adj
-
-    def _degrees(self) -> dict[str, int]:
-        if self._deg is None:
-            deg = {vid: sum(nbrs.values()) for vid, nbrs in self.adjacency().items()}
-            object.__setattr__(self, "_deg", deg)
-        return self._deg
 
     def multiplicity_gcd(self) -> int:
         return gcd(*(v.N for v in self.vertices)) if self.vertices else 0
@@ -163,42 +154,65 @@ class ValidationReport:
         return not self.problems
 
 
+@dataclass(frozen=True)
+class _FiberPass:
+    """What one walk of the graph says about the fiber relation."""
+
+    connected: bool
+    nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
+    euler: int                                   # sum_v N_v chi(E_v^o)
+    geometry: CurveGeometry | None               # None unless connected and dividing
+
+
+def _fiber_pass(curve: SncdCurve) -> _FiberPass:
+    """The one walk of ``curve`` behind :func:`validate`, :func:`geometry`
+    and :func:`genus`: each vertex's degree and incident sum, in O(V + E).
+    Cached on the curve; never raises."""
+    if curve._geo is not None:
+        return curve._geo
+    adj = curve.adjacency()
+    nondividing, euler, out = [], 0, {}
+    for v in curve.vertices:
+        nbrs = adj[v.id]
+        d = sum(nbrs.values())
+        chi = 2 - 2 * v.g - d
+        incident = sum(curve.multiplicity(w) * k for w, k in nbrs.items())
+        if incident % v.N:
+            nondividing.append((v, incident))
+        euler += v.N * chi
+        out[v.id] = VertexGeometry(d, chi, -(incident // v.N), v.g > 0 or d >= 3)
+    connected = curve.is_connected()
+    geo = None
+    if connected and not nondividing:
+        geo = CurveGeometry(out, curve.b1(), sum(v.g for v in curve.vertices))
+    walk = _FiberPass(connected, tuple(nondividing), euler, geo)
+    object.__setattr__(curve, "_geo", walk)
+    return walk
+
+
 def validate(curve: SncdCurve) -> ValidationReport:
     """Report every violated structural constraint (empty report = valid).
 
-    O(V + E) on the curve's cached adjacency.
+    Reads the curve's one cached fiber pass, O(V + E) on first use.
     """
-    problems = []
-    if not curve.is_connected():
-        problems.append("graph is not connected")
-    adj = curve.adjacency()
-    for v in curve.vertices:
-        incident = sum(curve.multiplicity(w) * k for w, k in adj[v.id].items())
-        if incident % v.N:
-            problems.append(
-                "multiplicity %d of %r does not divide the incident sum %d"
-                % (v.N, v.id, incident)
-            )
-    index_one = curve.multiplicity_gcd() == 1
-    if not index_one:
-        problems.append(
-            "index-one flag fails: gcd of multiplicities is %d"
-            % curve.multiplicity_gcd()
-        )
-    total = _chi_weighted_sum(curve)
-    if (2 - total) % 2 or total > 2:
-        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % total)
-    return ValidationReport(tuple(problems), index_one)
-
-
-def _chi_weighted_sum(curve: SncdCurve) -> int:
-    deg = curve._degrees()
-    return sum(v.N * (2 - 2 * v.g - deg[v.id]) for v in curve.vertices)
+    walk = _fiber_pass(curve)
+    problems = [] if walk.connected else ["graph is not connected"]
+    problems += [
+        "multiplicity %d of %r does not divide the incident sum %d"
+        % (v.N, v.id, incident)
+        for v, incident in walk.nondividing
+    ]
+    index = curve.multiplicity_gcd()
+    if index != 1:
+        problems.append("index-one flag fails: gcd of multiplicities is %d" % index)
+    if (2 - walk.euler) % 2 or walk.euler > 2:
+        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % walk.euler)
+    return ValidationReport(tuple(problems), index == 1)
 
 
 def genus(curve: SncdCurve) -> int:
     """Arithmetic genus recovered from ``sum N_i chi(E_i^o) = 2 - 2g``."""
-    total = _chi_weighted_sum(curve)
+    total = _fiber_pass(curve).euler
     if (2 - total) % 2:
         raise MalformedFiber("weighted Euler sum %d has wrong parity" % total)
     g = (2 - total) // 2
@@ -210,37 +224,20 @@ def genus(curve: SncdCurve) -> int:
 def geometry(curve: SncdCurve) -> CurveGeometry:
     """Per-vertex degree, open Euler characteristic, self-intersection.
 
-    Raises :class:`MalformedFiber` when a self-intersection fails to be an
-    integer or the graph is disconnected.  A successful result is cached on
-    the curve; a failing curve raises again on every call.
+    Reads the curve's one cached fiber pass and returns the same object on
+    every call.  Raises :class:`MalformedFiber` when the graph is
+    disconnected or, failing that, at the first vertex whose self-intersection
+    is not an integer; a failing curve raises again on every call.
     """
-    if curve._geo is not None:
-        return curve._geo
-    if not curve.is_connected():
+    walk = _fiber_pass(curve)
+    if not walk.connected:
         raise MalformedFiber("graph is not connected")
-    adj = curve.adjacency()
-    deg = curve._degrees()
-    out = {}
-    for v in curve.vertices:
-        d = deg[v.id]
-        incident = sum(curve.multiplicity(w) * k for w, k in adj[v.id].items())
-        if incident % v.N:
-            raise MalformedFiber(
-                "multiplicity %d of %r does not divide %d" % (v.N, v.id, incident)
-            )
-        out[v.id] = VertexGeometry(
-            degree=d,
-            chi_open=2 - 2 * v.g - d,
-            self_int=-(incident // v.N),
-            principal=v.g > 0 or d >= 3,
+    if walk.nondividing:
+        v, incident = walk.nondividing[0]
+        raise MalformedFiber(
+            "multiplicity %d of %r does not divide %d" % (v.N, v.id, incident)
         )
-    geo = CurveGeometry(
-        vertices=out,
-        b1=curve.b1(),
-        abelian_rank=sum(v.g for v in curve.vertices),
-    )
-    object.__setattr__(curve, "_geo", geo)
-    return geo
+    return walk.geometry
 
 
 def contract_minus_one(curve: SncdCurve) -> SncdCurve:

@@ -1,5 +1,6 @@
 """Base change transform: graph surgery and the laws it must satisfy."""
 
+import hashlib
 import json
 import os
 from math import gcd
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 import neroncalc.basechange
 from neroncalc import cli
 from neroncalc.basechange import BaseChangeLaws, base_change_laws, transform
-from neroncalc.curves import SncdCurve, contract_minus_one, genus, validate
+from neroncalc.curves import (
+    SncdCurve,
+    contract_minus_one,
+    genus,
+    serialize_curve,
+    validate,
+)
 from neroncalc.errors import PreconditionError
 from neroncalc.invariants import (
     char_poly,
@@ -69,6 +76,8 @@ def test_trace_records(all_fixture_curves):
     doc = trace.to_dict()
     assert doc["d"] == 3 and len(doc["edges"]) == 2
     assert len(trace.input_digest) == 64
+    assert doc["input_sha256"] == hashlib.sha256(
+        serialize_curve(all_fixture_curves["I2"]).encode()).hexdigest()
 
 
 def test_e_division_law_examples(all_fixture_curves):

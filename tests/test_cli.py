@@ -234,6 +234,21 @@ def run_catching_exit(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_check_never_hashes_its_input():
+    code = (
+        "import sys\n"
+        "from neroncalc.cli import main\n"
+        "assert main(['check', 'fixtures/II.json', '-d', '5']) == 0\n"
+        "assert 'hashlib' not in sys.modules\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), cwd=os.path.join(SRC, ".."),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.count("PASS") == 3
+
+
 def test_reused_parser_matches_a_fresh_process_per_call(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     target = str(tmp_path / "out.json")

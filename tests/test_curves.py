@@ -42,13 +42,33 @@ def test_validate_flags_index(all_fixture_curves):
 
 def test_validate_flags_divisibility():
     curve = SncdCurve([("a", 3, 0), ("b", 1, 0)], [("a", "b")])
-    report = validate(curve)
-    assert any("divide" in p for p in report.problems)
+    assert validate(curve).problems == (
+        "multiplicity 3 of 'a' does not divide the incident sum 1",
+        "weighted Euler sum 4 is not of the form 2 - 2g",
+    )
+    with pytest.raises(MalformedFiber, match=r"^multiplicity 3 of 'a' does not divide 1$"):
+        geometry(curve)
+    with pytest.raises(MalformedFiber, match=r"^negative genus -1$"):
+        genus(curve)
 
 
 def test_validate_flags_disconnected():
     curve = SncdCurve([("a", 1, 1), ("b", 1, 1)], [])
-    assert any("connected" in p for p in validate(curve).problems)
+    assert validate(curve).problems == ("graph is not connected",)
+    with pytest.raises(MalformedFiber, match=r"^graph is not connected$"):
+        geometry(curve)
+    assert genus(curve) == 1
+    # disconnected and not dividing: connectivity comes first everywhere
+    curve = SncdCurve([("a", 3, 0), ("b", 1, 0), ("c", 1, 1)], [("a", "b")])
+    assert validate(curve).problems == (
+        "graph is not connected",
+        "multiplicity 3 of 'a' does not divide the incident sum 1",
+        "weighted Euler sum 4 is not of the form 2 - 2g",
+    )
+    with pytest.raises(MalformedFiber, match=r"^graph is not connected$"):
+        geometry(curve)
+    with pytest.raises(MalformedFiber, match=r"^negative genus -1$"):
+        genus(curve)
 
 
 def test_genus_examples(all_fixture_curves):

@@ -5,6 +5,7 @@ heap-pivot sparse Smith kernel with brute-force and sympy oracles, and the
 cached curve data with fresh curves.
 """
 
+import os
 import random
 import time
 from math import gcd
@@ -16,6 +17,7 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from neroncalc.basechange import transform
+from neroncalc.cli import main
 from neroncalc.curves import (
     SncdCurve,
     blow_up_intersection,
@@ -188,6 +190,7 @@ def test_caches_leave_equality_and_hash_alone():
         cached.adjacency()
         genus(cached)
         geometry(cached)
+        validate(cached)
         assert cached == fresh and fresh == cached
         assert hash(cached) == hash(fresh) == before
         assert repr(cached) == repr(fresh)
@@ -198,17 +201,39 @@ def test_caches_leave_equality_and_hash_alone():
         assert cached == fresh and hash(cached) == before
 
 
-@pytest.mark.parametrize("curve", [
-    SncdCurve([("a", 3, 0), ("b", 1, 0)], [("a", "b")]),   # 3 does not divide 1
-    SncdCurve([("a", 1, 1), ("b", 1, 1)], []),             # disconnected
-])
-def test_invalid_curve_raises_on_every_call(curve):
+@pytest.mark.parametrize("curve, message", [
+    (SncdCurve([("a", 3, 0), ("b", 1, 0)], [("a", "b")]),
+     "multiplicity 3 of 'a' does not divide 1"),
+    (SncdCurve([("a", 1, 1), ("b", 1, 1)], []), "graph is not connected"),
+    (SncdCurve([("a", 3, 0), ("b", 1, 0), ("c", 1, 1)], [("a", "b")]),
+     "graph is not connected"),                            # both: connectivity first
+], ids=["curve0", "curve1", "curve2"])
+def test_invalid_curve_raises_on_every_call(curve, message):
+    problems = validate(curve).problems
     for _ in range(3):
-        with pytest.raises(MalformedFiber):
+        with pytest.raises(MalformedFiber) as exc:
             geometry(curve)
-        with pytest.raises(MalformedFiber):
+        assert str(exc.value) == message
+        with pytest.raises(MalformedFiber) as exc:
             component_group(curve)
-    assert not validate(curve).ok
+        assert str(exc.value) == message
+        assert validate(curve).problems == problems
+    assert problems
+
+
+def test_analyze_walks_the_graph_once(monkeypatch, capsys):
+    calls = []
+    walk = SncdCurve.is_connected
+
+    def spy(curve):
+        calls.append(curve)
+        return walk(curve)
+
+    monkeypatch.setattr(SncdCurve, "is_connected", spy)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "I3star.json")
+    assert main(["analyze", fixture]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_contraction_leaves_input_adjacency_alone():
