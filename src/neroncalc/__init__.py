@@ -22,7 +22,7 @@ from .curves import (
     validate,
 )
 from .cyclo import CycloProduct
-from .linalg import FiniteAbelianGroup, cokernel, smith_diagonal, smith_diagonal_sparse
+from .linalg import FiniteAbelianGroup, smith_diagonal_sparse
 from .hj import HJChain, LocalPointData, hj_expand, hj_value, local_point_data, resolve_chain
 from .invariants import (
     InvariantReport,
@@ -30,7 +30,6 @@ from .invariants import (
     char_poly,
     char_poly_prime,
     component_group,
-    intersection_matrix,
     invariant_report,
     lorenzini_form,
     monodromy_zeta,

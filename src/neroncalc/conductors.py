@@ -122,6 +122,8 @@ class EllipticData:
             )
         if self.delta_wild < 0:
             raise ValueError("wild conductor part cannot be negative")
+        if self.p < 1:
+            raise ValueError("characteristic exponent must be >= 1")
         if self.p == 1 and self.delta_wild:
             raise InconsistentData("delta_wild > 0 is impossible with p = 1")
 

@@ -345,15 +345,32 @@ def _fresh_id(curve: SncdCurve, base: str) -> str:
 
 # -- JSON interchange ---------------------------------------------------------
 
+def _read_text(path, what: str) -> str:
+    """UTF-8 text of a file; undecodable bytes raise :class:`ParseError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError("%s: %s" % (what, exc)) from exc
+
+
+def _parse_json(text: str, what: str):
+    """``json.loads`` raising only :class:`ParseError`.  An integer literal
+    past the interpreter's digit limit fails as a plain ``ValueError``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError("%s: %s" % (what, exc)) from exc
+    except ValueError as exc:
+        raise ParseError("%s: integer literal has too many digits" % what) from exc
+
+
 def parse_curve(text: str) -> SncdCurve:
     """Read a curve document; see :func:`serialize_curve` for the format.
 
     A missing ``p`` defaults to 1 and emits a :class:`CurveWarning`.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError("invalid JSON: %s" % exc) from exc
+    doc = _parse_json(text, "invalid JSON")
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     # ``type(x) is int`` refuses JSON true and false, which load as bool.
@@ -408,5 +425,4 @@ def serialize_curve(curve: SncdCurve) -> str:
 
 
 def load_curve(path) -> SncdCurve:
-    with open(path, encoding="utf-8") as fh:
-        return parse_curve(fh.read())
+    return parse_curve(_read_text(path, "invalid JSON"))

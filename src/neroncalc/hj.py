@@ -141,6 +141,8 @@ def local_point_data(m1: int, m2: int, d: int, p: int | None = None) -> LocalPoi
     """
     if d < 1 or min(m1, m2) < 1:
         raise BadLocalData("need positive multiplicities and degree")
+    if p is not None and p < 1:
+        raise BadLocalData("characteristic exponent must be >= 1")
     if p is not None and p > 1 and gcd(d, p) != 1:
         raise BadLocalData("degree d=%d is not prime to p=%d" % (d, p))
     c = gcd(d, m1, m2)

@@ -21,32 +21,6 @@ from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
 _T_MINUS_ONE_SQUARED = CycloProduct({1: 2})
 
 
-def intersection_matrix(curve: SncdCurve) -> list[list[int]]:
-    """Full intersection matrix: edge counts off the diagonal, derived
-    self-intersections on it."""
-    M = [[0] * len(curve.vertices) for _ in curve.vertices]
-    for i, row in _intersection_rows(curve).items():
-        for j, v in row.items():
-            M[i][j] = v
-    return M
-
-
-def _intersection_rows(curve: SncdCurve) -> dict[int, dict[int, int]]:
-    """Nonzero entries of the intersection matrix, ``{row: {col: value}}``,
-    in vertex order, built from the adjacency in O(V + E)."""
-    geo = geometry(curve)
-    adj = curve.adjacency()
-    pos = {v.id: i for i, v in enumerate(curve.vertices)}
-    rows = {}
-    for i, v in enumerate(curve.vertices):
-        row = {pos[w]: k for w, k in adj[v.id].items()}
-        self_int = geo.vertices[v.id].self_int
-        if self_int:
-            row[i] = self_int
-        rows[i] = row
-    return rows
-
-
 def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     """Component group of the Jacobian's smooth model.
 
@@ -56,26 +30,25 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     graph, this quotient is exactly the torsion of ``coker(alpha)``
     (``coker(alpha)`` splits as the quotient times one copy of Z).
 
-    ``alpha`` is built sparse from the adjacency, the fiber relation
-    ``N_v self_v + sum_w N_w (E_v . E_w) = 0`` is checked per vertex, and
-    the invariant factors come from the heap-pivot kernel
-    :func:`~neroncalc.linalg.smith_diagonal_sparse`: about O((V + E) log V)
-    on a dual graph, with no dense V x V matrix.  Cached on the curve
-    (failures are not).
+    ``alpha`` is built sparse from the adjacency and the self-intersections
+    of :func:`~neroncalc.curves.geometry`, which solves them from the fiber
+    relation, so the relation holds by construction.  The heap-pivot kernel
+    :func:`~neroncalc.linalg.smith_diagonal_sparse` takes about
+    O((V + E) log V) on a dual graph.  Cached on the curve (failures are not).
     """
     if curve._phi is not None:
         return curve._phi
-    rows = _intersection_rows(curve)
-    mult = [v.N for v in curve.vertices]
-    for j, row in rows.items():  # the matrix is symmetric: row j is column j
-        if sum(mult[i] * k for i, k in row.items()):
-            raise MalformedFiber("fiber relation fails in column %d" % j)
+    geo, adj = geometry(curve), curve.adjacency()
+    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    rows = {}
+    for i, v in enumerate(curve.vertices):
+        rows[i] = row = {pos[w]: k for w, k in adj[v.id].items()}
+        if geo.vertices[v.id].self_int:
+            row[i] = geo.vertices[v.id].self_int
     diag = smith_diagonal_sparse(rows)
-    free = len(mult) - len(diag)
+    free = len(rows) - len(diag)
     if free != 1:
-        raise MalformedFiber(
-            "intersection matrix has corank %d, expected 1" % free
-        )
+        raise MalformedFiber("intersection matrix has corank %d, expected 1" % free)
     phi = FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
     object.__setattr__(curve, "_phi", phi)
     return phi

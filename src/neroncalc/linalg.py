@@ -1,16 +1,14 @@
-"""Exact integer linear algebra: Smith normal form and abelian group quotients.
+"""Exact integer linear algebra: the sparse Smith kernel and finite abelian groups.
 
-Dense matrices are plain lists of rows of Python ints and sparse ones are
-``{row: {col: value}}`` dicts, so all arithmetic is arbitrary precision.
-There is one elimination kernel, :func:`smith_diagonal_sparse`: it takes
-unit pivots from a heap ordered by Markowitz cost and, when no unit is left,
-pivots on the smallest entry with Euclid steps in the same sparse loop.
-:func:`smith_diagonal` and :func:`cokernel` take dense rows.
+Matrices are sparse ``{row: {col: value}}`` dicts of Python ints, so all
+arithmetic is arbitrary precision.  There is one elimination kernel,
+:func:`smith_diagonal_sparse`: it takes unit pivots from a heap ordered by
+Markowitz cost and, when no unit is left, pivots on the smallest entry with
+Euclid steps in the same sparse loop.  Its nonzero invariant factors, read
+as a :class:`FiniteAbelianGroup`, give the torsion of a cokernel.
 
->>> cokernel([[2, 0], [0, 6]])
-(FiniteAbelianGroup(factors=(2, 6)), 0)
->>> smith_diagonal_sparse({0: {0: 1, 1: 2}, 1: {1: 4}})
-[1, 4]
+>>> FiniteAbelianGroup.from_factors(smith_diagonal_sparse({0: {0: 2}, 1: {1: 6}}))
+FiniteAbelianGroup(factors=(2, 6))
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from math import gcd, prod
-
-from .errors import DimensionMismatch
 
 
 def prime_to_part(n: int, p: int) -> int:
@@ -210,38 +206,3 @@ def smith_diagonal_sparse(rows: dict[int, dict[int, int]]) -> list[int]:
                     heapq.heappush(heap, (abs(v), len(row) * len(cols[j]), i, j))
     factors = FiniteAbelianGroup.from_factors(diag).factors
     return [1] * (rank - len(factors)) + list(factors)
-
-
-def smith_diagonal(rows: list[list[int]]) -> list[int]:
-    """Nonzero invariant factors of a dense integer matrix.
-
-    Converts to the sparse form and runs :func:`smith_diagonal_sparse`.
-
-    >>> smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    [2, 6, 12]
-    """
-    if not rows:
-        return []
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("ragged matrix")
-    return smith_diagonal_sparse(
-        {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows)}
-    )
-
-
-def cokernel(rows: list[list[int]], ambient: int | None = None):
-    """Quotient of ``Z^m`` by the column span of an ``m x n`` matrix.
-
-    Returns ``(torsion, free_rank)``.  ``ambient`` overrides ``m`` when the
-    matrix is empty.
-
-    >>> cokernel([[2]])
-    (FiniteAbelianGroup(factors=(2,)), 0)
-    >>> cokernel([[0, 0], [0, 0]])
-    (FiniteAbelianGroup(factors=()), 2)
-    """
-    m = len(rows) if ambient is None else ambient
-    diag = smith_diagonal(rows) if rows else []
-    torsion = FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
-    return torsion, m - len(diag)

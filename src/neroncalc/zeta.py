@@ -10,13 +10,12 @@ closed rational form; expansions only appear in tests.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 
-from .curves import SncdCurve, genus, geometry, load_curve
+from .curves import SncdCurve, _parse_json, _read_text, genus, geometry, load_curve
 from .cyclo import _divisors
 from .errors import (
     InconsistentData,
@@ -105,7 +104,7 @@ class ReductionProvider:
             a = int(a)
             if a == 1:
                 continue
-            if self.e % a or (self.p > 1 and gcd(a, self.p) != 1):
+            if a < 1 or self.e % a or (self.p > 1 and gcd(a, self.p) != 1):
                 raise InconsistentData(
                     "degree %d is not a prime-to-p divisor of e=%d" % (a, self.e)
                 )
@@ -271,11 +270,8 @@ def load_provider(path: str) -> ReductionProvider:
 
     Curve paths are resolved relative to the provider file.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError("invalid provider JSON: %s" % exc) from exc
+    what = "invalid provider JSON"
+    doc = _parse_json(_read_text(path, what), what)
     if not isinstance(doc, dict) or "base" not in doc:
         raise ParseError("provider document needs a 'base' field")
     if not isinstance(doc["base"], str):

@@ -1,14 +1,55 @@
-"""Linear algebra oracles used only by the tests.
+"""Dense linear algebra used only by the tests.
 
-``smith_quotient`` computes ``ker(A)/im(B)`` through an explicit kernel
-basis (column-tracking Smith reduction) and an exact rational solve, a
-route independent of the library's elimination kernel.
+Two helpers hand dense data to the library:
+
+- :func:`smith_diagonal` adapts a dense matrix to the library's sparse
+  elimination kernel;
+- :func:`intersection_matrix` writes out a curve's intersection matrix,
+  solving each diagonal entry from the fiber relation on its own.
+
+:func:`smith_quotient` computes ``ker(A)/im(B)`` through an explicit kernel
+basis and an exact rational solve, and reads the invariant factors off its
+own column-tracking reduction.  It calls no library kernel, so it is an
+independent check of :func:`~neroncalc.invariants.component_group`.
 """
 
 from fractions import Fraction
 
 from neroncalc.errors import DimensionMismatch
-from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal
+from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
+
+
+def smith_diagonal(rows: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors of a dense matrix, by the library's kernel.
+
+    >>> smith_diagonal([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    [2, 6, 12]
+    """
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatch("ragged matrix")
+    return smith_diagonal_sparse(
+        {i: {j: v for j, v in enumerate(r) if v} for i, r in enumerate(rows)}
+    )
+
+
+def intersection_matrix(curve) -> list[list[int]]:
+    """Dense intersection matrix of ``curve`` in vertex order.
+
+    Off the diagonal it counts edges; each diagonal entry is solved from the
+    fiber relation ``N_v E_v^2 + sum_w N_w (E_v . E_w) = 0``.
+    """
+    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    M = [[0] * len(pos) for _ in pos]
+    for a, b in curve.edges:
+        M[pos[a]][pos[b]] += 1
+        M[pos[b]][pos[a]] += 1
+    for i, v in enumerate(curve.vertices):
+        incident = sum(w.N * k for w, k in zip(curve.vertices, M[i]))
+        self_int, r = divmod(-incident, v.N)
+        if r:
+            raise ValueError("N=%d of %r does not divide %d" % (v.N, v.id, incident))
+        M[i][i] = self_int
+    return M
 
 
 def _row_sub(row_i, row_t, q):
@@ -18,11 +59,14 @@ def _row_sub(row_i, row_t, q):
 
 
 def _snf_with_column_basis(A: list[list[int]]):
-    """Reduce ``A`` with row and column operations, tracking column ops.
+    """Reduce ``A`` to diagonal form with row and column operations,
+    tracking the column operations.
 
-    Returns ``(rank, C)`` where ``C`` is the unimodular matrix of accumulated
-    column operations; the last ``n - rank`` columns of ``C`` are a basis of
-    the saturated kernel lattice of ``A``.
+    Returns ``(diag, C)``: ``diag`` holds the absolute values of the
+    ``rank`` nonzero diagonal entries, which need not form a divisibility
+    chain but give the same group, and ``C`` is the unimodular matrix of
+    accumulated column operations; its last ``n - rank`` columns are a
+    basis of the saturated kernel lattice of ``A``.
     """
     M = [list(r) for r in A]
     m = len(M)
@@ -57,28 +101,19 @@ def _snf_with_column_basis(A: list[list[int]]):
         _, pi, pj = pivot
         M[t], M[pi] = M[pi], M[t]
         col_swap(t, pj)
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    if q:
-                        _row_sub(M[i], M[t], q)
-                    if M[i][t]:
-                        M[t], M[i] = M[i], M[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    if q:
-                        col_sub(j, t, q)
-                    if M[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        t += 1
-    return t, C
+        # Reduce the pivot's column and row; a surviving remainder is smaller
+        # than the pivot, so the step restarts from the smallest entry.
+        for i in range(t + 1, m):
+            q = M[i][t] // M[t][t]
+            if q:
+                _row_sub(M[i], M[t], q)
+        for j in range(t + 1, n):
+            q = M[t][j] // M[t][t]
+            if q:
+                col_sub(j, t, q)
+        if not any(M[i][t] for i in range(t + 1, m)) and not any(M[t][t + 1:]):
+            t += 1
+    return [abs(M[i][i]) for i in range(t)], C
 
 
 def kernel_basis(A: list[list[int]]) -> list[list[int]]:
@@ -89,7 +124,8 @@ def kernel_basis(A: list[list[int]]) -> list[list[int]]:
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    rank, C = _snf_with_column_basis(A)
+    diag, C = _snf_with_column_basis(A)
+    rank = len(diag)
     return [[C[i][j] for j in range(rank, n)] for i in range(n)]
 
 
@@ -165,6 +201,5 @@ def smith_quotient(A: list[list[int]], B: list[list[int]]):
     else:
         k = n
         X = B
-    diag = smith_diagonal(X)
-    torsion = FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
-    return torsion, k - len(diag)
+    diag, _ = _snf_with_column_basis(X)
+    return FiniteAbelianGroup.from_factors(diag), k - len(diag)

@@ -38,7 +38,7 @@ from neroncalc.zeta import (
 )
 
 from conftest import random_curve
-from linalg_oracles import smith_quotient
+from linalg_oracles import intersection_matrix, smith_quotient
 from test_basechange import isomorphic
 
 ELLIPTIC_TABLE = {
@@ -84,15 +84,7 @@ def test_criterion_01_component_group_fixtures():
             assert phi.order == n
             # independent route through the kernel-basis quotient
             beta = [[v.N for v in curve.vertices]]
-            alpha = [
-                [
-                    geometry(curve).vertices[a.id].self_int if a.id == b.id
-                    else sum(1 for e in curve.edges if set(e) == {a.id, b.id})
-                    for b in curve.vertices
-                ]
-                for a in curve.vertices
-            ]
-            oracle, rank = smith_quotient(beta, alpha)
+            oracle, rank = smith_quotient(beta, intersection_matrix(curve))
             assert rank == 0 and oracle == phi
 
 

@@ -297,10 +297,13 @@ def test_build_parser_returns_a_fresh_parser():
     ["analyze", fx("II.json")],
     ["basechange", fx("II.json"), "-d", "5"],
     ["check", fx("II.json"), "-d", "5"],
+    ["resolve", "--m1", "6", "--m2", "3", "--d", "5"],
+    ["elliptic", "--type", "II", "--vdelta", "6", "--potential", "good"],
 ])
 def test_p_zero_is_rejected(capsys, command):
-    code, out, err = run(capsys, *command, "--p", "0")
-    assert (code, out, err) == (1, "", "error: characteristic exponent must be >= 1\n")
+    for p in ("0", "-1"):
+        code, out, err = run(capsys, *command, "--p", p)
+        assert (code, out, err) == (1, "", "error: characteristic exponent must be >= 1\n")
 
 
 HOSTILE_CURVES = {
@@ -310,6 +313,10 @@ HOSTILE_CURVES = {
     "N_bool": '{"p": 1, "vertices": [{"id": "a", "N": true, "g": 1}], "edges": []}',
     "g_bool": '{"p": 1, "vertices": [{"id": "a", "N": 1, "g": true}], "edges": []}',
     "deep_nesting": "[" * 100000,
+    # past the interpreter's 4300-digit limit for int conversion
+    "N_5000_digits": '{"p": 1, "vertices": [{"id": "a", "N": 1%s, "g": 1}], '
+    '"edges": []}' % ("0" * 4999),
+    "not_utf8": b'{"p": 1, "vertices": [{"id": "\xff", "N": 1, "g": 1}], "edges": []}',
 }
 HOSTILE_PROVIDERS = {
     "base_int": {"base": 5},
@@ -319,7 +326,17 @@ HOSTILE_PROVIDERS = {
     "jumps_strings": {"base": "II.json", "jumps": ["1/6"]},
     "jump_fractional_m": {"base": "II.json", "jumps": [{"j": "1/6", "m": 1.5}]},
     "p_bool": {"p": True, "base": "II.json"},
+    "p_5000_digits": '{"p": 1%s, "base": "II.json"}' % ("0" * 4999),
+    "not_utf8": b'{"base": "II.json", "note": "\xff"}',
 }
+
+
+def _write(path, doc):
+    """A hostile document: raw bytes, JSON text, or an object to dump."""
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def _assert_parse_error(path, *text_argv, json_argv):
@@ -327,6 +344,7 @@ def _assert_parse_error(path, *text_argv, json_argv):
     each from a fresh child, with no traceback and nothing on stdout."""
     code, out, err = run_child(*text_argv, str(path))
     assert (code, out) == (1, "") and "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     code, out, err = run_child(*json_argv, str(path), "--json")
@@ -337,7 +355,7 @@ def _assert_parse_error(path, *text_argv, json_argv):
 @pytest.mark.parametrize("name", sorted(HOSTILE_CURVES))
 def test_hostile_curve_ends_in_parse_error(tmp_path, name):
     path = tmp_path / "curve.json"
-    path.write_text(HOSTILE_CURVES[name])
+    _write(path, HOSTILE_CURVES[name])
     _assert_parse_error(path, "analyze", json_argv=["basechange", "-d", "5"])
 
 
@@ -345,8 +363,19 @@ def test_hostile_curve_ends_in_parse_error(tmp_path, name):
 def test_hostile_provider_ends_in_parse_error(tmp_path, name):
     (tmp_path / "II.json").write_text(open(fx("II.json")).read())
     path = tmp_path / "provider.json"
-    path.write_text(json.dumps(HOSTILE_PROVIDERS[name]))
+    _write(path, HOSTILE_PROVIDERS[name])
     _assert_parse_error(path, "series", json_argv=["zeta"])
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_provider_degree_below_one_is_refused(tmp_path, degree):
+    for name in ("II.json", "IV.json"):
+        (tmp_path / name).write_text(open(fx(name)).read())
+    path = tmp_path / "provider.json"
+    path.write_text(json.dumps({"base": "II.json", "curves": {degree: "IV.json"}}))
+    code, out, err = run_child("series", str(path))
+    assert (code, out, err) == (
+        1, "", "error: degree %s is not a prime-to-p divisor of e=6\n" % degree)
 
 
 def test_json_errors_name_their_type(tmp_path, capsys):

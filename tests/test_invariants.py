@@ -13,7 +13,6 @@ from neroncalc.invariants import (
     char_poly,
     char_poly_prime,
     component_group,
-    intersection_matrix,
     invariant_report,
     lorenzini_form,
     monodromy_zeta,
@@ -24,7 +23,7 @@ from neroncalc.invariants import (
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
 
 from conftest import curves
-from linalg_oracles import smith_quotient
+from linalg_oracles import intersection_matrix, smith_quotient
 
 
 def test_component_group_examples(all_fixture_curves):

@@ -1,0 +1,27 @@
+"""The example scripts the README documents run cleanly in a child."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def run_script(name: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name)], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("name", ["kodaira_survey.py", "zeta_demo.py"])
+def test_script_exits_cleanly(name):
+    child = run_script(name)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout
+    if name == "kodaira_survey.py":
+        assert child.stdout.splitlines()[-1] == "denominator/e mismatches: none"

@@ -30,8 +30,9 @@ from neroncalc.curves import (
 from neroncalc.errors import MalformedFiber
 from neroncalc.invariants import component_group, stabilization_index
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
-from neroncalc.linalg import smith_diagonal, smith_diagonal_sparse
+from neroncalc.linalg import smith_diagonal_sparse
 
+from linalg_oracles import smith_diagonal
 from test_linalg import determinantal_divisors
 
 
