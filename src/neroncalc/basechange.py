@@ -11,29 +11,39 @@ minimal model apply :func:`~neroncalc.curves.contract_minus_one`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .curves import SncdCurve, Vertex, serialize_curve
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
+from .record import Record
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(Record):
     endpoints: tuple[str, str]
     old_multiplicities: tuple[int, int]
     local: LocalPointData
     inserted: tuple[str, ...]
 
+    def __init__(self, endpoints, old_multiplicities, local, inserted):
+        object.__setattr__(self, "endpoints", endpoints)
+        object.__setattr__(self, "old_multiplicities", old_multiplicities)
+        object.__setattr__(self, "local", local)
+        object.__setattr__(self, "inserted", inserted)
 
-@dataclass(frozen=True)
-class BaseChangeTrace:
+
+class BaseChangeTrace(Record):
     input_curve: SncdCurve
     d: int
     vertex_records: tuple[tuple[str, int, int, int], ...]  # id, old N, gcd, new N
     edge_records: tuple[EdgeRecord, ...]
+
+    def __init__(self, input_curve, d, vertex_records, edge_records):
+        object.__setattr__(self, "input_curve", input_curve)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "vertex_records", vertex_records)
+        object.__setattr__(self, "edge_records", edge_records)
 
     @property
     def input_digest(self) -> str:
@@ -123,8 +133,7 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     return out, BaseChangeTrace(curve, d, tuple(vrecords), tuple(erecords))
 
 
-@dataclass(frozen=True)
-class BaseChangeLaws:
+class BaseChangeLaws(Record):
     """The three base change laws at degree ``d``, read from one transform.
 
     ``|Phi|`` grows by ``d^{b1}``, the stabilization index becomes
@@ -139,6 +148,18 @@ class BaseChangeLaws:
     index_predicted: int
     index_measured: int
     charpoly_commutes: bool
+
+    def __init__(
+        self, d, phi_before, phi_after, factor, index_predicted, index_measured,
+        charpoly_commutes,
+    ):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "phi_before", phi_before)
+        object.__setattr__(self, "phi_after", phi_after)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "index_predicted", index_predicted)
+        object.__setattr__(self, "index_measured", index_measured)
+        object.__setattr__(self, "charpoly_commutes", charpoly_commutes)
 
     def to_dict(self) -> dict:
         return {

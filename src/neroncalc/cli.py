@@ -177,6 +177,20 @@ def _cmd_genus2(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """``int`` for integer flags.  A decimal string past the interpreter's
+    digit limit is named by its length instead of echoed in full."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if digits.isdecimal():
+            raise argparse.ArgumentTypeError("integer %s... has too many digits (%d)"
+                                             % (text[:20], len(digits))) from None
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 # Set by main for the length of one parse: the subparser that reports a
 # usage error does not see main's argv, and parsers used outside main keep
 # argparse's own reporting.
@@ -207,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     def curve_opts(p):
         common(p)
         p.add_argument(
-            "--p", type=int, default=None, dest="p",
+            "--p", type=_int, default=None, dest="p",
             help="override the characteristic exponent of the curve file",
         )
 
@@ -218,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basechange", help="tame base change of the dual graph")
     p.add_argument("curve")
-    p.add_argument("-d", type=int, required=True, help="degree of the extension")
+    p.add_argument("-d", type=_int, required=True, help="degree of the extension")
     p.add_argument("--contract", action="store_true", help="contract to minimal form")
     p.add_argument("-o", "--output", help="write the curve here (+ .trace.json)")
     curve_opts(p)
@@ -236,39 +250,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify the base change laws at degree d")
     p.add_argument("curve")
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=_int, required=True)
     curve_opts(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("hj", help="continued fraction digits of n/r")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     common(p)
     p.set_defaults(func=_cmd_hj)
 
     p = sub.add_parser("resolve", help="local resolution data at a point")
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, default=None)
+    p.add_argument("--m1", type=_int, required=True)
+    p.add_argument("--m2", type=_int, required=True)
+    p.add_argument("--d", type=_int, required=True)
+    p.add_argument("--p", type=_int, default=None)
     common(p)
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("elliptic", help="elliptic conductor report")
     p.add_argument("--type", required=True, help="reduction type, e.g. II or I3*")
-    p.add_argument("--vdelta", type=int, required=True)
+    p.add_argument("--vdelta", type=_int, required=True)
     p.add_argument("--potential", choices=["good", "multiplicative"], required=True)
-    p.add_argument("--vj", type=int, default=None)
-    p.add_argument("--delta", type=int, default=0, help="wild conductor part")
-    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--vj", type=_int, default=None)
+    p.add_argument("--delta", type=_int, default=0, help="wild conductor part")
+    p.add_argument("--p", type=_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_elliptic)
 
     p = sub.add_parser("genus2", help="genus-2 conductor from the discriminant")
-    p.add_argument("--vdmin", type=int, required=True)
-    p.add_argument("--sigma", type=int, required=True)
-    p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
+    p.add_argument("--vdmin", type=_int, required=True)
+    p.add_argument("--sigma", type=_int, required=True)
+    p.add_argument("--tau", type=_int, required=True)
+    p.add_argument("--deg", type=_int, required=True)
     common(p)
     p.set_defaults(func=_cmd_genus2)
 

@@ -7,7 +7,6 @@ derives discriminants or Swan conductors from equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -17,28 +16,30 @@ from .errors import (
     MissingField,
     NegativeConductor,
 )
+from .record import Record
 
 GOOD = "good"
 MULTIPLICATIVE = "multiplicative"
 
 
-@dataclass(frozen=True)
-class KodairaType:
+class KodairaType(Record):
     """Reduction type symbol: ``I`` and ``I*`` carry the index ``n``."""
 
     kind: str
-    n: int | None = None
+    n: int | None
 
     _KINDS = ("I", "II", "III", "IV", "I*", "IV*", "III*", "II*")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError("unknown reduction type %r" % self.kind)
-        if self.kind in ("I", "I*"):
-            if self.n is None or self.n < 0:
-                raise ValueError("type %s needs an index n >= 0" % self.kind)
-        elif self.n is not None:
-            raise ValueError("type %s carries no index" % self.kind)
+    def __init__(self, kind: str, n: int | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        if kind not in self._KINDS:
+            raise ValueError("unknown reduction type %r" % kind)
+        if kind in ("I", "I*"):
+            if n is None or n < 0:
+                raise ValueError("type %s needs an index n >= 0" % kind)
+        elif n is not None:
+            raise ValueError("type %s carries no index" % kind)
 
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
@@ -96,8 +97,7 @@ def ctame_elliptic(kt: KodairaType | str) -> Fraction:
     return _CTAME[kt.kind]
 
 
-@dataclass(frozen=True)
-class EllipticData:
+class EllipticData(Record):
     """Numerical inputs for the elliptic conductor formulas.
 
     ``potential`` is ``"good"`` or ``"multiplicative"``; ``v_j`` is the
@@ -108,23 +108,35 @@ class EllipticData:
     kodaira: KodairaType
     v_delta: int
     potential: str
-    v_j: int | None = None
-    delta_wild: int = 0
-    p: int = 1
-    art: int | None = None
+    v_j: int | None
+    delta_wild: int
+    p: int
+    art: int | None
 
-    def __post_init__(self):
-        if self.potential not in (GOOD, MULTIPLICATIVE):
+    def __init__(
+        self, kodaira: KodairaType, v_delta: int, potential: str,
+        v_j: int | None = None, delta_wild: int = 0, p: int = 1, art: int | None = None,
+    ):
+        object.__setattr__(self, "kodaira", kodaira)
+        object.__setattr__(self, "v_delta", v_delta)
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "v_j", v_j)
+        object.__setattr__(self, "delta_wild", delta_wild)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "art", art)
+        if potential not in (GOOD, MULTIPLICATIVE):
             raise ValueError("potential must be 'good' or 'multiplicative'")
-        if self.potential == MULTIPLICATIVE and self.v_j is not None and self.v_j >= 0:
+        if v_delta < 0:
+            raise InconsistentData("v(Delta_min) = %d < 0 is impossible" % v_delta)
+        if potential == MULTIPLICATIVE and v_j is not None and v_j >= 0:
             raise InconsistentData(
                 "potential multiplicative reduction forces v(j) < 0"
             )
-        if self.delta_wild < 0:
+        if delta_wild < 0:
             raise ValueError("wild conductor part cannot be negative")
-        if self.p < 1:
+        if p < 1:
             raise ValueError("characteristic exponent must be >= 1")
-        if self.p == 1 and self.delta_wild:
+        if p == 1 and delta_wild:
             raise InconsistentData("delta_wild > 0 is impossible with p = 1")
 
 
@@ -175,12 +187,17 @@ def artin_relation(data: EllipticData) -> tuple[int, Fraction]:
     return art, c
 
 
-@dataclass(frozen=True)
-class WildDefectReport:
+class WildDefectReport(Record):
     c_tame: Fraction
     defect: Fraction           # c - c_tame
     c: Fraction
     v_j_derived: int | None    # only in the p=2, I_n* multiplicative branch
+
+    def __init__(self, c_tame, defect, c, v_j_derived):
+        object.__setattr__(self, "c_tame", c_tame)
+        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "v_j_derived", v_j_derived)
 
 
 def wild_defect(data: EllipticData) -> WildDefectReport:
@@ -227,8 +244,7 @@ def genus2_c(v_delta_min: int, sigma: int, tau: int, ext_degree: int) -> Fractio
 # -- ramification filtrations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RamificationFiltration:
+class RamificationFiltration(Record):
     """Lower-numbering filtration sizes with fixed-space codimensions.
 
     ``sizes[i]`` is the order of the i-th group (``sizes[0]`` the full
@@ -239,15 +255,17 @@ class RamificationFiltration:
     sizes: tuple[int, ...]
     codims: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.sizes or len(self.sizes) != len(self.codims):
+    def __init__(self, sizes: tuple[int, ...], codims: tuple[int, ...]):
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "codims", codims)
+        if not sizes or len(sizes) != len(codims):
             raise BadFiltration("sizes and codims must align and be non-empty")
-        if any(s < 1 for s in self.sizes) or any(c < 0 for c in self.codims):
+        if any(s < 1 for s in sizes) or any(c < 0 for c in codims):
             raise BadFiltration("sizes must be >= 1 and codimensions >= 0")
-        for a, b in zip(self.sizes, self.sizes[1:]):
+        for a, b in zip(sizes, sizes[1:]):
             if b > a or a % b:
                 raise BadFiltration("group orders must be non-increasing divisors")
-        for a, b in zip(self.codims, self.codims[1:]):
+        for a, b in zip(codims, codims[1:]):
             if b > a:
                 raise BadFiltration("codimensions must be non-increasing")
 

@@ -17,25 +17,28 @@ import heapq
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import MalformedFiber, ParseError
+from .record import Record
 
 
 class CurveWarning(UserWarning):
     """Non-fatal irregularities found while reading curve documents."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     id: str
     N: int
     g: int
 
+    def __init__(self, id: str, N: int, g: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "g", g)
 
-@dataclass(frozen=True)
-class SncdCurve:
+
+class SncdCurve(Record):
     """Immutable dual graph with multiplicities and genera.
 
     ``edges`` are unordered pairs of vertex ids; each pair is normalized to
@@ -44,7 +47,7 @@ class SncdCurve:
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
     :func:`geometry` and :func:`genus` read, and
     :func:`~neroncalc.invariants.component_group`) is computed on first use
-    and cached in private attributes that are not dataclass fields, so
+    and cached in private attributes that are not record fields, so
     equality and hashing see only ``vertices``, ``edges`` and ``p``.
     """
 
@@ -129,39 +132,56 @@ class SncdCurve:
         return len(seen) == len(self.vertices)
 
 
-@dataclass(frozen=True)
-class VertexGeometry:
+class VertexGeometry(Record):
     degree: int
     chi_open: int       # Euler characteristic of the open stratum
     self_int: int
     principal: bool     # positive genus or meets the rest in >= 3 points
 
+    def __init__(self, degree: int, chi_open: int, self_int: int, principal: bool):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "chi_open", chi_open)
+        object.__setattr__(self, "self_int", self_int)
+        object.__setattr__(self, "principal", principal)
 
-@dataclass(frozen=True)
-class CurveGeometry:
+
+class CurveGeometry(Record):
     vertices: dict[str, VertexGeometry]
     b1: int
     abelian_rank: int
 
+    def __init__(self, vertices: dict[str, VertexGeometry], b1: int, abelian_rank: int):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "abelian_rank", abelian_rank)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(Record):
     problems: tuple[str, ...]
     index_one: bool
+
+    def __init__(self, problems: tuple[str, ...], index_one: bool):
+        object.__setattr__(self, "problems", problems)
+        object.__setattr__(self, "index_one", index_one)
 
     @property
     def ok(self) -> bool:
         return not self.problems
 
 
-@dataclass(frozen=True)
-class _FiberPass:
+class _FiberPass(Record):
     """What one walk of the graph says about the fiber relation."""
 
     connected: bool
     nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
     euler: int                                   # sum_v N_v chi(E_v^o)
     geometry: CurveGeometry | None               # None unless connected and dividing
+
+    def __init__(self, connected, nondividing, euler, geometry):
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "nondividing", nondividing)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "geometry", geometry)
 
 
 def _fiber_pass(curve: SncdCurve) -> _FiberPass:

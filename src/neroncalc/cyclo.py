@@ -18,13 +18,13 @@ each step linear in the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import MalformedFiber
+from .record import Record
 
 
 def poly_str(c: list[int], var: str = "t") -> str:
@@ -92,8 +92,7 @@ def cyclotomic_at_one(m: int) -> int:
 # -- factored products of (t^a - 1) ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycloProduct:
+class CycloProduct(Record):
     """Exact product ``prod_a (t^a - 1)^{e_a}`` with ``e_a`` in Z.
 
     ``factors`` maps each ``a >= 1`` to its nonzero exponent.  The neutral
@@ -105,7 +104,7 @@ class CycloProduct:
     CycloProduct({3: 2})
     """
 
-    factors: tuple[tuple[int, int], ...] = field(default=())
+    factors: tuple[tuple[int, int], ...]
 
     def __init__(self, factors=()):
         items = dict(factors)

@@ -12,11 +12,11 @@ cover of the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import BadFraction, BadLocalData
+from .record import Record
 
 
 def hj_expand(n: int, r: int) -> list[int]:
@@ -51,8 +51,7 @@ def hj_value(digits) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class HJChain:
+class HJChain(Record):
     """Resolution chain data: digits ``b`` and multiplicities ``mu``.
 
     ``mu`` has length ``len(b) + 2``; its ends ``mu[0]`` and ``mu[-1]`` are
@@ -66,17 +65,21 @@ class HJChain:
     b: tuple[int, ...]
     mu: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.mu) != len(self.b) + 2:
+    def __init__(self, n: int, r: int, b: tuple[int, ...], mu: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "mu", mu)
+        if len(mu) != len(b) + 2:
             raise BadLocalData("chain length mismatch")
         # convergents p_k = b_k p_{k-1} - p_{k-2} (same for q) of [b1, ..., bL]
         p, p_prev, q, q_prev = 1, 0, 0, -1
-        for b in self.b:
-            p, p_prev, q, q_prev = b * p - p_prev, p, b * q - q_prev, q
-        if (p, q) != (self.n, self.r):
+        for bk in b:
+            p, p_prev, q, q_prev = bk * p - p_prev, p, bk * q - q_prev, q
+        if (p, q) != (n, r):
             raise BadLocalData("digits do not recompose n/r")
-        for i in range(1, len(self.mu) - 1):
-            if self.mu[i - 1] + self.mu[i + 1] != self.b[i - 1] * self.mu[i]:
+        for i in range(1, len(mu) - 1):
+            if mu[i - 1] + mu[i + 1] != b[i - 1] * mu[i]:
                 raise BadLocalData("multiplicity recursion fails at %d" % i)
 
 
@@ -104,8 +107,7 @@ def resolve_chain(m1: int, m2: int, n: int, r: int) -> HJChain:
     return HJChain(n, r, tuple(b), tuple(mu))
 
 
-@dataclass(frozen=True)
-class LocalPointData:
+class LocalPointData(Record):
     """Normalization data of an intersection point under base change.
 
     ``num_points`` points lie above the original point, each carrying the
@@ -126,6 +128,20 @@ class LocalPointData:
     m2_red: int                  # m2'' = m2 / (c e2)
     r: int | None
     chain: HJChain | None
+
+    def __init__(self, m1, m2, d, num_points, d1, e1, e2, d2, m1_red, m2_red, r, chain):
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "num_points", num_points)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "m1_red", m1_red)
+        object.__setattr__(self, "m2_red", m2_red)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "chain", chain)
 
 
 def local_point_data(m1: int, m2: int, d: int, p: int | None = None) -> LocalPointData:

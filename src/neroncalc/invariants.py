@@ -9,7 +9,6 @@ together on additively reducing fibers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,6 +16,7 @@ from .curves import SncdCurve, genus, geometry
 from .cyclo import CycloProduct
 from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
+from .record import Record
 
 _T_MINUS_ONE_SQUARED = CycloProduct({1: 2})
 
@@ -135,13 +135,19 @@ def tame(curve: SncdCurve) -> bool:
     return gcd(stabilization_index(curve), curve.p) == 1
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(Record):
     additive: bool
     char_value_at_one: Fraction        # P'(1)
     phi_prime_order: int               # prime-to-p part of |Phi|
     valency_product: Fraction          # prod (N'_i)^{d_i - 2}
     agree: bool
+
+    def __init__(self, additive, char_value_at_one, phi_prime_order, valency_product, agree):
+        object.__setattr__(self, "additive", additive)
+        object.__setattr__(self, "char_value_at_one", char_value_at_one)
+        object.__setattr__(self, "phi_prime_order", phi_prime_order)
+        object.__setattr__(self, "valency_product", valency_product)
+        object.__setattr__(self, "agree", agree)
 
 
 def trace_identities(curve: SncdCurve) -> TraceReport:
@@ -165,8 +171,7 @@ def trace_identities(curve: SncdCurve) -> TraceReport:
     return TraceReport(additive, value, phi_prime, prod, agree)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     genus: int
     toric_rank: int
     abelian_rank: int
@@ -179,6 +184,23 @@ class InvariantReport:
     e_model: int
     tame: bool
     additive: bool
+
+    def __init__(
+        self, genus, toric_rank, abelian_rank, unipotent_rank, phi, phi_rank,
+        char_poly, char_poly_prime, zeta, e_model, tame, additive,
+    ):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "toric_rank", toric_rank)
+        object.__setattr__(self, "abelian_rank", abelian_rank)
+        object.__setattr__(self, "unipotent_rank", unipotent_rank)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi_rank", phi_rank)
+        object.__setattr__(self, "char_poly", char_poly)
+        object.__setattr__(self, "char_poly_prime", char_poly_prime)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "e_model", e_model)
+        object.__setattr__(self, "tame", tame)
+        object.__setattr__(self, "additive", additive)
 
     def to_dict(self) -> dict:
         return {

@@ -14,8 +14,9 @@ FiniteAbelianGroup(factors=(2, 6))
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd, prod
+
+from .record import Record
 
 
 def prime_to_part(n: int, p: int) -> int:
@@ -30,8 +31,7 @@ def prime_to_part(n: int, p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Finite abelian group in invariant factor form ``Z/d1 x ... x Z/dr``.
 
     The factors satisfy ``d1 | d2 | ... | dr`` with every ``di >= 2``; the
@@ -47,16 +47,16 @@ class FiniteAbelianGroup:
     ValueError: invariant factors must form a divisibility chain: [4, 6]
     """
 
-    factors: tuple[int, ...] = ()
+    factors: tuple[int, ...]
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __init__(self, factors: tuple[int, ...] = ()):
+        object.__setattr__(self, "factors", factors)
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(
-                    "invariant factors must form a divisibility chain: %r"
-                    % list(self.factors)
+                    "invariant factors must form a divisibility chain: %r" % list(factors)
                 )
-        if any(d < 2 for d in self.factors):
+        if any(d < 2 for d in factors):
             raise ValueError("invariant factors must be >= 2")
 
     @classmethod

@@ -11,7 +11,6 @@ closed rational form; expansions only appear in tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 
@@ -25,10 +24,10 @@ from .errors import (
 )
 from .invariants import component_group, stabilization_index
 from .ratseries import RationalSeries, geometric_sum
+from .record import Record
 
 
-@dataclass(frozen=True)
-class JumpSet:
+class JumpSet(Record):
     """Filtration jumps ``j`` in ``[0, 1)`` with multiplicities ``m >= 1``."""
 
     jumps: tuple[tuple[Fraction, int], ...]
@@ -298,6 +297,11 @@ def load_provider(path: str) -> ReductionProvider:
         try:
             degree = int(a)
         except ValueError as exc:
+            body = a.strip()
+            digits = body[1:] if body[:1] in ("+", "-") else body
+            if digits.isdecimal():  # past the interpreter's digit limit
+                raise ParseError("curve degree %s... has too many digits (%d)"
+                                 % (a[:20], len(digits))) from exc
             raise ParseError("curve degree %r is not an integer" % a) from exc
         curves[degree] = load_curve(_resolve(name))
     jumps = None

@@ -249,6 +249,38 @@ def test_check_never_hashes_its_input():
     assert child.stdout.count("PASS") == 3
 
 
+def test_no_subcommand_loads_the_introspection_modules(tmp_path):
+    """Importing the package compiles no generated methods: a child that
+    runs every subcommand once, without cached bytecode, never loads
+    ``dataclasses`` or the modules it pulls in."""
+    provider = fx("provider_II.json")
+    commands = [
+        ["analyze", fx("II.json")],
+        ["basechange", fx("II.json"), "-d", "5", "-o", str(tmp_path / "out.json")],
+        ["check", fx("II.json"), "-d", "5"],
+        ["series", provider],
+        ["zeta", provider],
+        ["hj", "--n", "5", "--r", "2"],
+        ["resolve", "--m1", "6", "--m2", "3", "--d", "5"],
+        ["elliptic", "--type", "II", "--vdelta", "2", "--potential", "good"],
+        ["genus2", "--vdmin", "20", "--sigma", "0", "--tau", "0", "--deg", "1"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from neroncalc.cli import main\n"
+        "assert [main(argv) for argv in json.load(sys.stdin)] == [0] * 9\n"
+        "heavy = ['dataclasses', 'inspect', 'ast', 'dis', 'tokenize']\n"
+        "print(json.dumps([m for m in heavy if m in sys.modules]))\n"
+    )
+    env = dict(child_env(), PYTHONDONTWRITEBYTECODE="1")
+    child = subprocess.run(
+        [sys.executable, "-c", code], input=json.dumps(commands), env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []
+
+
 def test_reused_parser_matches_a_fresh_process_per_call(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     target = str(tmp_path / "out.json")
@@ -327,6 +359,7 @@ HOSTILE_PROVIDERS = {
     "jump_fractional_m": {"base": "II.json", "jumps": [{"j": "1/6", "m": 1.5}]},
     "p_bool": {"p": True, "base": "II.json"},
     "p_5000_digits": '{"p": 1%s, "base": "II.json"}' % ("0" * 4999),
+    "curves_degree_5000_digits": {"base": "II.json", "curves": {"1" + "0" * 4999: "IV.json"}},
     "not_utf8": b'{"base": "II.json", "note": "\xff"}',
 }
 
@@ -347,6 +380,7 @@ def _assert_parse_error(path, *text_argv, json_argv):
     assert "set_int_max_str_digits" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert len(lines[0]) < 200, lines[0][:300]
     code, out, err = run_child(*json_argv, str(path), "--json")
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": lines[0][len("error: "):], "type": "ParseError"}
@@ -365,6 +399,50 @@ def test_hostile_provider_ends_in_parse_error(tmp_path, name):
     path = tmp_path / "provider.json"
     _write(path, HOSTILE_PROVIDERS[name])
     _assert_parse_error(path, "series", json_argv=["zeta"])
+
+
+def test_non_integer_degree_wording_is_unchanged(tmp_path):
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    _write(path, HOSTILE_PROVIDERS["curves_degree"])
+    message = "curve degree 'two' is not an integer"
+    assert run_child("series", str(path)) == (1, "", "error: %s\n" % message)
+    code, out, err = run_child("zeta", str(path), "--json")
+    assert (code, out, json.loads(err)) == (1, "", {"error": message, "type": "ParseError"})
+
+
+def test_long_degree_names_its_digit_count(tmp_path):
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    _write(path, HOSTILE_PROVIDERS["curves_degree_5000_digits"])
+    code, out, err = run_child("series", str(path))
+    assert err == "error: curve degree %s... has too many digits (5000)\n" % ("1" + "0" * 19)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "invalid int value: 'x'"),
+    ("1.5", "invalid int value: '1.5'"),
+    ("+-5", "invalid int value: '+-5'"),
+    ("1" + "0" * 4999, "integer 1%s... has too many digits (5000)" % ("0" * 19)),
+    ("-1" + "0" * 4999, "integer -1%s... has too many digits (5000)" % ("0" * 18)),
+], ids=["word", "fraction", "two_signs", "5000_digits", "minus_5000_digits"])
+def test_integer_flag_errors(capsys, value, message):
+    """A bad integer flag is one short usage error, in text and ``--json``
+    mode; an integer past the digit limit is named, not echoed."""
+    argv = ["hj", "--n", value, "--r", "1"]
+    code, out, err = run_catching_exit(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("usage: ")
+    assert err.splitlines()[-1] == "neroncalc hj: error: argument --n: %s" % message
+    assert len(err.splitlines()[-1]) < 200
+    code, out, err = run_catching_exit(capsys, *argv, "--json")
+    assert (code, out, err.count("\n")) == (2, "", 1) and len(err) < 200
+    assert json.loads(err) == {"error": "argument --n: %s" % message, "type": "UsageError"}
+
+
+def test_negative_discriminant_valuation_exits_one():
+    code, out, err = run_child("elliptic", "--type", "II", "--vdelta", "-6",
+                               "--potential", "good")
+    assert (code, out, err) == (1, "", "error: v(Delta_min) = -6 < 0 is impossible\n")
 
 
 @pytest.mark.parametrize("degree", ["0", "-2"])

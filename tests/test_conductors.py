@@ -124,6 +124,13 @@ def test_artin_relation_examples():
         )
 
 
+def test_negative_discriminant_valuation_is_refused():
+    for potential, v_j in (("good", None), ("multiplicative", -2)):
+        with pytest.raises(InconsistentData, match=r"v\(Delta_min\) = -6 < 0"):
+            EllipticData(KodairaType.parse("II"), -6, potential, v_j=v_j)
+    assert c_elliptic(EllipticData(KodairaType.parse("I0"), 0, "good")) == 0
+
+
 def test_wild_defect_generic_and_tame():
     tame = wild_defect(standard_data("II"))
     assert tame.defect == 0 and tame.c == Fraction(1, 6)
