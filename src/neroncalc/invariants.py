@@ -203,6 +203,7 @@ class InvariantReport(Record):
         object.__setattr__(self, "additive", additive)
 
     def to_dict(self) -> dict:
+        P = self.char_poly.poly_str()  # P_prime equals it on tame fibers
         return {
             "genus": self.genus,
             "t": self.toric_rank,
@@ -211,9 +212,10 @@ class InvariantReport(Record):
             "phi": list(self.phi.factors),
             "phi_order": self.phi.order,
             "phi_rank": self.phi_rank,
-            "P": self.char_poly.poly_str(),
+            "P": P,
             "P_factored": str(self.char_poly),
-            "P_prime": self.char_poly_prime.poly_str(),
+            "P_prime": (P if self.char_poly_prime == self.char_poly
+                        else self.char_poly_prime.poly_str()),
             "zeta": str(self.zeta),
             "e_model": self.e_model,
             "tame": self.tame,

@@ -5,11 +5,12 @@ spanned by monomials ``L^l * [B]`` with ``[B]`` an opaque commutative symbol
 keyed by a multiset of positive genera (the class of a product of Jacobians;
 the empty multiset is the unit).  Numerators are flat dictionaries
 
-    (T-degree, L-exponent, genus multiset) -> Fraction
+    (T-degree, L-exponent, genus multiset) -> int
 
 with no zero values; denominators are multisets of factors ``1 - L^a T^b``
-with ``b >= 1``.  Rational coefficients only appear transiently inside an
-assembly and callers assert integrality at the end.
+with ``b >= 1``.  A ``Fraction`` coefficient only appears transiently inside
+an assembly that divides (an integral one is stored as an ``int``), and
+callers assert integrality at the end.
 
 A sum is assembled once (:meth:`RationalSeries.sum`): one common
 denominator, one numerator, one reduction.  Reduction rejects a factor by
@@ -19,7 +20,7 @@ the remainder modulo it, linear in the numerator's terms.
 >>> str(s)
 '(T) / (1 - T^2)'
 >>> s.expand(5)[(5, 0, ())]
-Fraction(1, 1)
+1
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from .errors import NonIntegralAssembly, NonReducible
 
 Key = tuple[int, int, tuple[int, ...]]
-Poly = dict[Key, Fraction]
+Poly = dict[Key, int | Fraction]
 
 _HASH_ORDER = 8  # T-order of the expansion that __hash__ reads
 
@@ -39,15 +40,23 @@ def _clean(poly: Poly) -> Poly:
     return {k: v for k, v in poly.items() if v}
 
 
+def _coeff(v) -> int | Fraction:
+    """``v`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def _poly_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + v
+        out[k] = out.get(k, 0) + v
     return _clean(out)
 
 
 def _poly_scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
+    c = _coeff(c)
     return _clean({k: v * c for k, v in a.items()})
 
 
@@ -60,16 +69,16 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     for (n1, l1, ab1), v1 in a.items():
         for (n2, l2, ab2), v2 in b.items():
             k = (n1 + n2, l1 + l2, _merge_ab(ab1, ab2))
-            out[k] = out.get(k, Fraction(0)) + v1 * v2
+            out[k] = out.get(k, 0) + v1 * v2
     return _clean(out)
 
 
 def _factor_poly(a: int, b: int) -> Poly:
-    return {(0, 0, ()): Fraction(1), (b, a, ()): Fraction(-1)}
+    return {(0, 0, ()): 1, (b, a, ()): -1}
 
 
 def _den_poly(den) -> Poly:
-    out: Poly = {(0, 0, ()): Fraction(1)}
+    out: Poly = {(0, 0, ()): 1}
     for a, b in den:
         out = _poly_mul(out, _factor_poly(a, b))
     return out
@@ -104,7 +113,7 @@ def _divide_by_factor(num: Poly, a: int, b: int) -> Poly | None:
         if prev:
             for (z, l, ab), v in prev.items():
                 k = (z, l + a, ab)
-                cur[k] = cur.get(k, Fraction(0)) + v
+                cur[k] = cur.get(k, 0) + v
         cur = _clean(cur)
         if cur:
             q_slices[n] = cur
@@ -144,7 +153,7 @@ class RationalSeries:
     def __init__(self, num, den=()):
         if isinstance(num, dict):
             num = num.items()
-        poly = _clean({k: Fraction(v) for k, v in num})
+        poly = _clean({k: _coeff(v) for k, v in num})
         den = tuple(sorted(tuple(f) for f in den))
         for a, b in den:
             if b < 1:
@@ -164,7 +173,7 @@ class RationalSeries:
 
     @classmethod
     def monomial(cls, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
-        return cls({(n, l, tuple(sorted(ab))): Fraction(coeff)})
+        return cls({(n, l, tuple(sorted(ab))): _coeff(coeff)})
 
     # -- ring operations -------------------------------------------------------
 
@@ -245,7 +254,7 @@ class RationalSeries:
                     if n + b <= order
                 }
                 for key, v in step.items():
-                    acc[key] = acc.get(key, Fraction(0)) + v
+                    acc[key] = acc.get(key, 0) + v
             out = _clean(acc)
         return out
 
@@ -270,12 +279,12 @@ class RationalSeries:
             raise ValueError("degree of the zero series")
         return max(k[0] for k, _ in self.num) - sum(b for _, b in self.den)
 
-    def _plain_T_coeffs(self) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def _plain_T_coeffs(self) -> dict[int, int | Fraction]:
+        out: dict[int, int | Fraction] = {}
         for (n, l, ab), v in self.num:
             if l != 0 or ab != ():
                 raise NonReducible("numerator carries L or abelian classes")
-            out[n] = out.get(n, Fraction(0)) + v
+            out[n] = out.get(n, 0) + v
         return out
 
     def pole_order_at_one(self) -> int:
@@ -329,7 +338,7 @@ class RationalSeries:
         }
 
 
-def _coeff_str(l: int, ab: tuple[int, ...], v: Fraction) -> str:
+def _coeff_str(l: int, ab: tuple[int, ...], v: int | Fraction) -> str:
     symbols = []
     if l:
         symbols.append("L" if l == 1 else "L^%d" % l)
@@ -383,7 +392,7 @@ def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
     """
     if e < 1 or b < 1:
         raise ValueError("need e >= 1 and b >= 1")
-    num: Poly = {(b, 0, ()): Fraction(1)}
+    num: Poly = {(b, 0, ()): 1}
     for k in range(1, t + 1):
         theta = {(n, l, ab): v * n for (n, l, ab), v in num.items()}
         shift_theta = {(n + e, l + w, ab): v for (n, l, ab), v in theta.items()}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from math import comb, floor, gcd, lcm
+from math import comb, gcd, lcm
 
 from .curves import SncdCurve, _parse_json, _read_text, genus, geometry, load_curve
 from .cyclo import _divisors
@@ -37,9 +37,9 @@ class JumpSet(Record):
         for j, m in jumps:
             j = Fraction(j)
             if not 0 <= j < 1:
-                raise ValueError("jump %s outside [0, 1)" % j)
+                raise InconsistentData("jump %s outside [0, 1)" % j)
             if m < 1:
-                raise ValueError("jump multiplicity must be >= 1")
+                raise InconsistentData("jump multiplicity must be >= 1")
             merged[j] = merged.get(j, 0) + m
         object.__setattr__(self, "jumps", tuple(sorted(merged.items())))
 
@@ -64,7 +64,7 @@ def ord_function(jumps: JumpSet, d: int) -> int:
     """
     if d < 0:
         raise ValueError("degree must be non-negative")
-    return sum(m * floor(d * j) for j, m in jumps.jumps)
+    return sum(m * (d * j.numerator // j.denominator) for j, m in jumps.jumps)
 
 
 def prym_jump_difference(jumps_a: JumpSet, jumps_a1: JumpSet) -> JumpSet:
@@ -216,7 +216,7 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         phi_alpha = (alpha // aprime) ** t * component_group(curve).order
         shape = geometric_sum(e, alpha, t, w).scale(Fraction(1, aprime**t))
         torus = RationalSeries(
-            {(0, k, ()): Fraction(comb(t, k) * (-1) ** (t - k)) for k in range(t + 1)}
+            {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
         block = (
             shape.mul_monomial(phi_alpha, l=u + ord_function(jumps, alpha), ab=ab)
@@ -237,7 +237,7 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             phi = component_group(curve).order
-            terms.append(RationalSeries({(alpha, 0, ()): Fraction(phi)}, ((0, e),)))
+            terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, e),)))
     # One factor (1 - T^e) throughout, as in component_series.
     return RationalSeries.sum(terms).require_integral("euler specialization")
 
@@ -250,7 +250,7 @@ def euler_characteristic_map(series: RationalSeries) -> RationalSeries:
         if ab:
             continue
         key = (n, 0, ())
-        num[key] = num.get(key, Fraction(0)) + v
+        num[key] = num.get(key, 0) + v
     den = tuple((0, b) for _, b in series.den)
     return RationalSeries(num, den)
 

@@ -456,6 +456,24 @@ def test_provider_degree_below_one_is_refused(tmp_path, degree):
         1, "", "error: degree %s is not a prime-to-p divisor of e=6\n" % degree)
 
 
+@pytest.mark.parametrize("jump, message", [
+    ({"j": "3/2"}, "jump 3/2 outside [0, 1)"),
+    ({"j": "1/6", "m": 0}, "jump multiplicity must be >= 1"),
+], ids=["outside_unit_interval", "zero_multiplicity"])
+def test_bad_jump_is_inconsistent_data(tmp_path, jump, message):
+    with open(fx("provider_II.json"), encoding="utf-8") as f:
+        provider = json.load(f)
+    provider["base"] = os.path.abspath(fx("II.json"))
+    provider["curves"] = {a: os.path.abspath(fx(f)) for a, f in provider["curves"].items()}
+    provider["jumps"] = [jump]
+    path = tmp_path / "provider.json"
+    _write(path, provider)
+    assert run_child("zeta", str(path)) == (1, "", "error: %s\n" % message)
+    code, out, err = run_child("zeta", str(path), "--json")
+    assert (code, out, json.loads(err)) == (
+        1, "", {"error": message, "type": "InconsistentData"})
+
+
 def test_json_errors_name_their_type(tmp_path, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text(open(fx("II.json")).read()[:40])

@@ -154,6 +154,33 @@ def test_invariant_report_assembly(all_fixture_curves):
     assert (rep2.genus, rep2.abelian_rank, rep2.additive) == (2, 2, False)
 
 
+def _as_poly_calls(monkeypatch, curve):
+    """``(report dict, number of CycloProduct.as_poly calls)`` of one
+    ``invariant_report(curve).to_dict()``."""
+    calls = []
+    expand = CycloProduct.as_poly
+
+    def counting(self):
+        calls.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(CycloProduct, "as_poly", counting)
+    return invariant_report(curve).to_dict(), len(calls)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_report_expands_a_tame_char_poly_once(monkeypatch, all_fixture_curves, name):
+    doc, calls = _as_poly_calls(monkeypatch, all_fixture_curves[name])
+    assert doc["P_prime"] == doc["P"] and calls == 1
+
+
+def test_report_expands_a_distinct_prime_to_p_poly_again(monkeypatch):
+    curve = kodaira_curve("II", p=3)
+    assert char_poly_prime(curve) == CycloProduct.one() != char_poly(curve)
+    doc, calls = _as_poly_calls(monkeypatch, curve)
+    assert (doc["P"], doc["P_prime"], calls) == ("t^2 - t + 1", "1", 2)
+
+
 def test_component_group_rejects_disconnected():
     with pytest.raises(MalformedFiber):
         component_group(SncdCurve([("a", 1, 1), ("b", 1, 1)], []))

@@ -97,6 +97,33 @@ def test_integrality_guard():
         bad.require_integral()
 
 
+def test_non_integral_coefficient_stays_a_fraction():
+    half = RationalSeries.monomial(Fraction(1, 2), n=1)
+    assert half.num == (((1, 0, ()), Fraction(1, 2)),)
+    assert type(half.num[0][1]) is Fraction and not half.is_integral
+    with pytest.raises(NonIntegralAssembly):
+        half.require_integral()
+    whole = half.scale(2)
+    assert whole.num == (((1, 0, ()), 1),) and type(whole.num[0][1]) is int
+
+
+keys = st.tuples(st.integers(0, 6), st.integers(-2, 2),
+                 st.lists(st.integers(1, 3), max_size=2).map(lambda x: tuple(sorted(x))))
+
+
+@given(
+    st.dictionaries(keys, st.integers(-10**20, 10**20), max_size=5),
+    st.lists(st.sampled_from([(0, 1), (0, 2), (1, 1), (-1, 3)]), max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_fraction_inputs_build_the_int_series(num, den):
+    from_ints = RationalSeries(num, den)
+    from_fractions = RationalSeries({k: Fraction(v) for k, v in num.items()}, den)
+    assert from_fractions.num == from_ints.num
+    assert from_fractions.to_dict() == from_ints.to_dict()
+    assert all(type(v) is int for _, v in from_fractions.num)
+
+
 def test_abelian_symbols_multiply_as_multisets():
     a = RationalSeries.monomial(1, n=1, ab=(1,))
     b = RationalSeries.monomial(2, n=2, ab=(2,))

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_script(name: str) -> subprocess.CompletedProcess:
@@ -25,3 +26,10 @@ def test_script_exits_cleanly(name):
     assert child.stdout
     if name == "kodaira_survey.py":
         assert child.stdout.splitlines()[-1] == "denominator/e mismatches: none"
+
+
+def test_zeta_demo_prints_its_pinned_tables():
+    """Byte-identical to the checked-in output, so a ``Fraction(...)`` repr
+    or a changed closed form in a printed table fails here."""
+    with open(os.path.join(DATA, "zeta_demo.out"), encoding="utf-8") as f:
+        assert run_script("zeta_demo.py").stdout == f.read()

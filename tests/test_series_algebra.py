@@ -25,6 +25,7 @@ from neroncalc.ratseries import (
 from neroncalc.zeta import (
     ReductionProvider,
     component_series,
+    euler_characteristic_map,
     euler_specialize,
     load_provider,
     motivic_zeta,
@@ -139,6 +140,23 @@ def test_callers_assemble_as_the_pairwise_fold(provider, monkeypatch):
     one_shot = [f(provider).to_dict() for f in assemblies]
     monkeypatch.setattr(RationalSeries, "sum", classmethod(lambda cls, ts: fold(ts)))
     assert [f(provider).to_dict() for f in assemblies] == one_shot
+
+
+SHIPPED_PROVIDERS = sorted(
+    name for name in os.listdir(FIXTURES) if name.startswith("provider_")
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED_PROVIDERS)
+def test_shipped_series_hold_plain_int_coefficients(name):
+    """Integral coefficients are stored as ``int``, never as ``Fraction``."""
+    provider = load_provider(os.path.join(FIXTURES, name))
+    z = motivic_zeta(provider)
+    values = []
+    for series in (component_series(provider), z, euler_specialize(provider),
+                   euler_characteristic_map(z)):
+        values += [v for _, v in series.num] + list(series.expand(24).values())
+    assert values and all(type(v) is int for v in values), values
 
 
 # -- remainder test for divisibility -------------------------------------------------

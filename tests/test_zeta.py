@@ -1,9 +1,11 @@
 """Component series, order function, motivic zeta and its specialization."""
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neroncalc.basechange import transform
 from neroncalc.errors import InconsistentData, NotContained, ProviderIncomplete
@@ -153,6 +155,23 @@ def test_ord_function_periodicity():
                 ) + q * int(step)
 
 
+jump_sets = st.lists(
+    st.tuples(
+        st.integers(1, 10**6).flatmap(
+            lambda den: st.builds(Fraction, st.integers(0, den - 1), st.just(den))
+        ),
+        st.integers(1, 5),
+    ),
+    max_size=40,
+).map(JumpSet)
+
+
+@given(jump_sets, st.one_of(st.just(0), st.integers(0, 10**40)))
+@settings(max_examples=200, deadline=None)
+def test_ord_function_matches_the_floor_sum(jumps, d):
+    assert ord_function(jumps, d) == sum(m * floor(d * j) for j, m in jumps.jumps)
+
+
 def test_motivic_zeta_closed_forms():
     z = motivic_zeta(provider_I2())
     torus = RationalSeries(
@@ -249,9 +268,9 @@ def test_zeta_requires_jumps():
 
 
 def test_jumpset_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData, match=r"^jump 3/2 outside \[0, 1\)$"):
         JumpSet([(Fraction(3, 2), 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(InconsistentData, match="^jump multiplicity must be >= 1$"):
         JumpSet([(Fraction(1, 2), 0)])
     merged = JumpSet([(Fraction(1, 2), 1), (Fraction(1, 2), 2)])
     assert merged.jumps == ((Fraction(1, 2), 3),)
