@@ -26,24 +26,12 @@ class EdgeRecord(Record):
     local: LocalPointData
     inserted: tuple[str, ...]
 
-    def __init__(self, endpoints, old_multiplicities, local, inserted):
-        object.__setattr__(self, "endpoints", endpoints)
-        object.__setattr__(self, "old_multiplicities", old_multiplicities)
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "inserted", inserted)
-
 
 class BaseChangeTrace(Record):
     input_curve: SncdCurve
     d: int
     vertex_records: tuple[tuple[str, int, int, int], ...]  # id, old N, gcd, new N
     edge_records: tuple[EdgeRecord, ...]
-
-    def __init__(self, input_curve, d, vertex_records, edge_records):
-        object.__setattr__(self, "input_curve", input_curve)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "vertex_records", vertex_records)
-        object.__setattr__(self, "edge_records", edge_records)
 
     @property
     def input_digest(self) -> str:
@@ -148,18 +136,6 @@ class BaseChangeLaws(Record):
     index_predicted: int
     index_measured: int
     charpoly_commutes: bool
-
-    def __init__(
-        self, d, phi_before, phi_after, factor, index_predicted, index_measured,
-        charpoly_commutes,
-    ):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "phi_before", phi_before)
-        object.__setattr__(self, "phi_after", phi_after)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "index_predicted", index_predicted)
-        object.__setattr__(self, "index_measured", index_measured)
-        object.__setattr__(self, "charpoly_commutes", charpoly_commutes)
 
     def to_dict(self) -> dict:
         return {

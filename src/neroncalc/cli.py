@@ -26,7 +26,14 @@ from .conductors import (
     genus2_c,
     wild_defect,
 )
-from .curves import SncdCurve, contract_minus_one, load_curve, serialize_curve, validate
+from .curves import (
+    SncdCurve,
+    _parse_int,
+    contract_minus_one,
+    load_curve,
+    serialize_curve,
+    validate,
+)
 from .errors import MalformedFiber, NeroncalcError
 from .hj import hj_expand, local_point_data
 from .invariants import invariant_report
@@ -178,17 +185,8 @@ def _cmd_genus2(args) -> int:
 
 
 def _int(text: str) -> int:
-    """``int`` for integer flags.  A decimal string past the interpreter's
-    digit limit is named by its length instead of echoed in full."""
-    try:
-        return int(text)
-    except ValueError:
-        body = text.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if digits.isdecimal():
-            raise argparse.ArgumentTypeError("integer %s... has too many digits (%d)"
-                                             % (text[:20], len(digits))) from None
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    """``int`` for integer flags, in argparse's wording for a bad value."""
+    return _parse_int(text, argparse.ArgumentTypeError, "integer", "invalid int value: %s")
 
 
 # Set by main for the length of one parse: the subparser that reports a

@@ -31,8 +31,7 @@ class KodairaType(Record):
     _KINDS = ("I", "II", "III", "IV", "I*", "IV*", "III*", "II*")
 
     def __init__(self, kind: str, n: int | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
+        super().__init__(kind, n)
         if kind not in self._KINDS:
             raise ValueError("unknown reduction type %r" % kind)
         if kind in ("I", "I*"):
@@ -117,13 +116,7 @@ class EllipticData(Record):
         self, kodaira: KodairaType, v_delta: int, potential: str,
         v_j: int | None = None, delta_wild: int = 0, p: int = 1, art: int | None = None,
     ):
-        object.__setattr__(self, "kodaira", kodaira)
-        object.__setattr__(self, "v_delta", v_delta)
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "v_j", v_j)
-        object.__setattr__(self, "delta_wild", delta_wild)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "art", art)
+        super().__init__(kodaira, v_delta, potential, v_j, delta_wild, p, art)
         if potential not in (GOOD, MULTIPLICATIVE):
             raise ValueError("potential must be 'good' or 'multiplicative'")
         if v_delta < 0:
@@ -193,12 +186,6 @@ class WildDefectReport(Record):
     c: Fraction
     v_j_derived: int | None    # only in the p=2, I_n* multiplicative branch
 
-    def __init__(self, c_tame, defect, c, v_j_derived):
-        object.__setattr__(self, "c_tame", c_tame)
-        object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "v_j_derived", v_j_derived)
-
 
 def wild_defect(data: EllipticData) -> WildDefectReport:
     """Difference ``c - c_tame`` from the wild conductor part.
@@ -256,8 +243,7 @@ class RamificationFiltration(Record):
     codims: tuple[int, ...]
 
     def __init__(self, sizes: tuple[int, ...], codims: tuple[int, ...]):
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "codims", codims)
+        super().__init__(sizes, codims)
         if not sizes or len(sizes) != len(codims):
             raise BadFiltration("sizes and codims must align and be non-empty")
         if any(s < 1 for s in sizes) or any(c < 0 for c in codims):

@@ -32,11 +32,6 @@ class Vertex(Record):
     N: int
     g: int
 
-    def __init__(self, id: str, N: int, g: int):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "g", g)
-
 
 class SncdCurve(Record):
     """Immutable dual graph with multiplicities and genera.
@@ -80,9 +75,7 @@ class SncdCurve(Record):
             if a == b:
                 raise ValueError("loop edge at %r (components are smooth)" % a)
             norm.append((a, b) if a <= b else (b, a))
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(norm))
-        object.__setattr__(self, "p", p)
+        super().__init__(vertices, tuple(norm), p)
         object.__setattr__(self, "_by_id", {v.id: v for v in vertices})
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_geo", None)
@@ -138,31 +131,16 @@ class VertexGeometry(Record):
     self_int: int
     principal: bool     # positive genus or meets the rest in >= 3 points
 
-    def __init__(self, degree: int, chi_open: int, self_int: int, principal: bool):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "chi_open", chi_open)
-        object.__setattr__(self, "self_int", self_int)
-        object.__setattr__(self, "principal", principal)
-
 
 class CurveGeometry(Record):
     vertices: dict[str, VertexGeometry]
     b1: int
     abelian_rank: int
 
-    def __init__(self, vertices: dict[str, VertexGeometry], b1: int, abelian_rank: int):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "abelian_rank", abelian_rank)
-
 
 class ValidationReport(Record):
     problems: tuple[str, ...]
     index_one: bool
-
-    def __init__(self, problems: tuple[str, ...], index_one: bool):
-        object.__setattr__(self, "problems", problems)
-        object.__setattr__(self, "index_one", index_one)
 
     @property
     def ok(self) -> bool:
@@ -176,12 +154,6 @@ class _FiberPass(Record):
     nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
     euler: int                                   # sum_v N_v chi(E_v^o)
     geometry: CurveGeometry | None               # None unless connected and dividing
-
-    def __init__(self, connected, nondividing, euler, geometry):
-        object.__setattr__(self, "connected", connected)
-        object.__setattr__(self, "nondividing", nondividing)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "geometry", geometry)
 
 
 def _fiber_pass(curve: SncdCurve) -> _FiberPass:
@@ -383,6 +355,28 @@ def _parse_json(text: str, what: str):
         raise ParseError("%s: %s" % (what, exc)) from exc
     except ValueError as exc:
         raise ParseError("%s: integer literal has too many digits" % what) from exc
+
+
+def _parse_int(text: str, error, noun: str, invalid: str) -> int:
+    """``int(text)``, or ``error`` with a message of one short line.
+
+    A decimal string past the interpreter's digit limit is named as
+    ``noun``, by its first 20 characters and its digit count.  Any other
+    non-integer fills ``invalid``: by its repr, or past 40 characters by
+    the repr of its first 20 and its length.
+    """
+    try:
+        return int(text)
+    except ValueError as exc:
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if digits.isdecimal():
+            message = "%s %s... has too many digits (%d)" % (noun, text[:20], len(digits))
+        elif len(text) > 40:
+            message = invalid % ("%r... (%d characters)" % (text[:20], len(text)))
+        else:
+            message = invalid % repr(text)
+        raise error(message) from exc
 
 
 def parse_curve(text: str) -> SncdCurve:

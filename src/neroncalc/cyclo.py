@@ -113,7 +113,7 @@ class CycloProduct(Record):
                 raise ValueError("factor exponent base must be >= 1")
             if e == 0:
                 del items[a]
-        object.__setattr__(self, "factors", tuple(sorted(items.items())))
+        super().__init__(tuple(sorted(items.items())))
 
     def __repr__(self):
         return "CycloProduct(%r)" % dict(self.factors)

@@ -66,10 +66,7 @@ class HJChain(Record):
     mu: tuple[int, ...]
 
     def __init__(self, n: int, r: int, b: tuple[int, ...], mu: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "mu", mu)
+        super().__init__(n, r, b, mu)
         if len(mu) != len(b) + 2:
             raise BadLocalData("chain length mismatch")
         # convergents p_k = b_k p_{k-1} - p_{k-2} (same for q) of [b1, ..., bL]
@@ -128,20 +125,6 @@ class LocalPointData(Record):
     m2_red: int                  # m2'' = m2 / (c e2)
     r: int | None
     chain: HJChain | None
-
-    def __init__(self, m1, m2, d, num_points, d1, e1, e2, d2, m1_red, m2_red, r, chain):
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "num_points", num_points)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "m1_red", m1_red)
-        object.__setattr__(self, "m2_red", m2_red)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "chain", chain)
 
 
 def local_point_data(m1: int, m2: int, d: int, p: int | None = None) -> LocalPointData:

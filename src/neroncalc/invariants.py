@@ -142,13 +142,6 @@ class TraceReport(Record):
     valency_product: Fraction          # prod (N'_i)^{d_i - 2}
     agree: bool
 
-    def __init__(self, additive, char_value_at_one, phi_prime_order, valency_product, agree):
-        object.__setattr__(self, "additive", additive)
-        object.__setattr__(self, "char_value_at_one", char_value_at_one)
-        object.__setattr__(self, "phi_prime_order", phi_prime_order)
-        object.__setattr__(self, "valency_product", valency_product)
-        object.__setattr__(self, "agree", agree)
-
 
 def trace_identities(curve: SncdCurve) -> TraceReport:
     """Check ``P'(1) = |Phi|' = prod (N'_i)^{d_i-2}`` on additive fibers.
@@ -184,23 +177,6 @@ class InvariantReport(Record):
     e_model: int
     tame: bool
     additive: bool
-
-    def __init__(
-        self, genus, toric_rank, abelian_rank, unipotent_rank, phi, phi_rank,
-        char_poly, char_poly_prime, zeta, e_model, tame, additive,
-    ):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "toric_rank", toric_rank)
-        object.__setattr__(self, "abelian_rank", abelian_rank)
-        object.__setattr__(self, "unipotent_rank", unipotent_rank)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "phi_rank", phi_rank)
-        object.__setattr__(self, "char_poly", char_poly)
-        object.__setattr__(self, "char_poly_prime", char_poly_prime)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "e_model", e_model)
-        object.__setattr__(self, "tame", tame)
-        object.__setattr__(self, "additive", additive)
 
     def to_dict(self) -> dict:
         P = self.char_poly.poly_str()  # P_prime equals it on tame fibers

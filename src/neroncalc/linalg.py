@@ -50,7 +50,7 @@ class FiniteAbelianGroup(Record):
     factors: tuple[int, ...]
 
     def __init__(self, factors: tuple[int, ...] = ()):
-        object.__setattr__(self, "factors", factors)
+        super().__init__(factors)
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError(

@@ -1,11 +1,23 @@
 """Immutable value records, the one base of neroncalc's data classes.
 
-A subclass lists its fields as class annotations, in order, and writes its
-own ``__init__`` that stores each field with ``object.__setattr__``.
-:class:`Record` adds what a frozen dataclass would: equality of the field
-tuples within one class, a hash of the field tuple, a ``Name(field=value)``
-repr, and refusal to set or delete an attribute.  Importing it costs
-nothing: no :mod:`dataclasses`, no methods compiled per class.
+A subclass lists its fields as class annotations, in order.
+``Record.__init__`` takes one value per field, positional ones first and then
+keywords, and stores them in field order, so the instances of a class share
+their ``__dict__`` keys.  A subclass writes its own ``__init__`` only to
+check or normalize its input, and stores the fields with one
+``super().__init__`` call.  :class:`Record` adds what a frozen dataclass
+would: equality of the field tuples within one class, a hash of the field
+tuple, a ``Name(field=value)`` repr, and refusal to set or delete an
+attribute.  Importing it costs nothing: no :mod:`dataclasses`, no methods
+compiled per class.
+
+>>> from neroncalc.curves import Vertex
+>>> Vertex("E", 2, g=0)
+Vertex(id='E', N=2, g=0)
+>>> Vertex("E", 2)
+Traceback (most recent call last):
+    ...
+TypeError: Vertex() takes each of ('id', 'N', 'g') once; got 2 positional, keywords ()
 """
 
 from operator import attrgetter
@@ -18,6 +30,21 @@ class Record:
         get = attrgetter(*fields)
         cls._fields = fields
         cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for i, value in enumerate(args):  # faster than zip(fields, args)
+            object.__setattr__(self, fields[i], value)
+
+    def _bind(self, args, kwargs):
+        """``args`` then ``kwargs`` as one value per field, in field order."""
+        fields, rest = self._fields, self._fields[len(args):]
+        if len(args) > len(fields) or kwargs.keys() != set(rest):
+            raise TypeError("%s() takes each of %s once; got %d positional, keywords %s"
+                            % (type(self).__qualname__, fields, len(args), tuple(kwargs)))
+        return args + tuple(kwargs[key] for key in rest)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

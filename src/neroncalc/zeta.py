@@ -14,7 +14,15 @@ import os
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .curves import SncdCurve, _parse_json, _read_text, genus, geometry, load_curve
+from .curves import (
+    SncdCurve,
+    _parse_int,
+    _parse_json,
+    _read_text,
+    genus,
+    geometry,
+    load_curve,
+)
 from .cyclo import _divisors
 from .errors import (
     InconsistentData,
@@ -41,7 +49,7 @@ class JumpSet(Record):
             if m < 1:
                 raise InconsistentData("jump multiplicity must be >= 1")
             merged[j] = merged.get(j, 0) + m
-        object.__setattr__(self, "jumps", tuple(sorted(merged.items())))
+        super().__init__(tuple(sorted(merged.items())))
 
     @property
     def total_multiplicity(self) -> int:
@@ -275,7 +283,7 @@ def load_provider(path: str) -> ReductionProvider:
         raise ParseError("provider document needs a 'base' field")
     if not isinstance(doc["base"], str):
         raise ParseError("field 'base' must be a file name")
-    raw_curves = doc.get("curves") or {}
+    raw_curves = doc.get("curves", {})
     if not isinstance(raw_curves, dict) or not all(
         isinstance(name, str) for name in raw_curves.values()
     ):
@@ -294,15 +302,7 @@ def load_provider(path: str) -> ReductionProvider:
         )
     curves = {}
     for a, name in raw_curves.items():
-        try:
-            degree = int(a)
-        except ValueError as exc:
-            body = a.strip()
-            digits = body[1:] if body[:1] in ("+", "-") else body
-            if digits.isdecimal():  # past the interpreter's digit limit
-                raise ParseError("curve degree %s... has too many digits (%d)"
-                                 % (a[:20], len(digits))) from exc
-            raise ParseError("curve degree %r is not an integer" % a) from exc
+        degree = _parse_int(a, ParseError, "curve degree", "curve degree %s is not an integer")
         curves[degree] = load_curve(_resolve(name))
     jumps = None
     if "jumps" in doc:

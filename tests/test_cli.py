@@ -353,6 +353,12 @@ HOSTILE_CURVES = {
 HOSTILE_PROVIDERS = {
     "base_int": {"base": 5},
     "curves_list": {"base": "II.json", "curves": ["x"]},
+    # only an absent "curves" means no curves
+    "curves_empty_list": {"base": "II.json", "curves": []},
+    "curves_zero": {"base": "II.json", "curves": 0},
+    "curves_false": {"base": "II.json", "curves": False},
+    "curves_empty_string": {"base": "II.json", "curves": ""},
+    "curves_null": {"base": "II.json", "curves": None},
     "curves_degree": {"base": "II.json", "curves": {"two": "IV.json"}},
     "jumps_int": {"base": "II.json", "jumps": 5},
     "jumps_strings": {"base": "II.json", "jumps": ["1/6"]},
@@ -360,6 +366,7 @@ HOSTILE_PROVIDERS = {
     "p_bool": {"p": True, "base": "II.json"},
     "p_5000_digits": '{"p": 1%s, "base": "II.json"}' % ("0" * 4999),
     "curves_degree_5000_digits": {"base": "II.json", "curves": {"1" + "0" * 4999: "IV.json"}},
+    "curves_degree_5000_letters": {"base": "II.json", "curves": {"x" * 5000: "IV.json"}},
     "not_utf8": b'{"base": "II.json", "note": "\xff"}',
 }
 
@@ -419,13 +426,32 @@ def test_long_degree_names_its_digit_count(tmp_path):
     assert err == "error: curve degree %s... has too many digits (5000)\n" % ("1" + "0" * 19)
 
 
+@pytest.mark.parametrize("degree, shown", [
+    ("x" * 40, repr("x" * 40)),
+    ("x" * 41, "'%s'... (41 characters)" % ("x" * 20)),
+    ("x" * 5000, "'%s'... (5000 characters)" % ("x" * 20)),
+], ids=["40_letters", "41_letters", "5000_letters"])
+def test_long_non_integer_degree_is_shortened(tmp_path, degree, shown):
+    """A non-integer degree past 40 characters is named by its first 20
+    characters and its length, not echoed in full."""
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    _write(path, {"base": "II.json", "curves": {degree: "IV.json"}})
+    message = "curve degree %s is not an integer" % shown
+    assert run_child("series", str(path)) == (1, "", "error: %s\n" % message)
+    assert len(message) < 200
+
+
 @pytest.mark.parametrize("value, message", [
     ("x", "invalid int value: 'x'"),
     ("1.5", "invalid int value: '1.5'"),
     ("+-5", "invalid int value: '+-5'"),
     ("1" + "0" * 4999, "integer 1%s... has too many digits (5000)" % ("0" * 19)),
     ("-1" + "0" * 4999, "integer -1%s... has too many digits (5000)" % ("0" * 18)),
-], ids=["word", "fraction", "two_signs", "5000_digits", "minus_5000_digits"])
+    ("x" * 40, "invalid int value: %r" % ("x" * 40)),
+    ("x" * 5000, "invalid int value: '%s'... (5000 characters)" % ("x" * 20)),
+], ids=["word", "fraction", "two_signs", "5000_digits", "minus_5000_digits", "40_letters",
+        "5000_letters"])
 def test_integer_flag_errors(capsys, value, message):
     """A bad integer flag is one short usage error, in text and ``--json``
     mode; an integer past the digit limit is named, not echoed."""

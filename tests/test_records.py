@@ -7,6 +7,7 @@ and no attribute can be set or deleted.  Instances come from real outputs.
 """
 
 import dataclasses
+import inspect
 import os
 
 import pytest
@@ -36,6 +37,12 @@ RECORDS = {
     "InvariantReport", "JumpSet", "KodairaType", "LocalPointData",
     "RamificationFiltration", "SncdCurve", "TraceReport", "ValidationReport",
     "Vertex", "VertexGeometry", "WildDefectReport", "_FiberPass",
+}
+# The classes that check or normalize their input in their own ``__init__``;
+# every other record is built by ``Record.__init__`` alone.
+CHECKING = {
+    "CycloProduct", "EllipticData", "FiniteAbelianGroup", "HJChain", "JumpSet",
+    "KodairaType", "RamificationFiltration", "SncdCurve",
 }
 
 
@@ -92,8 +99,20 @@ def test_record_classes_are_exactly_the_known_ones():
     assert {type(r).__name__ for r in SAMPLES} == RECORDS  # every class sampled
 
 
-@pytest.mark.parametrize("cls", sorted(Record.__subclasses__(), key=lambda c: c.__name__),
-                         ids=lambda c: c.__name__)
+def required(cls) -> tuple[str, ...]:
+    """The fields a call must give: all, unless the class's own
+    ``__init__`` gives some a default."""
+    if "__init__" not in vars(cls):
+        return fields(cls)
+    params = inspect.signature(cls).parameters
+    return tuple(f for f in fields(cls) if params[f].default is inspect.Parameter.empty)
+
+
+CLASSES = pytest.mark.parametrize(
+    "cls", sorted(Record.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+
+
+@CLASSES
 def test_record_matches_its_dataclass_twin(cls):
     twin = twin_of(cls)
     samples = [r for r in SAMPLES if type(r) is cls]
@@ -121,3 +140,48 @@ def test_records_compare_unequal_across_classes():
     assert a != CycloProduct({2: 1}) and a != twin_of(type(a))((2,))
     assert neroncalc.Vertex("a", 1, 0) != neroncalc.VertexGeometry("a", 1, 0, False)
     assert len({neroncalc.Vertex("a", 1, 0), neroncalc.Vertex("a", 1, 0)}) == 1
+
+
+def test_only_the_checking_classes_write_an_init():
+    assert {cls.__name__ for cls in Record.__subclasses__()
+            if "__init__" in vars(cls)} == CHECKING
+
+
+@CLASSES
+def test_record_builds_from_positions_and_keywords(cls):
+    """Any split of the fields into positions and keywords, the keywords in
+    any order, builds an equal record whose attributes begin with the
+    fields in field order."""
+    for rec in (r for r in SAMPLES if type(r) is cls):
+        values = [getattr(rec, f) for f in fields(cls)]
+        assert list(vars(rec))[:len(values)] == list(fields(cls))
+        for k in range(len(values) + 1):
+            keywords = dict(reversed(list(zip(fields(cls)[k:], values[k:]))))
+            same = cls(*values[:k], **keywords)
+            assert same == rec and list(vars(same))[:len(values)] == list(fields(cls))
+
+
+@CLASSES
+def test_record_refuses_a_field_not_given_exactly_once(cls):
+    rec = next(r for r in SAMPLES if type(r) is cls)
+    named = {f: getattr(rec, f) for f in fields(cls)}
+    values = list(named.values())
+    calls = [
+        ((*values, values[0]), {}),                     # one positional too many
+        (values, {"extra": 1}),                         # unknown keyword
+        (values, {fields(cls)[0]: values[0]}),          # given both ways
+        (values[:1], named),                            # ... the rest by keyword
+    ]
+    calls += [((), {g: v for g, v in named.items() if g != f}) for f in required(cls)]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        if cls.__name__ not in CHECKING:
+            assert str(info.value).startswith(cls.__name__ + "() takes each of ")
+
+
+def test_record_type_error_names_fields_and_arguments():
+    with pytest.raises(TypeError) as info:
+        neroncalc.Vertex("a", 1, N=1)
+    assert str(info.value) == ("Vertex() takes each of ('id', 'N', 'g') once; "
+                               "got 2 positional, keywords ('N',)")
