@@ -32,19 +32,74 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
 
     ``alpha`` is built sparse from the adjacency and the self-intersections
     of :func:`~neroncalc.curves.geometry`, which solves them from the fiber
-    relation, so the relation holds by construction.  The heap-pivot kernel
-    :func:`~neroncalc.linalg.smith_diagonal_sparse` takes about
-    O((V + E) log V) on a dual graph.  Cached on the curve (failures are not).
+    relation, so the relation holds by construction.
+
+    Chains are folded in closed form before elimination.  A vertex is
+    foldable when it has one or two incident edges, simple and to distinct
+    neighbours; every other vertex is kept, and when all are foldable (a
+    cycle or a path) the first one is kept.  Each maximal run ``x_1..x_k``
+    of foldable vertices is walked from a kept vertex ``P = x_0``.  The
+    relations of ``x_1..x_{k-1}`` say ``x_{i+1} = b_i x_i - x_{i-1}`` with
+    ``b_i = -E_i^2``, so ``x_i = A_i x_1 - B_i P`` with the continuants
+    ``A_0 = 0, B_0 = -1, A_1 = 1, B_1 = 0``.  Each such relation has a unit
+    coefficient on the generator it removes, so ``coker(alpha)`` keeps its
+    isomorphism type when only ``x_1`` and one relation stay per run:
+    ``Q - A_{k+1} x_1 + B_{k+1} P``, with ``Q`` the kept vertex that ends
+    the run (no ``Q`` term when a leaf ends it), while ``Q``'s entry on
+    ``x_k`` becomes ``A_k x_1 - B_k P``.  The kernel
+    :func:`~neroncalc.linalg.smith_diagonal_sparse` gets the square system
+    left, one row per kept vertex and per run (2 rows for any cycle
+    ``I_n``), and the corank check reads its row count.  Cached on the
+    curve (failures are not).
     """
     if curve._phi is not None:
         return curve._phi
     geo, adj = geometry(curve), curve.adjacency()
     pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    vgeo = geo.vertices
+    # the foldable vertices: one or two edges, simple and to distinct neighbours
+    unwalked = {vid for vid, nbrs in adj.items()
+                if len(nbrs) == vgeo[vid].degree in (1, 2)}
+    kept = [v.id for v in curve.vertices if v.id not in unwalked] or [curve.vertices[0].id]
+    unwalked.discard(kept[0])
     rows = {}
-    for i, v in enumerate(curve.vertices):
-        rows[i] = row = {pos[w]: k for w, k in adj[v.id].items()}
-        if geo.vertices[v.id].self_int:
-            row[i] = geo.vertices[v.id].self_int
+    for P in kept:
+        rows[pos[P]] = row = {pos[w]: k for w, k in adj[P].items()}
+        if vgeo[P].self_int:
+            row[pos[P]] = vgeo[P].self_int
+    for P in kept:
+        for x1 in adj[P]:
+            if x1 not in unwalked:
+                continue
+            unwalked.discard(x1)
+            prev, cur = P, x1
+            a0, b0, a1, b1 = 0, -1, 1, 0  # (A, B) of x_{i-1} and of cur = x_i
+            while True:
+                if len(adj[cur]) == 1:  # a leaf ends the run
+                    Q = None
+                else:
+                    u, w = adj[cur]
+                    Q = w if u == prev else u
+                b = -vgeo[cur].self_int
+                a0, b0, a1, b1 = a1, b1, b * a1 - a0, b * b1 - b0
+                if Q not in unwalked:
+                    break
+                unwalked.discard(Q)
+                prev, cur = cur, Q
+            # cur = x_k; (a0, b0) = (A_k, B_k) and (a1, b1) = (A_{k+1}, B_{k+1})
+            i, j = pos[x1], pos[P]
+            rows[i] = rel = {}
+            edits = [(rel, i, -a1), (rel, j, b1)]
+            if Q is not None:
+                qrow = rows[pos[Q]]
+                del qrow[pos[cur]]
+                edits += [(rel, pos[Q], 1), (qrow, i, a0), (qrow, j, -b0)]
+            for row, col, v in edits:
+                v += row.get(col, 0)
+                if v:
+                    row[col] = v
+                else:
+                    row.pop(col, None)
     diag = smith_diagonal_sparse(rows)
     free = len(rows) - len(diag)
     if free != 1:

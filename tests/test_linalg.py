@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.errors import DimensionMismatch
+from neroncalc.errors import DimensionMismatch, PreconditionError
 from neroncalc.linalg import FiniteAbelianGroup, prime_to_part
 
 from linalg_oracles import kernel_basis, smith_diagonal, smith_quotient
@@ -153,13 +153,19 @@ def test_group_canonicalization_and_order():
     assert g.factors == (2, 6) and g.order == 12
     assert FiniteAbelianGroup.from_factors([4, 6]).factors == (2, 12)
     assert str(FiniteAbelianGroup()) == "1"
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError, match="divisibility chain: \\[4, 6\\]"):
         FiniteAbelianGroup((4, 6))
+    with pytest.raises(PreconditionError, match="must be >= 2"):
+        FiniteAbelianGroup((1, 2))
+    with pytest.raises(PreconditionError, match="0 is not a finite cyclic order"):
+        FiniteAbelianGroup.from_factors([2, 0])
 
 
 def test_prime_to_part_and_group_reduction():
     assert prime_to_part(12, 2) == 3
     assert prime_to_part(12, 1) == 12
+    with pytest.raises(PreconditionError, match="prime_to_part of 0 is undefined"):
+        prime_to_part(0, 2)
     g = FiniteAbelianGroup((2, 12))
     assert g.prime_to(2).factors == (3,)
     assert g.prime_to(3).factors == (2, 4)

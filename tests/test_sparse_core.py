@@ -1,10 +1,12 @@
 """The graph-native core against the code it replaced.
 
 Worklist contraction is compared with the rescan loop it replaced, the
-heap-pivot sparse Smith kernel with brute-force and sympy oracles, and the
-cached curve data with fresh curves.
+heap-pivot sparse Smith kernel with brute-force and sympy oracles, the
+chain fold of ``component_group`` with the unfolded intersection rows and
+a dense quotient oracle, and the cached curve data with fresh curves.
 """
 
+import contextlib
 import os
 import random
 import time
@@ -27,12 +29,13 @@ from neroncalc.curves import (
     geometry,
     validate,
 )
+import neroncalc.invariants
 from neroncalc.errors import MalformedFiber
 from neroncalc.invariants import component_group, stabilization_index
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
-from neroncalc.linalg import smith_diagonal_sparse
+from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
 
-from linalg_oracles import smith_diagonal
+from linalg_oracles import intersection_matrix, smith_diagonal, smith_quotient
 from test_linalg import determinantal_divisors
 
 
@@ -181,6 +184,157 @@ def test_sparse_kernel_edge_cases():
     assert smith_diagonal_sparse({0: {0: 2}, 1: {1: 3}}) == [1, 6]
 
 
+# -- chain fold ----------------------------------------------------------------
+
+
+def chain(ids, closed=False):
+    """Edges along ``ids``, back to the first one when ``closed``."""
+    return list(zip(ids, ids[1:])) + ([(ids[-1], ids[0])] if closed else [])
+
+
+def reduced(ids, edges, genera=None):
+    """Every multiplicity 1, so any connected multigraph is a valid fiber."""
+    genera = genera or {}
+    return SncdCurve([(v, 1, genera.get(v, 0)) for v in ids], edges)
+
+
+# Chain shapes the fold must get right, each a valid fiber.
+FOLD_SHAPES = {
+    "I0": kodaira_curve("I0"),
+    "I1": kodaira_curve("I1"),
+    "I2": kodaira_curve("I2"),
+    "two-vertex path": reduced("ab", chain("ab")),
+    "path": reduced("abcdef", chain("abcdef")),
+    "cycle with N = 3": SncdCurve([(v, 3, 0) for v in "abcde"], chain("abcde", True)),
+    "runs ending at leaves": reduced("chijklmn", [("c", "h"), *chain("cij"), *chain("cklmn")]),
+    "one run hanging from a vertex": reduced("pqabc", [("p", "q"), ("p", "q"), *chain("pabc")]),
+    "two parallel runs": reduced(
+        "pqabxyzlm", [*chain("pabq"), *chain("pxyzq"), ("p", "l"), ("q", "m")]),
+    "run back to its start": reduced("pabcl", [*chain("pabc", True), ("p", "l")]),
+    "double edge next to a run": reduced(
+        "abcdef", [*chain("abc"), ("c", "d"), ("c", "d"), *chain("def")]),
+    "vertex held by a double edge": reduced("yzab", [("y", "z"), ("y", "z"), *chain("zab")]),
+    "chain vertex of genus 1": reduced(
+        "chijkl", [("c", "h"), ("c", "l"), *chain("cijk")], {"j": 1}),
+    "cycle through a genus-2 vertex": reduced("abcd", chain("abcd", True), {"c": 2}),
+    "transformed cycle": transform(kodaira_curve("I3"), 7)[0],
+    "transformed II": transform(kodaira_curve("II"), 11)[0],
+    "transformed I0*": transform(kodaira_curve("I0*"), 5)[0],
+}
+
+
+@st.composite
+def multigraph_blowups(draw):
+    """Blow-ups of a random connected reduced multigraph with random genera."""
+    n = draw(st.integers(1, 7))
+    ids = ["v%d" % i for i in range(n)]
+    edges = [(ids[i], ids[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    if n > 1:
+        for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  max_size=4)):
+            if a != b:
+                edges.append((ids[a], ids[b]))
+    curve = reduced(ids, edges, {v: draw(st.sampled_from((0, 0, 0, 1))) for v in ids})
+    for on_edge, pick in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                                       max_size=10)):
+        if on_edge and curve.edges:
+            curve = blow_up_intersection(curve, pick % len(curve.edges))
+        else:
+            curve = blow_up_point(curve, curve.ids[pick % len(curve.ids)])
+    return curve
+
+
+@st.composite
+def transformed_cycles(draw):
+    """``transform(I_n, d)``: a cycle of ``n d`` reduced vertices."""
+    n = draw(st.integers(1, 5))
+    return transform(kodaira_curve("I%d" % n), draw(st.integers(2, 40 // n)))[0]
+
+
+@st.composite
+def paths(draw):
+    n = draw(st.integers(2, 12))
+    ids = ["p%d" % i for i in range(n)]
+    return reduced(ids, chain(ids))
+
+
+FOLD_CURVES = st.one_of(
+    st.sampled_from(list(FOLD_SHAPES.values())), transformed_cycles(), paths(),
+    fixture_blowups(), multigraph_blowups(),
+)
+
+
+def kept_plus_runs(curve) -> int:
+    """Rows the folded system may have, counted without walking a run: the
+    vertices that do not fold, plus one per connected piece of the rest."""
+    adj = curve.adjacency()
+    fold = {v for v, nbrs in adj.items() if len(nbrs) in (1, 2) and set(nbrs.values()) == {1}}
+    kept = len(adj) - len(fold)
+    if not kept:
+        fold.discard(curve.ids[0])
+        kept = 1
+    runs = 0
+    while fold:
+        runs += 1
+        stack = [fold.pop()]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in fold:
+                    fold.remove(w)
+                    stack.append(w)
+    return kept + runs
+
+
+@contextlib.contextmanager
+def kernel_row_counts():
+    """Row count of every matrix ``component_group`` hands the kernel."""
+    seen = []
+
+    def spy(rows):
+        seen.append(len(rows))
+        return smith_diagonal_sparse(rows)
+
+    neroncalc.invariants.smith_diagonal_sparse = spy
+    try:
+        yield seen
+    finally:
+        neroncalc.invariants.smith_diagonal_sparse = smith_diagonal_sparse
+
+
+def assert_fold_matches_oracles(curve):
+    """``component_group`` against ``ker(beta)/im(alpha)`` computed densely
+    and against the kernel run on every unfolded intersection row; the
+    folded system has at most one row per kept vertex and per run."""
+    alpha = intersection_matrix(curve)
+    group, rank = smith_quotient([[v.N for v in curve.vertices]], alpha)
+    diag = smith_diagonal(alpha)
+    assert rank == 0 and len(alpha) - len(diag) == 1
+    assert FiniteAbelianGroup.from_factors(d for d in diag if d > 1) == group
+    with kernel_row_counts() as seen:  # a fresh copy: the group is cached on a curve
+        assert component_group(SncdCurve(curve.vertices, curve.edges, curve.p)) == group
+    assert len(seen) == 1 and seen[0] <= kept_plus_runs(curve)
+
+
+@pytest.mark.parametrize("name", FOLD_SHAPES)
+def test_fold_matches_oracles_on_chain_shapes(name):
+    assert_fold_matches_oracles(FOLD_SHAPES[name])
+
+
+@given(FOLD_CURVES)
+@settings(max_examples=300, deadline=None)
+def test_fold_matches_oracles(curve):
+    assert_fold_matches_oracles(curve)
+
+
+def test_cycles_reach_the_kernel_as_two_rows():
+    cycles = [kodaira_curve("I%d" % n) for n in (1, 2, 3, 7, 1000)]
+    cycles += [transform(kodaira_curve("I%d" % n), d)[0] for n, d in ((1, 5), (2, 9), (5, 2003))]
+    with kernel_row_counts() as seen:
+        for curve in cycles:
+            component_group(curve)
+    assert seen == [2] * len(cycles)
+
+
 # -- cached curve data ---------------------------------------------------------
 
 
@@ -278,3 +432,46 @@ def test_component_group_scales_near_linearly():
     # 4x the vertices: about 16x when quadratic, about 4.5x at n log n
     ratio = _component_group_seconds(3200) / _component_group_seconds(800)
     assert ratio < 8, ratio
+
+
+def unfolded_rows(curve) -> dict[int, dict[int, int]]:
+    """One sparse intersection row per vertex, no chain folded."""
+    geo, adj = geometry(curve), curve.adjacency()
+    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    rows = {}
+    for i, v in enumerate(curve.vertices):
+        rows[i] = row = {pos[w]: k for w, k in adj[v.id].items()}
+        if geo.vertices[v.id].self_int:
+            row[i] = geo.vertices[v.id].self_int
+    return rows
+
+
+def _kernel_seconds(n: int) -> float:
+    best = float("inf")
+    for _ in range(5):
+        rows = unfolded_rows(kodaira_curve("I%d" % n))
+        t0 = time.perf_counter()
+        diag = smith_diagonal_sparse(rows)
+        best = min(best, time.perf_counter() - t0)
+        assert diag == [1] * (n - 2) + [n]
+    return best
+
+
+def test_sparse_kernel_scales_near_linearly_on_unfolded_rows():
+    # component_group hands the kernel 2 rows for a cycle, so this times the
+    # kernel itself on every row: the same bound as above
+    ratio = _kernel_seconds(3200) / _kernel_seconds(800)
+    assert ratio < 8, ratio
+
+
+def test_long_cycle_folds_fast():
+    # the fiber pass is the curves layer's cost and is cached on the curve,
+    # so only the fold and the kernel are timed
+    best = float("inf")
+    for _ in range(3):
+        curve = kodaira_curve("I10000")
+        geometry(curve)
+        t0 = time.perf_counter()
+        assert component_group(curve).factors == (10000,)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05, best
