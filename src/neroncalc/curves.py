@@ -16,10 +16,9 @@ from __future__ import annotations
 import heapq
 import json
 import warnings
-from collections import Counter
 from math import gcd
 
-from .errors import MalformedFiber, ParseError
+from .errors import MalformedFiber, ParseError, PreconditionError
 from .record import Record
 
 
@@ -54,29 +53,28 @@ class SncdCurve(Record):
         vertices = tuple(
             v if isinstance(v, Vertex) else Vertex(*v) for v in vertices
         )
-        ids = [v.id for v in vertices]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex ids")
+        by_id = {v.id: v for v in vertices}
+        if len(by_id) != len(vertices):
+            raise MalformedFiber("duplicate vertex ids")
         if p < 1:
-            raise ValueError("characteristic exponent must be >= 1")
+            raise PreconditionError("characteristic exponent must be >= 1")
         for v in vertices:
             if not v.id:
-                raise ValueError("empty vertex id")
+                raise MalformedFiber("empty vertex id")
             if v.N < 1:
-                raise ValueError("multiplicity of %r must be >= 1" % v.id)
+                raise MalformedFiber("multiplicity of %r must be >= 1" % v.id)
             if v.g < 0:
-                raise ValueError("genus of %r must be >= 0" % v.id)
-        known = set(ids)
+                raise MalformedFiber("genus of %r must be >= 0" % v.id)
         norm = []
         for e in edges:
             a, b = e
-            if a not in known or b not in known:
-                raise ValueError("edge %r references unknown vertex" % (tuple(e),))
+            if a not in by_id or b not in by_id:
+                raise MalformedFiber("edge %r references unknown vertex" % (tuple(e),))
             if a == b:
-                raise ValueError("loop edge at %r (components are smooth)" % a)
+                raise MalformedFiber("loop edge at %r (components are smooth)" % a)
             norm.append((a, b) if a <= b else (b, a))
         super().__init__(vertices, tuple(norm), p)
-        object.__setattr__(self, "_by_id", {v.id: v for v in vertices})
+        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_geo", None)
         object.__setattr__(self, "_phi", None)
@@ -91,16 +89,19 @@ class SncdCurve(Record):
     def ids(self) -> list[str]:
         return [v.id for v in self.vertices]
 
-    def adjacency(self) -> dict[str, Counter]:
-        """Neighbour multiplicity count per vertex.
+    def adjacency(self) -> dict[str, dict[str, int]]:
+        """Neighbour -> number of edges to it, per vertex.
 
-        Built once and cached on the curve; callers must not mutate it.
+        Plain dicts in vertex order, each neighbour at its first edge, built
+        in one walk of the edges on first use and cached on the curve;
+        callers must not mutate them.
         """
         if self._adj is None:
-            adj: dict[str, Counter] = {v.id: Counter() for v in self.vertices}
+            adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
             for a, b in self.edges:
-                adj[a][b] += 1
-                adj[b][a] += 1
+                na, nb = adj[a], adj[b]
+                na[b] = na.get(b, 0) + 1
+                nb[a] = nb.get(a, 0) + 1
             object.__setattr__(self, "_adj", adj)
         return self._adj
 
@@ -158,21 +159,27 @@ class _FiberPass(Record):
 
 def _fiber_pass(curve: SncdCurve) -> _FiberPass:
     """The one walk of ``curve`` behind :func:`validate`, :func:`geometry`
-    and :func:`genus`: each vertex's degree and incident sum, in O(V + E).
-    Cached on the curve; never raises."""
+    and :func:`genus`: one loop over the edges adds up each vertex's degree
+    and incident sum ``sum_w N_w``, in O(V + E).  Cached on the curve;
+    never raises."""
     if curve._geo is not None:
         return curve._geo
-    adj = curve.adjacency()
+    by_id = curve._by_id
+    degree = dict.fromkeys(by_id, 0)
+    incident = dict.fromkeys(by_id, 0)
+    for a, b in curve.edges:
+        degree[a] += 1
+        degree[b] += 1
+        incident[a] += by_id[b].N
+        incident[b] += by_id[a].N
     nondividing, euler, out = [], 0, {}
     for v in curve.vertices:
-        nbrs = adj[v.id]
-        d = sum(nbrs.values())
+        d, inc = degree[v.id], incident[v.id]
         chi = 2 - 2 * v.g - d
-        incident = sum(curve.multiplicity(w) * k for w, k in nbrs.items())
-        if incident % v.N:
-            nondividing.append((v, incident))
+        if inc % v.N:
+            nondividing.append((v, inc))
         euler += v.N * chi
-        out[v.id] = VertexGeometry(d, chi, -(incident // v.N), v.g > 0 or d >= 3)
+        out[v.id] = VertexGeometry(d, chi, -(inc // v.N), v.g > 0 or d >= 3)
     connected = curve.is_connected()
     geo = None
     if connected and not nondividing:
@@ -249,18 +256,18 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     O((V + E) log V) overall.  A curve with nothing to contract is returned
     as is.
     """
-    vs = curve.vertices
+    vs, by_id = curve.vertices, curve._by_id
     adj = curve.adjacency()
-    heap = [i for i, v in enumerate(vs) if _contractible(curve, v, adj[v.id])]
+    heap = [i for i, v in enumerate(vs) if _contractible(by_id, v, adj[v.id])]
     if not heap:
         return curve
     pos = {v.id: i for i, v in enumerate(vs)}
-    adj = {vid: Counter(nbrs) for vid, nbrs in adj.items()}  # edited below
+    adj = {vid: dict(nbrs) for vid, nbrs in adj.items()}  # edited below
     removed: set[str] = set()
     new_edges = []
     while heap:
         v = vs[heapq.heappop(heap)]
-        if v.id in removed or not _contractible(curve, v, adj[v.id]):
+        if v.id in removed or not _contractible(by_id, v, adj[v.id]):
             continue
         removed.add(v.id)
         nbrs = adj.pop(v.id)
@@ -268,11 +275,12 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
             del adj[w][v.id]
         if len(nbrs) == 2:
             a, b = sorted(nbrs)
-            adj[a][b] += 1
-            adj[b][a] += 1
+            na, nb = adj[a], adj[b]
+            na[b] = na.get(b, 0) + 1
+            nb[a] = nb.get(a, 0) + 1
             new_edges.append((a, b))
         for w in nbrs:
-            if _contractible(curve, vs[pos[w]], adj[w]):
+            if _contractible(by_id, by_id[w], adj[w]):
                 heapq.heappush(heap, pos[w])
     return SncdCurve(
         [v for v in vs if v.id not in removed],
@@ -282,16 +290,13 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     )
 
 
-def _contractible(curve: SncdCurve, v: Vertex, nbrs: Counter) -> bool:
-    if v.g != 0:
+def _contractible(by_id: dict[str, Vertex], v: Vertex, nbrs: dict[str, int]) -> bool:
+    """Genus 0, one or two simple edges to distinct vertices (two edges to
+    one vertex would contract to a loop), and self-intersection exactly -1:
+    the multiplicities of the neighbours add up to ``N_v``."""
+    if v.g or not 0 < len(nbrs) <= 2 or sum(nbrs.values()) != len(nbrs):
         return False
-    d = sum(nbrs.values())
-    if d == 0 or d > 2:
-        return False
-    if d == 2 and len(nbrs) != 2:
-        return False  # both endpoints on one vertex: contraction makes a loop
-    # derived self-intersection is exactly -1
-    return sum(curve.multiplicity(w) * k for w, k in nbrs.items()) == v.N
+    return sum(by_id[w].N for w in nbrs) == v.N
 
 
 def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> SncdCurve:
@@ -424,7 +429,7 @@ def parse_curve(text: str) -> SncdCurve:
         edges.append((a, b))
     try:
         return SncdCurve(vertices, edges, p)
-    except ValueError as exc:
+    except MalformedFiber as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -338,6 +338,17 @@ def test_p_zero_is_rejected(capsys, command):
         assert (code, out, err) == (1, "", "error: characteristic exponent must be >= 1\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", fx("II.json")],
+    ["basechange", fx("II.json"), "-d", "5"],
+    ["check", fx("II.json"), "-d", "5"],
+])
+def test_p_zero_on_a_curve_is_a_precondition_error(capsys, command):
+    code, out, err = run(capsys, *command, "--p", "0", "--json")
+    assert (code, out, json.loads(err)) == (
+        1, "", {"error": "characteristic exponent must be >= 1", "type": "PreconditionError"})
+
+
 HOSTILE_CURVES = {
     "edge_endpoint_list": '{"p": 1, "vertices": [{"id": "a", "N": 1, "g": 0}, '
     '{"id": "b", "N": 1, "g": 0}], "edges": [[["a"], "b"]]}',

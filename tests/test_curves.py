@@ -1,13 +1,18 @@
 """Curve model: validation, derived geometry, contraction, serialization."""
 
 import json
+import time
+from math import gcd
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neroncalc.curves import (
     CurveWarning,
     SncdCurve,
+    Vertex,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,
@@ -17,7 +22,7 @@ from neroncalc.curves import (
     serialize_curve,
     validate,
 )
-from neroncalc.errors import MalformedFiber, ParseError
+from neroncalc.errors import MalformedFiber, ParseError, PreconditionError
 from neroncalc.kodaira import kodaira_curve
 
 from conftest import curves
@@ -164,14 +169,36 @@ def test_parse_error_reporting():
 
 
 def test_constructor_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedFiber, match=r"^multiplicity of 'a' must be >= 1$"):
         SncdCurve([("a", 0, 0)], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedFiber, match=r"^genus of 'a' must be >= 0$"):
         SncdCurve([("a", 1, -1)], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedFiber, match=r"^duplicate vertex ids$"):
         SncdCurve([("a", 1, 0), ("a", 2, 0)], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedFiber, match=r"^loop edge at 'a' \(components are smooth\)$"):
         SncdCurve([("a", 1, 0)], [("a", "a")])
+    with pytest.raises(PreconditionError, match=r"^characteristic exponent must be >= 1$"):
+        SncdCurve([("a", 1, 0)], [], 0)
+    with pytest.raises(MalformedFiber, match=r"^empty vertex id$"):
+        SncdCurve([("", 1, 0)], [])
+    with pytest.raises(MalformedFiber,
+                       match=r"^edge \('a', 'b'\) references unknown vertex$"):
+        SncdCurve([("a", 1, 0)], [("a", "b")])
+    # checked in order: duplicate ids, then p, then each vertex, then each edge
+    with pytest.raises(MalformedFiber, match="duplicate"):
+        SncdCurve([("", 0, -1), ("", 0, -1)], [("x", "x")], 0)
+    with pytest.raises(PreconditionError):
+        SncdCurve([("", 0, -1)], [("x", "x")], 0)
+    with pytest.raises(MalformedFiber, match="empty vertex id"):
+        SncdCurve([("", 0, -1)], [("x", "x")])
+    with pytest.raises(MalformedFiber, match="multiplicity of 'a'"):
+        SncdCurve([("a", 0, -1), ("", 1, 0)], [("x", "x")])
+    with pytest.raises(MalformedFiber, match="genus of 'a'"):
+        SncdCurve([("a", 1, -1), ("b", 0, 0)], [("x", "x")])
+    with pytest.raises(MalformedFiber, match="unknown vertex"):
+        SncdCurve([("a", 1, 0)], [("a", "x"), ("a", "a")])
+    with pytest.raises(MalformedFiber, match="loop"):
+        SncdCurve([("a", 1, 0)], [("a", "a"), ("a", "x")])
 
 
 @given(curves())
@@ -215,3 +242,121 @@ def test_blowups_preserve_validity_and_genus(curve):
         up2 = blow_up_intersection(curve, 0)
         assert genus(up2) == g
         assert up2.b1() == curve.b1()
+
+
+# -- the one edge walk against a per-vertex recomputation ----------------------
+
+
+@st.composite
+def valid_and_broken_curves(draw):
+    """A curve of :func:`curves`, or a disjoint union of two of them, with one
+    multiplicity possibly bumped until it stops dividing its incident sum."""
+    curve = draw(curves())
+    vertices, edges = list(curve.vertices), list(curve.edges)
+    if draw(st.booleans()):
+        other = draw(curves())
+        vertices += [Vertex("~" + v.id, v.N, v.g) for v in other.vertices]
+        edges += [("~" + a, "~" + b) for a, b in other.edges]
+    if draw(st.booleans()):
+        sums = [sum(m for _, m in incident(vertices, edges, v)) for v in vertices]
+        bumpable = [i for i, s in enumerate(sums) if s]
+        if bumpable:
+            i = draw(st.sampled_from(bumpable))
+            v = vertices[i]
+            n = next(n for n in range(v.N + 1, sums[i] + 2) if sums[i] % n)
+            vertices[i] = Vertex(v.id, n, v.g)
+    return SncdCurve(vertices, edges, curve.p)
+
+
+def incident(vertices, edges, v):
+    """``(neighbour, its N)`` once per edge end at ``v``, in edge order."""
+    mult = {w.id: w.N for w in vertices}
+    ends = [b if a == v.id else a for a, b in edges if v.id in (a, b)]
+    return [(w, mult[w]) for w in ends]
+
+
+@given(valid_and_broken_curves())
+@settings(max_examples=200, deadline=None)
+def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
+    vs, es = curve.vertices, curve.edges
+    adj = curve.adjacency()
+    rows = {}  # vid -> (degree, incident sum)
+    for v in vs:
+        ends = incident(vs, es, v)
+        order = list(dict.fromkeys(w for w, _ in ends))
+        assert list(adj[v.id]) == order
+        assert adj[v.id] == {w: sum(1 for u, _ in ends if u == w) for w in order}
+        rows[v.id] = (len(ends), sum(m for _, m in ends))
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(v.id for v in vs)
+    graph.add_edges_from(es)
+    connected = nx.is_connected(graph)
+    assert curve.is_connected() == connected
+
+    nondividing = [(v, rows[v.id][1]) for v in vs if rows[v.id][1] % v.N]
+    euler = sum(v.N * (2 - 2 * v.g - rows[v.id][0]) for v in vs)
+    index = gcd(*(v.N for v in vs))
+    problems = [] if connected else ["graph is not connected"]
+    problems += ["multiplicity %d of %r does not divide the incident sum %d"
+                 % (v.N, v.id, s) for v, s in nondividing]
+    if index != 1:
+        problems.append("index-one flag fails: gcd of multiplicities is %d" % index)
+    if euler % 2 or euler > 2:
+        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % euler)
+    report = validate(curve)
+    assert report.problems == tuple(problems)
+    assert report.index_one == (index == 1)
+
+    if euler % 2:
+        with pytest.raises(MalformedFiber, match="wrong parity"):
+            genus(curve)
+    elif euler > 2:
+        with pytest.raises(MalformedFiber, match="negative genus"):
+            genus(curve)
+    else:
+        assert genus(curve) == (2 - euler) // 2
+
+    if not connected:
+        with pytest.raises(MalformedFiber, match=r"^graph is not connected$"):
+            geometry(curve)
+    elif nondividing:
+        v, s = nondividing[0]
+        with pytest.raises(MalformedFiber) as exc:
+            geometry(curve)
+        assert str(exc.value) == "multiplicity %d of %r does not divide %d" % (v.N, v.id, s)
+    else:
+        geo = geometry(curve)
+        assert list(geo.vertices) == [v.id for v in vs]
+        for v in vs:
+            d, s = rows[v.id]
+            vg = geo.vertices[v.id]
+            assert (vg.degree, vg.chi_open, vg.self_int, vg.principal) == (
+                d, 2 - 2 * v.g - d, -s // v.N, v.g > 0 or d >= 3)
+        assert (geo.b1, geo.abelian_rank) == (len(es) - len(vs) + 1, sum(v.g for v in vs))
+
+
+# -- the curves layer at 10^4 vertices -----------------------------------------
+
+
+def _curves_layer_seconds(n: int) -> float:
+    """Best of 3: a fresh curve of ``I_n``, its adjacency and its geometry."""
+    cycle = kodaira_curve("I%d" % n)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        curve = SncdCurve(cycle.vertices, cycle.edges, cycle.p)
+        curve.adjacency()
+        geometry(curve)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def test_long_cycle_walks_fast():
+    best = _curves_layer_seconds(10000)
+    assert best < 0.1, best
+
+
+def test_curves_layer_scales_near_linearly():
+    # 4x the vertices: about 16x when quadratic, about 4.5x at n log n
+    ratio = _curves_layer_seconds(10000) / _curves_layer_seconds(2500)
+    assert ratio < 8, ratio
