@@ -10,7 +10,6 @@ from .curves import (
     SncdCurve,
     ValidationReport,
     Vertex,
-    VertexGeometry,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,

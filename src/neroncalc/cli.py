@@ -28,6 +28,7 @@ from .conductors import (
 )
 from .curves import (
     SncdCurve,
+    _curve_doc,
     _parse_int,
     contract_minus_one,
     load_curve,
@@ -85,18 +86,14 @@ def _cmd_basechange(args) -> int:
     out, trace = transform(curve, args.d)
     if args.contract:
         out = contract_minus_one(out)
-    doc = {
-        "curve": json.loads(serialize_curve(out)),
-        "trace": trace.to_dict(),
-    }
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_curve(out) + "\n")
         with open(args.output + ".trace.json", "w", encoding="utf-8") as fh:
-            json.dump(doc["trace"], fh, ensure_ascii=False, indent=1)
+            json.dump(trace.to_dict(), fh, ensure_ascii=False, indent=1)
             fh.write("\n")
     else:
-        _emit(doc)
+        _emit({"curve": _curve_doc(out), "trace": trace.to_dict()})
     return 0
 
 

@@ -126,17 +126,21 @@ class SncdCurve(Record):
         return len(seen) == len(self.vertices)
 
 
-class VertexGeometry(Record):
-    degree: int
-    chi_open: int       # Euler characteristic of the open stratum
-    self_int: int
-    principal: bool     # positive genus or meets the rest in >= 3 points
-
-
 class CurveGeometry(Record):
-    vertices: dict[str, VertexGeometry]
+    """What one walk of the graph says about the fiber relation.
+
+    The three maps run in vertex order.  ``self_int`` is exact only when
+    ``nondividing`` is empty, which :func:`geometry` checks.
+    """
+
+    degree: dict[str, int]
+    chi_open: dict[str, int]     # Euler characteristic of the open stratum
+    self_int: dict[str, int]
     b1: int
     abelian_rank: int
+    connected: bool
+    nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
+    euler: int                                   # sum_v N_v chi(E_v^o)
 
 
 class ValidationReport(Record):
@@ -148,16 +152,7 @@ class ValidationReport(Record):
         return not self.problems
 
 
-class _FiberPass(Record):
-    """What one walk of the graph says about the fiber relation."""
-
-    connected: bool
-    nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
-    euler: int                                   # sum_v N_v chi(E_v^o)
-    geometry: CurveGeometry | None               # None unless connected and dividing
-
-
-def _fiber_pass(curve: SncdCurve) -> _FiberPass:
+def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
     """The one walk of ``curve`` behind :func:`validate`, :func:`geometry`
     and :func:`genus`: one loop over the edges adds up each vertex's degree
     and incident sum ``sum_w N_w``, in O(V + E).  Cached on the curve;
@@ -172,21 +167,19 @@ def _fiber_pass(curve: SncdCurve) -> _FiberPass:
         degree[b] += 1
         incident[a] += by_id[b].N
         incident[b] += by_id[a].N
-    nondividing, euler, out = [], 0, {}
+    chi_open, self_int, nondividing, euler = {}, {}, [], 0
     for v in curve.vertices:
-        d, inc = degree[v.id], incident[v.id]
-        chi = 2 - 2 * v.g - d
+        vid, inc = v.id, incident[v.id]
+        chi_open[vid] = chi = 2 - 2 * v.g - degree[vid]
+        self_int[vid] = -(inc // v.N)
         if inc % v.N:
             nondividing.append((v, inc))
         euler += v.N * chi
-        out[v.id] = VertexGeometry(d, chi, -(inc // v.N), v.g > 0 or d >= 3)
-    connected = curve.is_connected()
-    geo = None
-    if connected and not nondividing:
-        geo = CurveGeometry(out, curve.b1(), sum(v.g for v in curve.vertices))
-    walk = _FiberPass(connected, tuple(nondividing), euler, geo)
-    object.__setattr__(curve, "_geo", walk)
-    return walk
+    geo = CurveGeometry(degree, chi_open, self_int, curve.b1(),
+                        sum(v.g for v in curve.vertices), curve.is_connected(),
+                        tuple(nondividing), euler)
+    object.__setattr__(curve, "_geo", geo)
+    return geo
 
 
 def validate(curve: SncdCurve) -> ValidationReport:
@@ -194,18 +187,18 @@ def validate(curve: SncdCurve) -> ValidationReport:
 
     Reads the curve's one cached fiber pass, O(V + E) on first use.
     """
-    walk = _fiber_pass(curve)
-    problems = [] if walk.connected else ["graph is not connected"]
+    geo = _fiber_pass(curve)
+    problems = [] if geo.connected else ["graph is not connected"]
     problems += [
         "multiplicity %d of %r does not divide the incident sum %d"
         % (v.N, v.id, incident)
-        for v, incident in walk.nondividing
+        for v, incident in geo.nondividing
     ]
     index = curve.multiplicity_gcd()
     if index != 1:
         problems.append("index-one flag fails: gcd of multiplicities is %d" % index)
-    if (2 - walk.euler) % 2 or walk.euler > 2:
-        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % walk.euler)
+    if (2 - geo.euler) % 2 or geo.euler > 2:
+        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % geo.euler)
     return ValidationReport(tuple(problems), index == 1)
 
 
@@ -221,22 +214,24 @@ def genus(curve: SncdCurve) -> int:
 
 
 def geometry(curve: SncdCurve) -> CurveGeometry:
-    """Per-vertex degree, open Euler characteristic, self-intersection.
+    """The curve's one cached fiber pass, once it describes a fiber.
 
-    Reads the curve's one cached fiber pass and returns the same object on
-    every call.  Raises :class:`MalformedFiber` when the graph is
-    disconnected or, failing that, at the first vertex whose self-intersection
-    is not an integer; a failing curve raises again on every call.
+    ``degree``, ``chi_open`` (the Euler characteristic of the open stratum)
+    and ``self_int`` map each vertex id, in vertex order, to its value; the
+    same object comes back on every call.  Raises :class:`MalformedFiber`
+    when the graph is disconnected or, failing that, at the first vertex
+    whose self-intersection is not an integer; a failing curve raises again
+    on every call.
     """
-    walk = _fiber_pass(curve)
-    if not walk.connected:
+    geo = _fiber_pass(curve)
+    if not geo.connected:
         raise MalformedFiber("graph is not connected")
-    if walk.nondividing:
-        v, incident = walk.nondividing[0]
+    if geo.nondividing:
+        v, incident = geo.nondividing[0]
         raise MalformedFiber(
             "multiplicity %d of %r does not divide %d" % (v.N, v.id, incident)
         )
-    return walk.geometry
+    return geo
 
 
 def contract_minus_one(curve: SncdCurve) -> SncdCurve:
@@ -331,7 +326,7 @@ def blow_up_intersection(
 
 
 def _fresh_id(curve: SncdCurve, base: str) -> str:
-    taken = set(curve.ids)
+    taken = curve._by_id
     if base not in taken:
         return base
     k = 2
@@ -433,14 +428,18 @@ def parse_curve(text: str) -> SncdCurve:
         raise ParseError(str(exc)) from exc
 
 
-def serialize_curve(curve: SncdCurve) -> str:
-    """Deterministic JSON: fixed key order, edges as sorted pairs."""
-    doc = {
+def _curve_doc(curve: SncdCurve) -> dict:
+    """The curve document as plain JSON values, in :func:`serialize_curve`'s key order."""
+    return {
         "p": curve.p,
         "vertices": [{"id": v.id, "N": v.N, "g": v.g} for v in curve.vertices],
         "edges": [list(e) for e in curve.edges],
     }
-    return json.dumps(doc, ensure_ascii=False, separators=(", ", ": "))
+
+
+def serialize_curve(curve: SncdCurve) -> str:
+    """Deterministic JSON: fixed key order, edges as sorted pairs."""
+    return json.dumps(_curve_doc(curve), ensure_ascii=False, separators=(", ", ": "))
 
 
 def load_curve(path) -> SncdCurve:

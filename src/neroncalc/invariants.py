@@ -56,17 +56,17 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
         return curve._phi
     geo, adj = geometry(curve), curve.adjacency()
     pos = {v.id: i for i, v in enumerate(curve.vertices)}
-    vgeo = geo.vertices
+    degree, self_int = geo.degree, geo.self_int
     # the foldable vertices: one or two edges, simple and to distinct neighbours
     unwalked = {vid for vid, nbrs in adj.items()
-                if len(nbrs) == vgeo[vid].degree in (1, 2)}
+                if len(nbrs) == degree[vid] in (1, 2)}
     kept = [v.id for v in curve.vertices if v.id not in unwalked] or [curve.vertices[0].id]
     unwalked.discard(kept[0])
     rows = {}
     for P in kept:
         rows[pos[P]] = row = {pos[w]: k for w, k in adj[P].items()}
-        if vgeo[P].self_int:
-            row[pos[P]] = vgeo[P].self_int
+        if self_int[P]:
+            row[pos[P]] = self_int[P]
     for P in kept:
         for x1 in adj[P]:
             if x1 not in unwalked:
@@ -80,7 +80,7 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
                 else:
                     u, w = adj[cur]
                     Q = w if u == prev else u
-                b = -vgeo[cur].self_int
+                b = -self_int[cur]
                 a0, b0, a1, b1 = a1, b1, b * a1 - a0, b * b1 - b0
                 if Q not in unwalked:
                     break
@@ -112,10 +112,10 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
 def _chi_product(curve: SncdCurve, p: int) -> CycloProduct:
     """``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}`` with ``N'_i`` the prime-to-``p``
     part of ``N_i`` (``p = 1`` strips nothing)."""
-    geo = geometry(curve)
+    chi_open = geometry(curve).chi_open
     factors: dict[int, int] = {}
     for v in curve.vertices:
-        chi = geo.vertices[v.id].chi_open
+        chi = chi_open[v.id]
         if chi:
             n = prime_to_part(v.N, p)
             factors[n] = factors.get(n, 0) - chi
@@ -164,7 +164,7 @@ def lorenzini_form(curve: SncdCurve) -> CycloProduct:
     geo = geometry(curve)
     factors = {1: 2 * geo.abelian_rank + 2 * geo.b1}
     for v in curve.vertices:
-        w = 2 * v.g + geo.vertices[v.id].degree - 2
+        w = 2 * v.g + geo.degree[v.id] - 2
         if w:
             n = prime_to_part(v.N, curve.p)
             factors[n] = factors.get(n, 0) + w
@@ -173,11 +173,11 @@ def lorenzini_form(curve: SncdCurve) -> CycloProduct:
 
 
 def stabilization_index(curve: SncdCurve) -> int:
-    """lcm of the multiplicities of principal components (1 if none)."""
-    geo = geometry(curve)
-    principal = [
-        v.N for v in curve.vertices if geo.vertices[v.id].principal
-    ]
+    """lcm of the multiplicities of the principal components (1 if none):
+    those of positive genus or meeting the rest of the fiber in at least
+    3 points (degree >= 3 in :func:`~neroncalc.curves.geometry`)."""
+    degree = geometry(curve).degree
+    principal = [v.N for v in curve.vertices if v.g > 0 or degree[v.id] >= 3]
     return lcm(*principal) if principal else 1
 
 
@@ -211,7 +211,7 @@ def trace_identities(curve: SncdCurve) -> TraceReport:
     prod = Fraction(1)
     for v in curve.vertices:
         n = prime_to_part(v.N, curve.p)
-        prod *= Fraction(n) ** (geo.vertices[v.id].degree - 2)
+        prod *= Fraction(n) ** (geo.degree[v.id] - 2)
     if additive:
         agree = value == phi_prime == prod
     else:

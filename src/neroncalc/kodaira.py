@@ -9,6 +9,7 @@ central multiplicity 6.
 from __future__ import annotations
 
 from .curves import SncdCurve, Vertex
+from .errors import PreconditionError
 
 
 def good_elliptic(p: int = 1) -> SncdCurve:
@@ -23,7 +24,7 @@ def kodaira_In(n: int, p: int = 1) -> SncdCurve:
     form (the nodal cubic is not normal crossings).
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise PreconditionError("n must be >= 0")
     if n == 0:
         return good_elliptic(p)
     if n == 1:
@@ -40,7 +41,7 @@ def kodaira_In(n: int, p: int = 1) -> SncdCurve:
 def kodaira_Instar(n: int, p: int = 1) -> SncdCurve:
     """Chain of ``n + 1`` double components with two reduced tails at each end."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise PreconditionError("n must be >= 0")
     if n == 0:
         vs = [Vertex("c", 2, 0)] + [Vertex("l%d" % i, 1, 0) for i in range(4)]
         return SncdCurve(vs, [("c", "l%d" % i) for i in range(4)], p)
@@ -89,7 +90,7 @@ def kodaira_curve(name: str, p: int = 1) -> SncdCurve:
         return kodaira_Instar(int(name[1:-1]), p)
     if name.startswith("I") and name[1:].isdigit():
         return kodaira_In(int(name[1:]), p)
-    raise ValueError("unknown Kodaira symbol %r" % name)
+    raise PreconditionError("unknown Kodaira symbol %r" % name)
 
 
 def genus2_additive(p: int = 1) -> SncdCurve:

@@ -28,6 +28,7 @@ from .errors import (
     InconsistentData,
     NotContained,
     ParseError,
+    PreconditionError,
     ProviderIncomplete,
 )
 from .invariants import component_group, stabilization_index
@@ -71,7 +72,7 @@ def ord_function(jumps: JumpSet, d: int) -> int:
     ``ord(a + q e) = ord(a) + q e c_tame`` holds exactly.
     """
     if d < 0:
-        raise ValueError("degree must be non-negative")
+        raise PreconditionError("degree must be non-negative")
     return sum(m * (d * j.numerator // j.denominator) for j, m in jumps.jumps)
 
 

@@ -2,7 +2,7 @@
 
 import json
 import time
-from math import gcd
+from math import gcd, lcm
 
 import networkx as nx
 import pytest
@@ -23,7 +23,9 @@ from neroncalc.curves import (
     validate,
 )
 from neroncalc.errors import MalformedFiber, ParseError, PreconditionError
-from neroncalc.kodaira import kodaira_curve
+from neroncalc.invariants import stabilization_index
+from neroncalc.kodaira import kodaira_curve, kodaira_In, kodaira_Instar
+from neroncalc.record import Record
 
 from conftest import curves
 
@@ -92,19 +94,20 @@ def test_genus_rejects_negative():
 
 def test_geometry_examples(all_fixture_curves):
     ii = geometry(all_fixture_curves["II"])
-    center = ii.vertices["c"]
-    assert (center.degree, center.chi_open, center.self_int) == (3, -1, -1)
-    assert center.principal and ii.b1 == 0
+    assert (ii.degree["c"], ii.chi_open["c"], ii.self_int["c"]) == (3, -1, -1)
+    assert ii.b1 == 0
 
     i2 = geometry(all_fixture_curves["I2"])
-    for vg in i2.vertices.values():
-        assert (vg.degree, vg.chi_open, vg.self_int, vg.principal) == (2, 0, -2, False)
+    for vid in all_fixture_curves["I2"].ids:
+        assert (i2.degree[vid], i2.chi_open[vid], i2.self_int[vid]) == (2, 0, -2)
     assert i2.b1 == 1
 
     i0s = geometry(all_fixture_curves["I0*"])
-    c = i0s.vertices["c"]
-    assert (c.degree, c.chi_open, c.self_int, c.principal) == (4, -2, -2, True)
+    assert (i0s.degree["c"], i0s.chi_open["c"], i0s.self_int["c"]) == (4, -2, -2)
     assert i0s.b1 == 0 and i0s.abelian_rank == 0
+    # principal: II's centre (degree 3) and I0*'s (degree 4), none in I2
+    e = [stabilization_index(all_fixture_curves[name]) for name in ("II", "I2", "I0*")]
+    assert e == [6, 1, 2]
 
 
 def test_contract_chain():
@@ -115,6 +118,14 @@ def test_contract_chain():
     out = contract_minus_one(chain)
     assert sorted(v.id for v in out.vertices) == ["a", "b"]
     assert out.edges == (("a", "b"),)
+
+
+def test_kodaira_constructors_refuse_bad_input():
+    for build in (kodaira_In, kodaira_Instar):
+        with pytest.raises(PreconditionError, match=r"^n must be >= 0$"):
+            build(-1)
+    with pytest.raises(PreconditionError, match=r"^unknown Kodaira symbol 'V'$"):
+        kodaira_curve(" V ")
 
 
 def test_contract_fixed_points(all_fixture_curves):
@@ -207,7 +218,7 @@ def test_weighted_euler_sum_is_even_and_bounded(curve):
     g = genus(curve)
     geo = geometry(curve)
     total = sum(
-        curve.multiplicity(vid) * vg.chi_open for vid, vg in geo.vertices.items()
+        curve.multiplicity(vid) * chi for vid, chi in geo.chi_open.items()
     )
     assert total == 2 - 2 * g
 
@@ -217,9 +228,9 @@ def test_weighted_euler_sum_is_even_and_bounded(curve):
 def test_self_intersection_relation_is_exact(curve):
     geo = geometry(curve)
     adj = curve.adjacency()
-    for vid, vg in geo.vertices.items():
+    for vid, self_int in geo.self_int.items():
         incident = sum(curve.multiplicity(w) * k for w, k in adj[vid].items())
-        assert curve.multiplicity(vid) * vg.self_int + incident == 0
+        assert curve.multiplicity(vid) * self_int + incident == 0
 
 
 @given(curves())
@@ -326,13 +337,15 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
         assert str(exc.value) == "multiplicity %d of %r does not divide %d" % (v.N, v.id, s)
     else:
         geo = geometry(curve)
-        assert list(geo.vertices) == [v.id for v in vs]
-        for v in vs:
-            d, s = rows[v.id]
-            vg = geo.vertices[v.id]
-            assert (vg.degree, vg.chi_open, vg.self_int, vg.principal) == (
-                d, 2 - 2 * v.g - d, -s // v.N, v.g > 0 or d >= 3)
+        # dict equality ignores order, so the key order is checked on its own
+        assert [list(geo.degree), list(geo.chi_open), list(geo.self_int)] == [curve.ids] * 3
+        assert geo.degree == {v.id: rows[v.id][0] for v in vs}
+        assert geo.chi_open == {v.id: 2 - 2 * v.g - rows[v.id][0] for v in vs}
+        assert geo.self_int == {v.id: -rows[v.id][1] // v.N for v in vs}
         assert (geo.b1, geo.abelian_rank) == (len(es) - len(vs) + 1, sum(v.g for v in vs))
+        # principal: positive genus, or meets the rest of the fiber in >= 3 points
+        principal = [v.N for v in vs if v.g > 0 or rows[v.id][0] >= 3]
+        assert stabilization_index(curve) == (lcm(*principal) if principal else 1)
 
 
 # -- the curves layer at 10^4 vertices -----------------------------------------
@@ -349,6 +362,21 @@ def _curves_layer_seconds(n: int) -> float:
         geometry(curve)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def test_fiber_pass_builds_no_record_per_vertex(monkeypatch):
+    cycle = kodaira_curve("I10000")
+    curve = SncdCurve(cycle.vertices, cycle.edges, cycle.p)
+    built = []
+    init = Record.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Record, "__init__", spy)
+    geometry(curve)
+    assert len(built) <= 2, built[:5]
 
 
 def test_long_cycle_walks_fast():

@@ -13,7 +13,7 @@ import pytest
 
 import neroncalc
 
-CAPS = {"conductors": 11, "cyclo": 4, "ratseries": 4, "kodaira": 3, "zeta": 1}
+CAPS = {"conductors": 11, "cyclo": 4, "ratseries": 4}
 
 MODULES = sorted(pathlib.Path(neroncalc.__file__).parent.glob("*.py"))
 

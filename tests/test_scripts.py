@@ -1,8 +1,10 @@
-"""The example scripts the README documents run cleanly in a child."""
+"""The example scripts and the library example the README documents run cleanly."""
 
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -41,3 +43,15 @@ def test_check_pins_replays_large_graph():
     assert (child.returncode, child.stderr) == (0, "")
     *_, items, verdict = child.stdout.splitlines()
     assert items.startswith("large_graph: ") and verdict == "0 mismatches"
+
+
+def test_readme_library_example_runs():
+    """The fenced block under "Library example" in README.md, run as is."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["geometry"](scope["curve"]).self_int["c"] == -1
+    assert scope["laws"].ok
+    assert scope["z"].unique_pole_slope() == (Fraction(1, 6), 1)

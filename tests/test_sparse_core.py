@@ -436,13 +436,13 @@ def test_component_group_scales_near_linearly():
 
 def unfolded_rows(curve) -> dict[int, dict[int, int]]:
     """One sparse intersection row per vertex, no chain folded."""
-    geo, adj = geometry(curve), curve.adjacency()
+    self_int, adj = geometry(curve).self_int, curve.adjacency()
     pos = {v.id: i for i, v in enumerate(curve.vertices)}
     rows = {}
     for i, v in enumerate(curve.vertices):
         rows[i] = row = {pos[w]: k for w, k in adj[v.id].items()}
-        if geo.vertices[v.id].self_int:
-            row[i] = geo.vertices[v.id].self_int
+        if self_int[v.id]:
+            row[i] = self_int[v.id]
     return rows
 
 

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.basechange import transform
-from neroncalc.errors import InconsistentData, NotContained, ProviderIncomplete
+from neroncalc.errors import (
+    InconsistentData,
+    NotContained,
+    PreconditionError,
+    ProviderIncomplete,
+)
 from neroncalc.invariants import component_group, stabilization_index
 from neroncalc.kodaira import fixture_curve, good_elliptic
 from neroncalc.ratseries import RationalSeries
@@ -139,6 +144,8 @@ def test_ord_function_examples():
     assert ord_function(sixth, 7) == 1
     assert ord_function(sixth, 5) == 0
     assert ord_function(JumpSet([(Fraction(1, 2), 2)]), 1) == 0
+    with pytest.raises(PreconditionError, match=r"^degree must be non-negative$"):
+        ord_function(sixth, -1)
 
 
 def test_ord_function_periodicity():
