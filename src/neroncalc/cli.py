@@ -27,7 +27,6 @@ from .conductors import (
     wild_defect,
 )
 from .curves import (
-    SncdCurve,
     _curve_doc,
     _parse_int,
     contract_minus_one,
@@ -63,15 +62,8 @@ def _fail(exc: Exception, args) -> int:
     return 1
 
 
-def _load(args):
-    curve = load_curve(args.curve)
-    if args.p is not None:
-        curve = SncdCurve(curve.vertices, curve.edges, args.p)
-    return curve
-
-
 def _cmd_analyze(args) -> int:
-    curve = _load(args)
+    curve = load_curve(args.curve, args.p)
     report = validate(curve)
     if not report.ok:
         raise MalformedFiber("; ".join(report.problems))
@@ -82,8 +74,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_basechange(args) -> int:
-    curve = _load(args)
-    out, trace = transform(curve, args.d)
+    out, trace = transform(load_curve(args.curve, args.p), args.d)
     if args.contract:
         out = contract_minus_one(out)
     if args.output:
@@ -123,7 +114,7 @@ def _cmd_zeta(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    laws = base_change_laws(_load(args), args.d)
+    laws = base_change_laws(load_curve(args.curve, args.p), args.d)
     checks = laws.to_dict()
     if args.json:
         _emit({"d": args.d, "checks": checks, "pass": laws.ok})

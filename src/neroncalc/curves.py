@@ -35,8 +35,15 @@ class Vertex(Record):
 class SncdCurve(Record):
     """Immutable dual graph with multiplicities and genera.
 
-    ``edges`` are unordered pairs of vertex ids; each pair is normalized to
-    lexicographic order, the list order is preserved.
+    The constructor is the one checker of curve data, for library callers
+    and :func:`parse_curve` alike.  ``vertices`` holds :class:`Vertex`
+    records, kept as they are, or ``(id, N, g)`` triples; ``edges`` are
+    unordered pairs of vertex ids, each normalized to lexicographic order,
+    in list order.  It refuses, in this order: a vertex with a non-``str``
+    id or a non-``int`` ``N`` or ``g`` (``bool`` included), duplicate ids,
+    a ``p`` that is not an ``int >= 1`` (:class:`PreconditionError`), an
+    empty id, ``N < 1``, ``g < 0``, and an edge that is not a tuple or list
+    of two known ids or is a loop (:class:`MalformedFiber`).
 
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
     :func:`geometry` and :func:`genus` read, and
@@ -50,15 +57,19 @@ class SncdCurve(Record):
     p: int = 1
 
     def __init__(self, vertices, edges, p: int = 1):
-        vertices = tuple(
-            v if isinstance(v, Vertex) else Vertex(*v) for v in vertices
-        )
-        by_id = {v.id: v for v in vertices}
-        if len(by_id) != len(vertices):
+        records = []
+        for i, v in enumerate(vertices):
+            if not isinstance(v, Vertex):
+                v = Vertex(*v)
+            if not isinstance(v.id, str) or type(v.N) is not int or type(v.g) is not int:
+                raise MalformedFiber("vertex %d has wrongly typed fields" % i)
+            records.append(v)
+        by_id = {v.id: v for v in records}
+        if len(by_id) != len(records):
             raise MalformedFiber("duplicate vertex ids")
-        if p < 1:
+        if type(p) is not int or p < 1:
             raise PreconditionError("characteristic exponent must be >= 1")
-        for v in vertices:
+        for v in records:
             if not v.id:
                 raise MalformedFiber("empty vertex id")
             if v.N < 1:
@@ -66,14 +77,18 @@ class SncdCurve(Record):
             if v.g < 0:
                 raise MalformedFiber("genus of %r must be >= 0" % v.id)
         norm = []
-        for e in edges:
+        for i, e in enumerate(edges):
+            if not isinstance(e, (tuple, list)) or len(e) != 2:
+                raise MalformedFiber("edge %d must be a pair" % i)
             a, b = e
+            if not isinstance(a, str) or not isinstance(b, str):
+                raise MalformedFiber("edge %d must join two vertex ids" % i)
             if a not in by_id or b not in by_id:
                 raise MalformedFiber("edge %r references unknown vertex" % (tuple(e),))
             if a == b:
                 raise MalformedFiber("loop edge at %r (components are smooth)" % a)
             norm.append((a, b) if a <= b else (b, a))
-        super().__init__(vertices, tuple(norm), p)
+        super().__init__(tuple(records), tuple(norm), p)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_geo", None)
@@ -379,21 +394,25 @@ def _parse_int(text: str, error, noun: str, invalid: str) -> int:
         raise error(message) from exc
 
 
-def parse_curve(text: str) -> SncdCurve:
+def parse_curve(text: str, p: int | None = None) -> SncdCurve:
     """Read a curve document; see :func:`serialize_curve` for the format.
 
-    A missing ``p`` defaults to 1 and emits a :class:`CurveWarning`.
+    Checks only the document's shape (an object; ``p``, if present, a
+    positive integer; a non-empty ``vertices`` list of objects with ``id``,
+    ``N`` and ``g``; an ``edges`` list) and leaves each vertex and edge to
+    :class:`SncdCurve`, whose :class:`MalformedFiber` comes back as a
+    :class:`ParseError` with the same text.  A given ``p`` replaces the
+    document's; without one, a missing ``p`` defaults to 1 and emits a
+    :class:`CurveWarning`.
     """
     doc = _parse_json(text, "invalid JSON")
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     # ``type(x) is int`` refuses JSON true and false, which load as bool.
     if "p" in doc:
-        p = doc["p"]
-        if type(p) is not int or p < 1:
+        if type(doc["p"]) is not int or doc["p"] < 1:
             raise ParseError("field 'p' must be a positive integer")
-    else:
-        p = 1
+    elif p is None:
         warnings.warn("field 'p' missing, defaulting to 1", CurveWarning, stacklevel=2)
     raw_vertices = doc.get("vertices")
     raw_edges = doc.get("edges")
@@ -406,24 +425,11 @@ def parse_curve(text: str) -> SncdCurve:
         if not isinstance(rv, dict):
             raise ParseError("vertex %d must be an object" % i)
         try:
-            vid, n, g = rv["id"], rv["N"], rv["g"]
+            vertices.append((rv["id"], rv["N"], rv["g"]))
         except KeyError as exc:
             raise ParseError("vertex %d misses field %s" % (i, exc)) from exc
-        if not isinstance(vid, str) or type(n) is not int or type(g) is not int:
-            raise ParseError("vertex %d has wrongly typed fields" % i)
-        vertices.append(Vertex(vid, n, g))
-    edges = []
-    for i, re_ in enumerate(raw_edges):
-        if not isinstance(re_, list) or len(re_) != 2:
-            raise ParseError("edge %d must be a pair" % i)
-        a, b = re_
-        if not isinstance(a, str) or not isinstance(b, str):
-            raise ParseError("edge %d must join two vertex ids" % i)
-        if a == b:
-            raise ParseError("edge %d is a loop at %r" % (i, a))
-        edges.append((a, b))
     try:
-        return SncdCurve(vertices, edges, p)
+        return SncdCurve(vertices, raw_edges, doc.get("p", 1) if p is None else p)
     except MalformedFiber as exc:
         raise ParseError(str(exc)) from exc
 
@@ -442,5 +448,6 @@ def serialize_curve(curve: SncdCurve) -> str:
     return json.dumps(_curve_doc(curve), ensure_ascii=False, separators=(", ", ": "))
 
 
-def load_curve(path) -> SncdCurve:
-    return parse_curve(_read_text(path, "invalid JSON"))
+def load_curve(path, p: int | None = None) -> SncdCurve:
+    """:func:`parse_curve` of a file's text; a given ``p`` replaces the document's."""
+    return parse_curve(_read_text(path, "invalid JSON"), p)

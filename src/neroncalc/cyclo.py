@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
-from .errors import MalformedFiber
+from .errors import MalformedFiber, PreconditionError
 from .record import Record
 
 
@@ -80,7 +80,7 @@ def _divisors(n: int) -> tuple[int, ...]:
 def cyclotomic_at_one(m: int) -> int:
     """``Phi_m(1)``: 0 for m = 1, the prime p for m = p^k, else 1."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise PreconditionError("m must be positive")
     if m == 1:
         return 0
     p = _divisors(m)[1]  # least prime factor
@@ -110,7 +110,7 @@ class CycloProduct(Record):
         items = dict(factors)
         for a, e in list(items.items()):
             if a < 1:
-                raise ValueError("factor exponent base must be >= 1")
+                raise PreconditionError("factor exponent base must be >= 1")
             if e == 0:
                 del items[a]
         super().__init__(tuple(sorted(items.items())))
@@ -159,10 +159,10 @@ class CycloProduct(Record):
         >>> CycloProduct({2: -1}).as_poly()
         Traceback (most recent call last):
             ...
-        ValueError: not a polynomial
+        neroncalc.errors.PreconditionError: not a polynomial
         """
         if not self.is_polynomial:
-            raise ValueError("not a polynomial")
+            raise PreconditionError("not a polynomial")
         out = [1]
         for a, e in self.factors:
             for _ in range(e):  # times (t^a - 1)
@@ -183,7 +183,7 @@ class CycloProduct(Record):
         ``g = gcd(a, d)``.
         """
         if d < 1:
-            raise ValueError("d must be positive")
+            raise PreconditionError("d must be positive")
         out: dict[int, int] = {}
         for a, e in self.factors:
             g = gcd(a, d)

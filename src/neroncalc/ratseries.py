@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import NonIntegralAssembly, NonReducible
+from .errors import NonIntegralAssembly, NonReducible, PreconditionError
 
 Key = tuple[int, int, tuple[int, ...]]
 Poly = dict[Key, int | Fraction]
@@ -157,7 +157,7 @@ class RationalSeries:
         den = tuple(sorted(tuple(f) for f in den))
         for a, b in den:
             if b < 1:
-                raise ValueError("denominator factor needs b >= 1")
+                raise PreconditionError("denominator factor needs b >= 1")
         poly, den = _reduce(poly, den) if poly else (poly, ())
         object.__setattr__(self, "num", tuple(sorted(poly.items())))
         object.__setattr__(self, "den", den)
@@ -219,7 +219,7 @@ class RationalSeries:
     def subs_T_power(self, a: int) -> "RationalSeries":
         """Substitute ``T -> T^a``."""
         if a < 1:
-            raise ValueError("substitution degree must be >= 1")
+            raise PreconditionError("substitution degree must be >= 1")
         num = {(n * a, l, ab): v for (n, l, ab), v in self.num}
         den = tuple((w, b * a) for w, b in self.den)
         return RationalSeries(num, den)
@@ -276,7 +276,7 @@ class RationalSeries:
     def degree(self) -> int:
         """``deg_T(num) - sum of denominator T-degrees``."""
         if not self.num:
-            raise ValueError("degree of the zero series")
+            raise PreconditionError("degree of the zero series")
         return max(k[0] for k, _ in self.num) - sum(b for _, b in self.den)
 
     def _plain_T_coeffs(self) -> dict[int, int | Fraction]:
@@ -391,7 +391,7 @@ def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
     '(T) / (1 - T) (1 - T)'
     """
     if e < 1 or b < 1:
-        raise ValueError("need e >= 1 and b >= 1")
+        raise PreconditionError("need e >= 1 and b >= 1")
     num: Poly = {(b, 0, ()): 1}
     for k in range(1, t + 1):
         theta = {(n, l, ab): v * n for (n, l, ab), v in num.items()}

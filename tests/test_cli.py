@@ -10,7 +10,7 @@ import pytest
 
 from neroncalc import cli
 from neroncalc.cli import main
-from neroncalc.curves import load_curve
+from neroncalc.curves import SncdCurve, load_curve
 from neroncalc.invariants import stabilization_index
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -380,6 +380,67 @@ HOSTILE_PROVIDERS = {
     "curves_degree_5000_letters": {"base": "II.json", "curves": {"x" * 5000: "IV.json"}},
     "not_utf8": b'{"base": "II.json", "note": "\xff"}',
 }
+
+
+def _spy_on_curves(monkeypatch) -> list:
+    """Count ``SncdCurve.__init__`` calls from now on."""
+    built = []
+    real = SncdCurve.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SncdCurve, "__init__", spy)
+    return built
+
+
+def test_load_curve_builds_one_curve(monkeypatch):
+    built = _spy_on_curves(monkeypatch)
+    assert load_curve(fx("II.json")).p == 1 and load_curve(fx("II.json"), 5).p == 5
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("command, curves", [
+    (["analyze"], 1),
+    (["check", "-d", "7"], 2),  # the loaded curve and its transform
+    (["basechange", "-d", "7"], 2),
+])
+def test_p_flag_builds_no_second_curve(capsys, monkeypatch, command, curves):
+    built = _spy_on_curves(monkeypatch)
+    for extra in ([], ["--p", "5"]):
+        del built[:]
+        assert run(capsys, command[0], fx("II.json"), *command[1:], *extra)[0] == 0
+        assert len(built) == curves, extra
+
+
+@pytest.mark.parametrize("command, code, err", [
+    (["analyze"], 0, ""),
+    (["check", "-d", "7"], 0, ""),
+    (["basechange", "-d", "7"], 0, ""),
+    (["check", "-d", "5"], 1, "error: gcd(d, p) = 5 != 1\n"),  # d must be prime to p
+])
+def test_p_flag_on_a_document_without_p_warns_nothing(tmp_path, command, code, err):
+    doc = json.loads(open(fx("II.json")).read())
+    del doc["p"]
+    path = tmp_path / "no_p.json"
+    path.write_text(json.dumps(doc))
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "neroncalc",
+         command[0], str(path), *command[1:], "--p", "5"],
+        env=child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (code, err)
+    if command == ["analyze"]:
+        assert json.loads(child.stdout)["p"] == 5
+
+
+def test_p_flag_does_not_excuse_a_bad_p_in_the_document(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(HOSTILE_CURVES["p_bool"])
+    code, out, err = run(capsys, "analyze", str(path), "--p", "5", "--json")
+    assert (code, out, json.loads(err)) == (
+        1, "", {"error": "field 'p' must be a positive integer", "type": "ParseError"})
 
 
 def _write(path, doc):

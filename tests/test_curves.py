@@ -28,6 +28,7 @@ from neroncalc.kodaira import kodaira_curve, kodaira_In, kodaira_Instar
 from neroncalc.record import Record
 
 from conftest import curves
+from curve_oracles import parse_curve_two_stage
 
 
 def test_validate_star_fiber(all_fixture_curves):
@@ -212,6 +213,45 @@ def test_constructor_guards():
         SncdCurve([("a", 1, 0)], [("a", "a"), ("a", "x")])
 
 
+AB = [("a", 1, 0), ("b", 1, 0)]
+
+
+@pytest.mark.parametrize("vertices, edges, p, kind, message", [
+    ([("a", 1.5, 0)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([("a", 1, 0), ("b", True, 0)], [], 1, MalformedFiber, "vertex 1 has wrongly typed fields"),
+    ([("a", 1, 0.5)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([(5, 1, 0)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([Vertex("a", 1, False)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([("a", 1, 0)], [], 1.5, PreconditionError, "characteristic exponent must be >= 1"),
+    ([("a", 1, 0)], [], True, PreconditionError, "characteristic exponent must be >= 1"),
+    (AB, [("a", "b", "a")], 1, MalformedFiber, "edge 0 must be a pair"),
+    (AB, [("a", "b"), ("a",)], 1, MalformedFiber, "edge 1 must be a pair"),
+    (AB, ["ab"], 1, MalformedFiber, "edge 0 must be a pair"),
+    (AB, [{"a": 1, "b": 2}], 1, MalformedFiber, "edge 0 must be a pair"),
+    (AB, [("a", ["b"])], 1, MalformedFiber, "edge 0 must join two vertex ids"),
+    (AB, [[1, "b"]], 1, MalformedFiber, "edge 0 must join two vertex ids"),
+])
+def test_constructor_refuses_wrongly_typed_data(vertices, edges, p, kind, message):
+    with pytest.raises(kind) as info:
+        SncdCurve(vertices, edges, p)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+def test_constructor_checks_types_before_values():
+    # every vertex's types, then duplicate ids, then p, then values, then edges
+    with pytest.raises(MalformedFiber, match="^vertex 2 has wrongly typed fields$"):
+        SncdCurve([("a", 0, 0), ("a", 1, 0), ("c", 1, None)], [("x", "x")], 0)
+    with pytest.raises(MalformedFiber, match="^empty vertex id$"):
+        SncdCurve([("", 1, 0)], ["ab"])
+
+
+def test_constructor_keeps_vertex_records_and_builds_the_rest():
+    o = Vertex("o", 1, 1)
+    curve = SncdCurve([o, ["b", 1, 0]], [["o", "b"]])
+    assert curve.vertices[0] is o and curve.vertices[1] == Vertex("b", 1, 0)
+    assert curve.edges == (("b", "o"),)
+
+
 @given(curves())
 @settings(max_examples=120, deadline=None)
 def test_weighted_euler_sum_is_even_and_bounded(curve):
@@ -388,3 +428,95 @@ def test_curves_layer_scales_near_linearly():
     # 4x the vertices: about 16x when quadratic, about 4.5x at n log n
     ratio = _curves_layer_seconds(10000) / _curves_layer_seconds(2500)
     assert ratio < 8, ratio
+
+
+# -- one checker: parse_curve against the two-stage reader ---------------------
+
+UNKNOWN = "\x00unknown"
+VERTEX_FAULTS = {
+    "not_object": lambda v: [v["id"], v["N"], v["g"]],
+    "misses_N": lambda v: {"id": v["id"], "g": v["g"]},
+    "N_float": lambda v: dict(v, N=1.5),
+    "N_bool": lambda v: dict(v, N=True),
+    "g_float": lambda v: dict(v, g=0.5),
+    "id_int": lambda v: dict(v, id=5),
+    "empty_id": lambda v: dict(v, id=""),
+    "N_zero": lambda v: dict(v, N=0),
+    "g_negative": lambda v: dict(v, g=-1),
+}
+EDGE_FAULTS = {  # an edge inserted beside the others, at a known id
+    "string": lambda vid: "ab",
+    "triple": lambda vid: [vid, vid, vid],
+    "single": lambda vid: [vid],
+    "list_endpoint": lambda vid: [[vid], vid],
+    "int_endpoint": lambda vid: [vid, 5],
+    "unknown_endpoint": lambda vid: [vid, UNKNOWN],
+    "loop": lambda vid: [vid, vid],
+}
+DOC_FAULTS = {
+    "p_zero": {"p": 0},
+    "p_bool": {"p": True},
+    "p_string": {"p": "2"},
+    "vertices_empty": {"vertices": []},
+    "edges_object": {"edges": {}},
+}
+FAULTS = sorted([*VERTEX_FAULTS, *EDGE_FAULTS, *DOC_FAULTS, "duplicate"])
+
+
+def planted(curve: SncdCurve, faults) -> str:
+    """The document of ``curve`` with each ``(fault, k, pos)`` planted at its
+    vertex ``k`` (modulo their number) or, for an edge, at position ``pos``.
+    Every planted fault stays a fault whatever else is planted."""
+    doc = json.loads(serialize_curve(curve))
+    vertices, edges = doc["vertices"], doc["edges"]
+    original = list(vertices)
+    for fault, k, pos in faults:
+        v = original[k % len(original)]
+        if fault in VERTEX_FAULTS:
+            vertices[k % len(original)] = VERTEX_FAULTS[fault](v)
+        elif fault in EDGE_FAULTS:
+            edges.insert(pos % (len(edges) + 1), EDGE_FAULTS[fault](v["id"]))
+        elif fault == "duplicate":
+            vertices.append(dict(v))
+    for fault, _, _ in faults:
+        doc.update(DOC_FAULTS.get(fault, {}))
+    return json.dumps(doc)
+
+
+def parse_error(parse, text: str) -> str:
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    return str(info.value)
+
+
+@given(curves(), st.integers(0, 2 ** 16))
+@settings(max_examples=120, deadline=None)
+def test_parse_matches_the_two_stage_reader_on_valid_documents(curve, flips):
+    doc = json.loads(serialize_curve(curve))
+    doc["edges"] = [e[::-1] if flips >> i & 1 else e for i, e in enumerate(doc["edges"])]
+    text = json.dumps(doc)
+    parsed = parse_curve(text)
+    assert parsed == parse_curve_two_stage(text) == curve
+    assert all(type(v) is Vertex for v in parsed.vertices)
+
+
+@given(curves(), st.sampled_from(FAULTS), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_two_stage_reader_on_one_fault(curve, fault, k, pos):
+    text = planted(curve, [(fault, k, pos)])
+    new, old = parse_error(parse_curve, text), parse_error(parse_curve_two_stage, text)
+    if fault == "loop":  # the constructor's words, not the reader's
+        vid = curve.vertices[k % len(curve.vertices)].id
+        assert new == "loop edge at %r (components are smooth)" % vid
+        assert old == "edge %d is a loop at %r" % (pos % (len(curve.edges) + 1), vid)
+    else:
+        assert new == old
+
+
+@given(curves(), st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, 10 ** 6),
+                                    st.integers(0, 10 ** 6)), min_size=2, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_several_faults_end_in_a_parse_error(curve, faults):
+    text = planted(curve, faults)
+    assert parse_error(parse_curve, text).count("\n") == 0
+    parse_error(parse_curve_two_stage, text)
