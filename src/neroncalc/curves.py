@@ -39,10 +39,10 @@ class SncdCurve(Record):
     and :func:`parse_curve` alike.  ``vertices`` holds :class:`Vertex`
     records, kept as they are, or ``(id, N, g)`` triples; ``edges`` are
     unordered pairs of vertex ids, each normalized to lexicographic order,
-    in list order.  It refuses, in this order: a vertex with a non-``str``
-    id or a non-``int`` ``N`` or ``g`` (``bool`` included), duplicate ids,
-    a ``p`` that is not an ``int >= 1`` (:class:`PreconditionError`), an
-    empty id, ``N < 1``, ``g < 0``, and an edge that is not a tuple or list
+    in list order.  It refuses, in this order: a vertex that is not three
+    items, a ``str`` id, an ``int`` ``N`` and ``g`` (``bool`` refused),
+    duplicate ids, a ``p`` that is not an ``int >= 1`` (:class:`PreconditionError`),
+    an empty id, ``N < 1``, ``g < 0``, and an edge that is not a tuple or list
     of two known ids or is a loop (:class:`MalformedFiber`).
 
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
@@ -59,10 +59,12 @@ class SncdCurve(Record):
     def __init__(self, vertices, edges, p: int = 1):
         records = []
         for i, v in enumerate(vertices):
-            if not isinstance(v, Vertex):
-                v = Vertex(*v)
-            if not isinstance(v.id, str) or type(v.N) is not int or type(v.g) is not int:
-                raise MalformedFiber("vertex %d has wrongly typed fields" % i)
+            try:
+                v = v if isinstance(v, Vertex) else Vertex(*v)
+                if not isinstance(v.id, str) or type(v.N) is not int or type(v.g) is not int:
+                    raise TypeError
+            except TypeError:  # or not an iterable of three items
+                raise MalformedFiber("vertex %d has wrongly typed fields" % i) from None
             records.append(v)
         by_id = {v.id: v for v in records}
         if len(by_id) != len(records):

@@ -230,6 +230,10 @@ AB = [("a", 1, 0), ("b", 1, 0)]
     (AB, [{"a": 1, "b": 2}], 1, MalformedFiber, "edge 0 must be a pair"),
     (AB, [("a", ["b"])], 1, MalformedFiber, "edge 0 must join two vertex ids"),
     (AB, [[1, "b"]], 1, MalformedFiber, "edge 0 must join two vertex ids"),
+    ([("a", 1)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([5], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([("a", 1, 0, 7)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([None], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
 ])
 def test_constructor_refuses_wrongly_typed_data(vertices, edges, p, kind, message):
     with pytest.raises(kind) as info:
