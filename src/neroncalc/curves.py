@@ -40,10 +40,11 @@ class SncdCurve(Record):
     records, kept as they are, or ``(id, N, g)`` triples; ``edges`` are
     unordered pairs of vertex ids, each normalized to lexicographic order,
     in list order.  It refuses, in this order: a vertex that is not three
-    items, a ``str`` id, an ``int`` ``N`` and ``g`` (``bool`` refused),
-    duplicate ids, a ``p`` that is not an ``int >= 1`` (:class:`PreconditionError`),
-    an empty id, ``N < 1``, ``g < 0``, and an edge that is not a tuple or list
-    of two known ids or is a loop (:class:`MalformedFiber`).
+    items or has a non-``str`` id or a non-``int`` ``N`` or ``g`` (``bool``
+    included), duplicate ids, a ``p`` that is not an ``int >= 1``
+    (:class:`PreconditionError`), an empty id, ``N < 1``, ``g < 0``, and an
+    edge that is not a tuple or list of two known ids or is a loop
+    (:class:`MalformedFiber`).
 
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
     :func:`geometry` and :func:`genus` read, and

@@ -2,10 +2,9 @@
 
 Everything here is a pure function of an :class:`~neroncalc.curves.SncdCurve`:
 the component group of the Jacobian, the toric/abelian/unipotent ranks, the
-characteristic polynomial, its prime-to-p companion and the monodromy zeta
-function (all three from one loop over the vertices), the stabilization
-index, and the trace identities tying them together on additively reducing
-fibers.  Only the tests call :func:`lorenzini_form`, their cross-check.
+characteristic polynomial and its prime-to-p companion, the monodromy zeta
+function, the stabilization index, and the trace identities tying them
+together on additively reducing fibers.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
 from .record import Record
 
-_T_MINUS_ONE_TO_MINUS_TWO = CycloProduct({1: -2})
+_T_MINUS_ONE_SQUARED = CycloProduct({1: 2})
 
 
 def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
@@ -110,48 +109,45 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     return phi
 
 
-def _char_polys(curve: SncdCurve) -> tuple[CycloProduct, CycloProduct]:
-    """``(P, P')``: one loop over the vertices fills the exponent map of ``P``,
-    keyed by ``N``; that of ``P'`` is its image under ``N -> N'``.  ``P'`` is
-    ``P`` when no ``N`` shares a factor with ``p``, else checked to divide it."""
+def _chi_product(curve: SncdCurve, p: int) -> CycloProduct:
+    """``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}`` with ``N'_i`` the prime-to-``p``
+    part of ``N_i`` (``p = 1`` strips nothing)."""
     chi_open = geometry(curve).chi_open
-    exponents = {1: 2}
+    factors: dict[int, int] = {}
     for v in curve.vertices:
         chi = chi_open[v.id]
         if chi:
-            exponents[v.N] = exponents.get(v.N, 0) - chi
-    P = CycloProduct(exponents)
-    if not P.is_polynomial:
-        raise MalformedFiber("characteristic product is not a polynomial")
-    if all(gcd(n, curve.p) == 1 for n in exponents):
-        return P, P
-    prime: dict[int, int] = {}
-    for n, k in exponents.items():
-        n = prime_to_part(n, curve.p)
-        prime[n] = prime.get(n, 0) + k
-    Pp = CycloProduct(prime)
-    if not Pp.is_polynomial:
-        raise MalformedFiber("prime-to-p characteristic product is not a polynomial")
-    if not Pp.divides(P):
-        raise MalformedFiber("prime-to-p polynomial does not divide the full one")
-    return P, Pp
+            n = prime_to_part(v.N, p)
+            factors[n] = factors.get(n, 0) - chi
+    return CycloProduct(factors)
 
 
 def char_poly(curve: SncdCurve) -> CycloProduct:
     """``(t-1)^2 prod_i (t^{N_i}-1)^{-chi(E_i^o)}``, monic of degree 2g."""
-    P = _char_polys(curve)[0]
+    P = _T_MINUS_ONE_SQUARED * _chi_product(curve, 1)
+    if not P.is_polynomial:
+        raise MalformedFiber("characteristic product is not a polynomial")
     genus(curve)  # raises on odd parity or negative genus; 2g is P's degree
     return P
 
 
 def char_poly_prime(curve: SncdCurve) -> CycloProduct:
-    """``P'``: ``(t-1)^2`` times :func:`monodromy_zeta`; divides :func:`char_poly`."""
-    return _char_polys(curve)[1]
+    """``(t-1)^2`` times :func:`monodromy_zeta`: the characteristic product
+    with every multiplicity replaced by its prime-to-p part.
+
+    Divides :func:`char_poly`; they agree exactly on tame fibers.
+    """
+    P = _T_MINUS_ONE_SQUARED * monodromy_zeta(curve)
+    if not P.is_polynomial:
+        raise MalformedFiber("prime-to-p characteristic product is not a polynomial")
+    if not P.divides(_T_MINUS_ONE_SQUARED * _chi_product(curve, 1)):
+        raise MalformedFiber("prime-to-p polynomial does not divide the full one")
+    return P
 
 
 def monodromy_zeta(curve: SncdCurve) -> CycloProduct:
-    """A'Campo-style zeta: ``prod_i (t^{N'_i}-1)^{-chi(E_i^o)} = P'/(t-1)^2``."""
-    return _char_polys(curve)[1] * _T_MINUS_ONE_TO_MINUS_TWO
+    """A'Campo-style zeta: ``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}``."""
+    return _chi_product(curve, curve.p)
 
 
 def lorenzini_form(curve: SncdCurve) -> CycloProduct:
@@ -159,8 +155,8 @@ def lorenzini_form(curve: SncdCurve) -> CycloProduct:
 
     ``(t-1)^{2a+2t} prod_i ((t^{N'_i}-1)/(t-1))^{2 g_i + d_i - 2}``.
 
-    Lorenzini's regrouping of ``(t-1)^2 * zeta``, the one the tests compare
-    against; only they call it.
+    Normalizes to ``(t-1)^2 * zeta``; kept as a separate assembly so the two
+    routes can be compared.
     """
     geo = geometry(curve)
     factors = {1: 2 * geo.abelian_rank + 2 * geo.b1}
@@ -269,7 +265,11 @@ def invariant_report(curve: SncdCurve) -> InvariantReport:
     u = g - t - a
     if u < 0:
         raise MalformedFiber("ranks exceed the genus: t=%d a=%d g=%d" % (t, a, g))
-    P, Pp = _char_polys(curve)
+    P = char_poly(curve)
+    Pp = char_poly_prime(curve)
+    zeta = monodromy_zeta(curve)
+    if lorenzini_form(curve) != _T_MINUS_ONE_SQUARED * zeta:
+        raise MalformedFiber("valency and stratum assemblies disagree")
     e_model = stabilization_index(curve)
     return InvariantReport(
         genus=g,
@@ -280,7 +280,7 @@ def invariant_report(curve: SncdCurve) -> InvariantReport:
         phi_rank=0,
         char_poly=P,
         char_poly_prime=Pp,
-        zeta=Pp * _T_MINUS_ONE_TO_MINUS_TWO,
+        zeta=zeta,
         e_model=e_model,
         tame=gcd(e_model, curve.p) == 1,
         additive=t == 0 and a == 0,
