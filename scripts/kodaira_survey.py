@@ -15,6 +15,7 @@ from neroncalc.conductors import (
     c_elliptic,
     ctame_elliptic,
 )
+from neroncalc.errors import PreconditionError
 from neroncalc.invariants import invariant_report
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve
 
@@ -22,7 +23,7 @@ from neroncalc.kodaira import ALL_FIXTURES, fixture_curve
 def elliptic_check(name: str) -> str:
     try:
         kt = KodairaType.parse(name)
-    except ValueError:
+    except PreconditionError:
         return "-"
     v_delta = STANDARD_VDELTA[kt.kind](kt.n)
     potential = "multiplicative" if kt.kind in ("I", "I*") and (kt.n or 0) > 0 else "good"
@@ -62,7 +63,7 @@ def main() -> int:
     for name in ALL_FIXTURES:
         try:
             kt = KodairaType.parse(name)
-        except ValueError:
+        except PreconditionError:
             continue
         e = invariant_report(fixture_curve(name)).e_model
         if Fraction(ctame_elliptic(kt)).denominator != e:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .curves import SncdCurve, Vertex, serialize_curve
+from .curves import _MULTIPLE, SncdCurve, Vertex, serialize_curve
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
@@ -73,11 +73,9 @@ def _check_preconditions(curve: SncdCurve, d: int) -> None:
         raise PreconditionError(
             "gcd(d, e) = %d != 1 with e = %d" % (gcd(d, e), e)
         )
-    if curve.multiplicity_gcd() != 1:
-        raise PreconditionError(
-            "index-one fails: gcd of multiplicities is %d"
-            % curve.multiplicity_gcd()
-        )
+    index = curve.multiplicity_gcd()
+    if index != 1:
+        raise PreconditionError(_MULTIPLE % index)
 
 
 def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
@@ -98,7 +96,7 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     erecords = []
     for idx, (a, b) in enumerate(curve.edges):
         na, nb = curve.multiplicity(a), curve.multiplicity(b)
-        local = local_point_data(na, nb, d, p=curve.p)
+        local = local_point_data(na, nb, d)  # gcd(d, p) = 1 was checked above
         if local.num_points != 1:
             raise InternalError(
                 "edge (%s, %s) splits into %d points under d=%d"

@@ -10,11 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .curves import _parse_int
 from .errors import (
     BadFiltration,
     InconsistentData,
     MissingField,
     NegativeConductor,
+    PreconditionError,
 )
 from .record import Record
 
@@ -33,12 +35,12 @@ class KodairaType(Record):
     def __init__(self, kind: str, n: int | None = None):
         super().__init__(kind, n)
         if kind not in self._KINDS:
-            raise ValueError("unknown reduction type %r" % kind)
+            raise PreconditionError("unknown reduction type %r" % kind)
         if kind in ("I", "I*"):
             if n is None or n < 0:
-                raise ValueError("type %s needs an index n >= 0" % kind)
+                raise PreconditionError("type %s needs an index n >= 0" % kind)
         elif n is not None:
-            raise ValueError("type %s carries no index" % kind)
+            raise PreconditionError("type %s carries no index" % kind)
 
     @classmethod
     def parse(cls, text: str) -> "KodairaType":
@@ -51,7 +53,8 @@ class KodairaType(Record):
         star = text.endswith("*")
         body = text[:-1] if star else text
         if body.startswith("I") and body[1:].isdigit():
-            return cls("I*" if star else "I", int(body[1:]))
+            n = _parse_int(body[1:], PreconditionError, "index", "index %s is not an integer")
+            return cls("I*" if star else "I", n)
         return cls(body + "*" if star else body)
 
     def __str__(self):
@@ -99,7 +102,8 @@ def ctame_elliptic(kt: KodairaType | str) -> Fraction:
 class EllipticData(Record):
     """Numerical inputs for the elliptic conductor formulas.
 
-    ``potential`` is ``"good"`` or ``"multiplicative"``; ``v_j`` is the
+    ``potential`` is ``"good"`` or ``"multiplicative"``, the latter only on
+    the types ``I_n`` and ``I_n*`` with ``n >= 1``; ``v_j`` is the
     valuation of the j-invariant (needed, and negative, in the
     multiplicative case); ``delta_wild`` the wild part of the conductor.
     """
@@ -118,17 +122,22 @@ class EllipticData(Record):
     ):
         super().__init__(kodaira, v_delta, potential, v_j, delta_wild, p, art)
         if potential not in (GOOD, MULTIPLICATIVE):
-            raise ValueError("potential must be 'good' or 'multiplicative'")
+            raise PreconditionError("potential must be 'good' or 'multiplicative'")
         if v_delta < 0:
             raise InconsistentData("v(Delta_min) = %d < 0 is impossible" % v_delta)
+        if potential == MULTIPLICATIVE and not kodaira.n:  # None off I and I*
+            raise InconsistentData(
+                "potential multiplicative reduction needs type I_n or I_n* with n >= 1, not %s"
+                % kodaira
+            )
         if potential == MULTIPLICATIVE and v_j is not None and v_j >= 0:
             raise InconsistentData(
                 "potential multiplicative reduction forces v(j) < 0"
             )
         if delta_wild < 0:
-            raise ValueError("wild conductor part cannot be negative")
+            raise PreconditionError("wild conductor part cannot be negative")
         if p < 1:
-            raise ValueError("characteristic exponent must be >= 1")
+            raise PreconditionError("characteristic exponent must be >= 1")
         if p == 1 and delta_wild:
             raise InconsistentData("delta_wild > 0 is impossible with p = 1")
 
@@ -137,20 +146,23 @@ def c_elliptic(data: EllipticData) -> Fraction:
     """Base change conductor from the minimal discriminant.
 
     ``v(Delta)/12`` with potential good reduction, else
-    ``(v(Delta) + v(j))/12``.
+    ``(v(Delta) + v(j))/12``, which must not be negative.
     """
     if data.potential == GOOD:
         return Fraction(data.v_delta, 12)
     if data.v_j is None:
         raise MissingField("v_j is required for potential multiplicative reduction")
-    return Fraction(data.v_delta + data.v_j, 12)
+    c = Fraction(data.v_delta + data.v_j, 12)
+    if c < 0:
+        raise NegativeConductor("inputs force c = %s < 0" % c)
+    return c
 
 
 def c_relative(v_delta: int, v_delta_prime: int, ram_index: int) -> Fraction:
     """Conductor of a single extension step from the two discriminants:
     ``(v(Delta) - v'(Delta')/e)/12``."""
     if ram_index < 1:
-        raise ValueError("ramification index must be >= 1")
+        raise PreconditionError("ramification index must be >= 1")
     return Fraction(v_delta, 12) - Fraction(v_delta_prime, 12 * ram_index)
 
 
@@ -219,9 +231,9 @@ def genus2_c(v_delta_min: int, sigma: int, tau: int, ext_degree: int) -> Fractio
     """Genus-2 conductor from the minimal discriminant and the stable model:
     ``v(Delta_min) = 10 c + (sigma + tau)/[K':K]``."""
     if sigma < 0 or tau < 0 or tau > sigma:
-        raise ValueError("need 0 <= tau <= sigma")
+        raise PreconditionError("need 0 <= tau <= sigma")
     if ext_degree < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise PreconditionError("extension degree must be >= 1")
     c = Fraction(v_delta_min, 10) - Fraction(sigma + tau, 10 * ext_degree)
     if c < 0:
         raise NegativeConductor("inputs force c = %s < 0" % c)
@@ -282,7 +294,7 @@ def filtration_base_change(filt: RamificationFiltration, d: int) -> Ramification
     out by the factor ``d/e``, so ``Sw`` scales exactly by ``d``.
     """
     if d < 1:
-        raise ValueError("degree must be >= 1")
+        raise PreconditionError("degree must be >= 1")
     e = gcd(d, filt.order)
     top = (len(filt.sizes) - 1) * d // e
     sizes, codims = [filt.sizes[0] // e], [filt.codims[0]]
@@ -300,5 +312,5 @@ def torus_ctame(g: int, rank_fixed: int, sw: Fraction | int) -> tuple[Fraction, 
     ``c_tame = (g - rank of the inertia-fixed characters)/2`` and slope
     ``Sw/2``."""
     if not 0 <= rank_fixed <= g:
-        raise ValueError("fixed rank must lie in [0, g]")
+        raise PreconditionError("fixed rank must lie in [0, g]")
     return Fraction(g - rank_fixed, 2), Fraction(sw, 2)

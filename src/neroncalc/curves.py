@@ -200,35 +200,37 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
     return geo
 
 
+# Each fiber condition worded once: validate reports them all, and geometry,
+# genus and basechange's preconditions raise the ones they check.
+_DISCONNECTED = "graph is not connected"
+_NONDIVIDING = "multiplicity %d of %r does not divide the incident sum %d"
+_MULTIPLE = "index-one flag fails: gcd of multiplicities is %d"
+_EULER = "weighted Euler sum %d is not of the form 2 - 2g"
+
+
 def validate(curve: SncdCurve) -> ValidationReport:
-    """Report every violated structural constraint (empty report = valid).
+    """Report every violated fiber condition (empty report = valid):
+    connectivity, divisibility, index one and the Euler sum, in that order.
 
     Reads the curve's one cached fiber pass, O(V + E) on first use.
     """
     geo = _fiber_pass(curve)
-    problems = [] if geo.connected else ["graph is not connected"]
-    problems += [
-        "multiplicity %d of %r does not divide the incident sum %d"
-        % (v.N, v.id, incident)
-        for v, incident in geo.nondividing
-    ]
+    problems = [] if geo.connected else [_DISCONNECTED]
+    problems += [_NONDIVIDING % (v.N, v.id, incident) for v, incident in geo.nondividing]
     index = curve.multiplicity_gcd()
     if index != 1:
-        problems.append("index-one flag fails: gcd of multiplicities is %d" % index)
-    if (2 - geo.euler) % 2 or geo.euler > 2:
-        problems.append("weighted Euler sum %d is not of the form 2 - 2g" % geo.euler)
+        problems.append(_MULTIPLE % index)
+    if geo.euler % 2 or geo.euler > 2:
+        problems.append(_EULER % geo.euler)
     return ValidationReport(tuple(problems), index == 1)
 
 
 def genus(curve: SncdCurve) -> int:
     """Arithmetic genus recovered from ``sum N_i chi(E_i^o) = 2 - 2g``."""
-    total = _fiber_pass(curve).euler
-    if (2 - total) % 2:
-        raise MalformedFiber("weighted Euler sum %d has wrong parity" % total)
-    g = (2 - total) // 2
-    if g < 0:
-        raise MalformedFiber("negative genus %d" % g)
-    return g
+    euler = _fiber_pass(curve).euler
+    if euler % 2 or euler > 2:
+        raise MalformedFiber(_EULER % euler)
+    return (2 - euler) // 2
 
 
 def geometry(curve: SncdCurve) -> CurveGeometry:
@@ -237,18 +239,16 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
     ``degree``, ``chi_open`` (the Euler characteristic of the open stratum)
     and ``self_int`` map each vertex id, in vertex order, to its value; the
     same object comes back on every call.  Raises :class:`MalformedFiber`
-    when the graph is disconnected or, failing that, at the first vertex
-    whose self-intersection is not an integer; a failing curve raises again
-    on every call.
+    with :func:`validate`'s text when the graph is disconnected or, failing
+    that, at the first vertex whose self-intersection is not an integer; a
+    failing curve raises again on every call.
     """
     geo = _fiber_pass(curve)
     if not geo.connected:
-        raise MalformedFiber("graph is not connected")
+        raise MalformedFiber(_DISCONNECTED)
     if geo.nondividing:
         v, incident = geo.nondividing[0]
-        raise MalformedFiber(
-            "multiplicity %d of %r does not divide %d" % (v.N, v.id, incident)
-        )
+        raise MalformedFiber(_NONDIVIDING % (v.N, v.id, incident))
     return geo
 
 

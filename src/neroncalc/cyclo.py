@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
-from .errors import MalformedFiber, PreconditionError
+from .errors import PreconditionError
 from .record import Record
 
 
@@ -191,28 +191,28 @@ class CycloProduct(Record):
         return CycloProduct(out)
 
     def value_at_one(self) -> Fraction:
-        """Exact value at ``t = 1`` (0 when ``Phi_1`` divides, else a ratio)."""
+        """Exact value at ``t = 1`` (0 when ``Phi_1`` divides, else a ratio;
+        a pole there is a :class:`PreconditionError`)."""
         phi = self.phi_exponents()
         k1 = phi.pop(1, 0)
         if k1 > 0:
             return Fraction(0)
         if k1 < 0:
-            raise ZeroDivisionError("pole at t = 1")
+            raise PreconditionError("pole at t = 1")
         out = Fraction(1)
         for m, k in phi.items():
             out *= Fraction(cyclotomic_at_one(m)) ** k
         return out
 
     def root_order(self) -> int:
-        """lcm of the orders of the roots; requires a polynomial.
+        """lcm of the orders of the roots; requires :attr:`is_polynomial`.
 
         The constant 1 has no roots and returns 1.
         """
         phi = self.phi_exponents()
         if any(k < 0 for k in phi.values()):
-            raise MalformedFiber("root orders undefined for non-polynomials")
-        orders = [m for m, k in phi.items() if k > 0]
-        return lcm(*orders) if orders else 1
+            raise PreconditionError("not a polynomial")
+        return lcm(*phi)
 
     def divides(self, other: "CycloProduct") -> bool:
         """Exponent domination in the cyclotomic basis."""

@@ -13,10 +13,6 @@ class ParseError(NeroncalcError):
     """Malformed curve or provider document."""
 
 
-class DimensionMismatch(NeroncalcError):
-    """Matrix shapes are incompatible."""
-
-
 class BadFraction(NeroncalcError):
     """Invalid input to a continued fraction expansion."""
 

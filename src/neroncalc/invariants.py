@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .curves import SncdCurve, genus, geometry
+from .curves import SncdCurve, genus, geometry, validate
 from .cyclo import CycloProduct
 from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
@@ -127,7 +127,7 @@ def char_poly(curve: SncdCurve) -> CycloProduct:
     P = _T_MINUS_ONE_SQUARED * _chi_product(curve, 1)
     if not P.is_polynomial:
         raise MalformedFiber("characteristic product is not a polynomial")
-    genus(curve)  # raises on odd parity or negative genus; 2g is P's degree
+    genus(curve)  # raises on a bad Euler sum; 2g is P's degree
     return P
 
 
@@ -252,13 +252,12 @@ class InvariantReport(Record):
 
 
 def invariant_report(curve: SncdCurve) -> InvariantReport:
-    """Assemble every invariant of the fiber in one pass; a multiple
-    fiber is refused first, worded as in :func:`~neroncalc.curves.validate`."""
-    index = curve.multiplicity_gcd()
-    if index > 1:
-        raise MalformedFiber(
-            "index-one flag fails: gcd of multiplicities is %d" % index
-        )
+    """Assemble every invariant of the fiber in one pass, once
+    :func:`~neroncalc.curves.validate` finds no problem; otherwise raises
+    :class:`MalformedFiber` with all of its problems, joined by ``"; "``."""
+    problems = validate(curve).problems
+    if problems:
+        raise MalformedFiber("; ".join(problems))
     geo = geometry(curve)
     g = genus(curve)
     t, a = geo.b1, geo.abelian_rank

@@ -282,11 +282,12 @@ def load_provider(path: str) -> ReductionProvider:
     doc = _parse_json(_read_text(path, what), what)
     if not isinstance(doc, dict) or "base" not in doc:
         raise ParseError("provider document needs a 'base' field")
-    if not isinstance(doc["base"], str):
+    # ``open`` refuses a file name with a NUL byte by a plain ValueError
+    if not isinstance(doc["base"], str) or "\0" in doc["base"]:
         raise ParseError("field 'base' must be a file name")
     raw_curves = doc.get("curves", {})
     if not isinstance(raw_curves, dict) or not all(
-        isinstance(name, str) for name in raw_curves.values()
+        isinstance(name, str) and "\0" not in name for name in raw_curves.values()
     ):
         raise ParseError("field 'curves' must map degrees to file names")
     if not isinstance(doc.get("jumps", []), list):

@@ -15,8 +15,11 @@ independent check of :func:`~neroncalc.invariants.component_group`.
 
 from fractions import Fraction
 
-from neroncalc.errors import DimensionMismatch
 from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
+
+
+class DimensionMismatch(Exception):
+    """Matrix shapes are incompatible."""
 
 
 def smith_diagonal(rows: list[list[int]]) -> list[int]:

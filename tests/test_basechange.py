@@ -165,7 +165,9 @@ def test_preconditions():
         transform(kodaira_curve("II", p=5), 5)
     with pytest.raises(PreconditionError, match="gcd\\(d, e\\)"):
         transform(fixture_curve("II"), 2)
-    with pytest.raises(PreconditionError, match="index-one"):
+    # the multiple fiber keeps its type and takes validate's wording
+    message = "^index-one flag fails: gcd of multiplicities is 2$"
+    with pytest.raises(PreconditionError, match=message):
         transform(SncdCurve([("a", 2, 0), ("b", 2, 0)], [("a", "b")]), 3)
     with pytest.raises(PreconditionError):
         transform(fixture_curve("I2"), 0)

@@ -543,6 +543,40 @@ def test_negative_discriminant_valuation_exits_one():
     assert (code, out, err) == (1, "", "error: v(Delta_min) = -6 < 0 is impossible\n")
 
 
+@pytest.mark.parametrize("symbol, kind, message", [
+    ("II", "InconsistentData",
+     "potential multiplicative reduction needs type I_n or I_n* with n >= 1, not II"),
+    ("I1", "NegativeConductor", "inputs force c = -1/12 < 0"),
+], ids=["II", "I1"])
+def test_elliptic_refuses_impossible_data(capsys, symbol, kind, message):
+    argv = ["elliptic", "--type", symbol, "--vdelta", "1", "--vj", "-2",
+            "--potential", "multiplicative"]
+    assert run(capsys, *argv) == (1, "", "error: %s\n" % message)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out, json.loads(err)) == (1, "", {"error": message, "type": kind})
+
+
+def test_elliptic_index_past_the_digit_limit_is_named(capsys):
+    code, out, err = run(capsys, "elliptic", "--type", "I" + "9" * 5000, "--vdelta", "1",
+                         "--potential", "good", "--json")
+    message = "index %s... has too many digits (5000)" % ("9" * 20)
+    assert (code, out, json.loads(err)) == (1, "", {"error": message, "type": "PreconditionError"})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"base": "II\u0000.json"}, "field 'base' must be a file name"),
+    ({"base": "II.json", "curves": {"2": "IV\u0000.json"}},
+     "field 'curves' must map degrees to file names"),
+], ids=["base", "curves"])
+def test_nul_byte_in_a_provider_file_name_is_a_parse_error(tmp_path, capsys, doc, message):
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    _write(path, doc)
+    assert run(capsys, "series", str(path)) == (1, "", "error: %s\n" % message)
+    code, out, err = run(capsys, "zeta", str(path), "--json")
+    assert (code, out, json.loads(err)) == (1, "", {"error": message, "type": "ParseError"})
+
+
 @pytest.mark.parametrize("degree", ["0", "-2"])
 def test_provider_degree_below_one_is_refused(tmp_path, degree):
     for name in ("II.json", "IV.json"):

@@ -25,6 +25,7 @@ from neroncalc.errors import (
     InconsistentData,
     MissingField,
     NegativeConductor,
+    PreconditionError,
 )
 from neroncalc.invariants import stabilization_index
 from neroncalc.kodaira import kodaira_curve
@@ -65,9 +66,9 @@ def test_kodaira_type_parsing():
     assert KodairaType.parse("I0*").kind == "I*"
     assert str(KodairaType.parse("I3*")) == "I3*"
     assert str(KodairaType.parse("IV*")) == "IV*"
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         KodairaType.parse("V")
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         KodairaType.parse("I*")
 
 
@@ -131,6 +132,54 @@ def test_negative_discriminant_valuation_is_refused():
     assert c_elliptic(EllipticData(KodairaType.parse("I0"), 0, "good")) == 0
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: KodairaType("V"), "unknown reduction type 'V'"),
+    (lambda: KodairaType("I"), "type I needs an index n >= 0"),
+    (lambda: KodairaType("I*", -1), "type I* needs an index n >= 0"),
+    (lambda: KodairaType("II", 3), "type II carries no index"),
+    (lambda: KodairaType.parse("I" + "9" * 5000),
+     "index %s... has too many digits (5000)" % ("9" * 20)),
+    (lambda: KodairaType.parse("I\u00b2"), "index '\u00b2' is not an integer"),
+    (lambda: EllipticData(KodairaType("I", 1), 1, "bad"),
+     "potential must be 'good' or 'multiplicative'"),
+    (lambda: EllipticData(KodairaType("II"), 2, "good", delta_wild=-1),
+     "wild conductor part cannot be negative"),
+    (lambda: EllipticData(KodairaType("II"), 2, "good", p=0),
+     "characteristic exponent must be >= 1"),
+    (lambda: c_relative(6, 0, 0), "ramification index must be >= 1"),
+    (lambda: genus2_c(10, 1, 2, 1), "need 0 <= tau <= sigma"),
+    (lambda: genus2_c(10, 1, 0, 0), "extension degree must be >= 1"),
+    (lambda: filtration_base_change(RamificationFiltration((2,), (1,)), 0),
+     "degree must be >= 1"),
+    (lambda: torus_ctame(1, 2, 0), "fixed rank must lie in [0, g]"),
+], ids=["unknown_type", "I_without_n", "negative_n", "II_with_n", "5000_digit_n",
+        "superscript_n", "potential", "negative_wild", "p_zero", "ram_index", "tau_over_sigma",
+        "degree_zero", "filtration_degree", "fixed_rank"])
+def test_bad_arguments_are_precondition_errors(call, message):
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("symbol", ["I0", "II", "III", "IV", "I0*", "IV*", "III*", "II*"])
+def test_potential_multiplicative_needs_I_n_or_I_n_star(symbol):
+    kt = KodairaType.parse(symbol)
+    with pytest.raises(InconsistentData) as exc:
+        EllipticData(kt, STANDARD_VDELTA[kt.kind](kt.n), "multiplicative", v_j=-2)
+    assert str(exc.value) == (
+        "potential multiplicative reduction needs type I_n or I_n* with n >= 1, not %s" % symbol)
+
+
+def test_negative_conductor_is_refused():
+    data = EllipticData(KodairaType("I", 1), 1, "multiplicative", v_j=-2)
+    for formula in (c_elliptic, artin_relation):
+        with pytest.raises(NegativeConductor, match=r"^inputs force c = -1/12 < 0$"):
+            formula(data)
+    assert c_elliptic(EllipticData(KodairaType("I", 2), 1, "multiplicative", v_j=-1)) == 0
+    star = EllipticData(KodairaType("I*", 1), 7, "multiplicative", v_j=-1)
+    assert c_elliptic(star) == Fraction(1, 2)
+
+
 def test_wild_defect_generic_and_tame():
     tame = wild_defect(standard_data("II"))
     assert tame.defect == 0 and tame.c == Fraction(1, 6)
@@ -184,7 +233,7 @@ def test_genus2_examples():
     assert genus2_c(21, 2, 0, 2) == 2
     with pytest.raises(NegativeConductor):
         genus2_c(0, 2, 1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         genus2_c(10, 1, 2, 1)
 
 
@@ -231,5 +280,5 @@ def test_torus_ctame():
     assert torus_ctame(1, 0, 1) == (Fraction(1, 2), Fraction(1, 2))
     assert torus_ctame(3, 3, 0) == (0, 0)
     assert torus_ctame(2, 1, 4) == (Fraction(1, 2), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         torus_ctame(1, 2, 0)

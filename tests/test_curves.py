@@ -54,10 +54,13 @@ def test_validate_flags_divisibility():
         "multiplicity 3 of 'a' does not divide the incident sum 1",
         "weighted Euler sum 4 is not of the form 2 - 2g",
     )
-    with pytest.raises(MalformedFiber, match=r"^multiplicity 3 of 'a' does not divide 1$"):
+    # geometry and genus raise validate's text for the one fault each checks
+    with pytest.raises(MalformedFiber) as exc:
         geometry(curve)
-    with pytest.raises(MalformedFiber, match=r"^negative genus -1$"):
+    assert str(exc.value) == "multiplicity 3 of 'a' does not divide the incident sum 1"
+    with pytest.raises(MalformedFiber) as exc:
         genus(curve)
+    assert str(exc.value) == "weighted Euler sum 4 is not of the form 2 - 2g"
 
 
 def test_validate_flags_disconnected():
@@ -75,8 +78,9 @@ def test_validate_flags_disconnected():
     )
     with pytest.raises(MalformedFiber, match=r"^graph is not connected$"):
         geometry(curve)
-    with pytest.raises(MalformedFiber, match=r"^negative genus -1$"):
+    with pytest.raises(MalformedFiber) as exc:
         genus(curve)
+    assert str(exc.value) == "weighted Euler sum 4 is not of the form 2 - 2g"
 
 
 def test_genus_examples(all_fixture_curves):
@@ -362,12 +366,10 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
     assert report.problems == tuple(problems)
     assert report.index_one == (index == 1)
 
-    if euler % 2:
-        with pytest.raises(MalformedFiber, match="wrong parity"):
+    if euler % 2 or euler > 2:
+        with pytest.raises(MalformedFiber) as exc:
             genus(curve)
-    elif euler > 2:
-        with pytest.raises(MalformedFiber, match="negative genus"):
-            genus(curve)
+        assert str(exc.value) == "weighted Euler sum %d is not of the form 2 - 2g" % euler
     else:
         assert genus(curve) == (2 - euler) // 2
 
@@ -378,7 +380,8 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
         v, s = nondividing[0]
         with pytest.raises(MalformedFiber) as exc:
             geometry(curve)
-        assert str(exc.value) == "multiplicity %d of %r does not divide %d" % (v.N, v.id, s)
+        assert str(exc.value) == (
+            "multiplicity %d of %r does not divide the incident sum %d" % (v.N, v.id, s))
     else:
         geo = geometry(curve)
         # dict equality ignores order, so the key order is checked on its own

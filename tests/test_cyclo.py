@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.cyclo import CycloProduct, cyclotomic_at_one, poly_str
+from neroncalc.errors import PreconditionError
 
 from cyclo_oracles import cyclotomic, poly_divexact, poly_eval, poly_mul
 
@@ -102,7 +103,7 @@ def test_value_at_one_matches_expansion():
         P = CycloProduct(factors)
         assert P.value_at_one() == poly_eval(P.as_poly(), 1)
     assert CycloProduct({1: 1}).value_at_one() == 0
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(PreconditionError, match=r"^pole at t = 1$"):
         CycloProduct({1: -1}).value_at_one()
 
 
@@ -110,6 +111,13 @@ def test_root_order():
     assert CycloProduct({6: 1, 3: -1, 2: -1, 1: 1}).root_order() == 6
     assert CycloProduct({1: 4}).root_order() == 1
     assert CycloProduct().root_order() == 1
+
+
+def test_non_polynomial_is_one_precondition_error():
+    bad = CycloProduct({2: -1, 1: 1})
+    for method in (bad.as_poly, bad.root_order):
+        with pytest.raises(PreconditionError, match=r"^not a polynomial$"):
+            method()
 
 
 def test_divides_is_phi_domination():

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.basechange import transform
-from neroncalc.curves import SncdCurve, blow_up_intersection, blow_up_point, geometry
+from neroncalc.curves import (
+    SncdCurve,
+    blow_up_intersection,
+    blow_up_point,
+    geometry,
+    validate,
+)
 from neroncalc.cyclo import CycloProduct
 from neroncalc.errors import MalformedFiber
 from neroncalc.invariants import (
@@ -116,6 +122,17 @@ def test_multiple_fiber_is_refused_up_front(scale):
     with pytest.raises(MalformedFiber, match=message):
         invariant_report(multiple)
     assert time.perf_counter() - start < 0.1
+
+
+def test_report_refuses_with_the_verdict_of_validate():
+    curve = SncdCurve([("a", 3, 0), ("b", 1, 0), ("c", 1, 1)], [("a", "b")])
+    with pytest.raises(MalformedFiber) as exc:
+        invariant_report(curve)
+    assert str(exc.value) == "; ".join(validate(curve).problems) == (
+        "graph is not connected; "
+        "multiplicity 3 of 'a' does not divide the incident sum 1; "
+        "weighted Euler sum 4 is not of the form 2 - 2g"
+    )
 
 
 def test_tame_examples():

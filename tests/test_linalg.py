@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.errors import DimensionMismatch, PreconditionError
+from neroncalc.errors import PreconditionError
 from neroncalc.linalg import FiniteAbelianGroup, prime_to_part
 
-from linalg_oracles import kernel_basis, smith_diagonal, smith_quotient
+from linalg_oracles import DimensionMismatch, kernel_basis, smith_diagonal, smith_quotient
 
 
 def minor_determinant(M, rows, cols):

@@ -20,17 +20,23 @@ paths included, changes the digest.  The sweep covers every subcommand:
 - ``genus2`` on a grid with ``tau > sigma`` and extension degree 0 included.
 
 Every command past the first group runs in text and in ``--json`` mode.
-Temporary paths are replaced by a placeholder before hashing.
+Temporary paths are replaced by a placeholder before hashing.  The sweep
+runs once per module, and a second test reads the same records to check
+that every ``--json`` error names a type a caller can act on.
 
 A change that alters output on purpose re-pins :data:`DIGEST` and says why.
 """
 
+import builtins
 import contextlib
 import hashlib
 import io
 import json
 import os
 
+import pytest
+
+from neroncalc import errors
 from neroncalc.cli import main
 from neroncalc.conductors import STANDARD_VDELTA, KodairaType
 
@@ -41,9 +47,9 @@ ELLIPTIC_TYPES = ("I0", "I1", "I2", "I3", "I4", "II", "III", "IV",
                   "I0*", "I1*", "I2*", "I3*", "IV*", "III*", "II*")
 PROVIDERS = ("provider_II.json", "provider_I0star.json", "provider_I2.json")
 
-DIGEST = "6bd415397a2eb4b54f84cb210b599ebf3b0cc70e68d6a38e32d6e1b99424c432"
+DIGEST = "e07fab190e4705414700191304378314848c7f6c34b143607a2119cbd5c7be59"
 COMMANDS = 4086
-SUCCEEDED = 2602
+SUCCEEDED = 2566
 
 
 def _doc(vertices, edges) -> str:
@@ -138,21 +144,54 @@ def _flag_sweep(curves: list[str]) -> list[list[str]]:
     return argvs
 
 
-def sweep_digest(tmp: str) -> tuple[int, int, str]:
-    """Commands run, commands that exit 0, and the digest of the sweep."""
-    h = hashlib.sha256()
-    argvs = _sweep(tmp)
-    succeeded = 0
-    for argv in argvs:
+def sweep_records(tmp: str) -> list[list]:
+    """``[argv, exit code, stdout, stderr]`` of every command of the sweep."""
+    records = []
+    for argv in _sweep(tmp):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        succeeded += code == 0
-        record = [argv, code, out.getvalue(), err.getvalue()]
+        records.append([argv, code, out.getvalue(), err.getvalue()])
+    return records
+
+
+def sweep_digest(tmp: str, records: list[list]) -> tuple[int, int, str]:
+    """Commands run, commands that exit 0, and the digest of the sweep."""
+    h = hashlib.sha256()
+    for record in records:
         h.update(json.dumps(record).replace(tmp, "<tmp>").encode() + b"\n")
-    return len(argvs), succeeded, h.hexdigest()
+    return len(records), sum(code == 0 for _, code, _, _ in records), h.hexdigest()
 
 
-def test_cli_output_digest_is_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(ROOT)
-    assert sweep_digest(str(tmp_path)) == (COMMANDS, SUCCEEDED, DIGEST)
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """The sweep's temporary directory and its records, run once per module."""
+    tmp = str(tmp_path_factory.mktemp("sweep"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(ROOT)
+        return tmp, sweep_records(tmp)
+
+
+def test_cli_output_digest_is_pinned(sweep):
+    assert sweep_digest(*sweep) == (COMMANDS, SUCCEEDED, DIGEST)
+
+
+def _named_type(kind: str) -> bool:
+    """A class of ``neroncalc.errors``, argparse's usage error, or an
+    ``OSError`` subclass such as ``FileNotFoundError``."""
+    cls = getattr(errors, kind, None) or getattr(builtins, kind, None)
+    return kind == "UsageError" or isinstance(cls, type) and (
+        issubclass(cls, errors.NeroncalcError) or issubclass(cls, OSError))
+
+
+def test_every_json_error_names_a_neroncalc_type(sweep):
+    """With ``--json`` every error is one JSON line naming a type a caller
+    can act on, never a built-in such as ``ValueError``."""
+    kinds = []
+    for argv, code, out, err in sweep[1]:
+        if "--json" in argv and err:
+            doc = json.loads(err)
+            assert (code, list(doc), err.count("\n")) == (1, ["error", "type"], 1), argv
+            kinds.append(doc["type"])
+    assert kinds
+    assert [kind for kind in kinds if not _named_type(kind)] == []

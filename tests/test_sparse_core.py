@@ -358,7 +358,7 @@ def test_caches_leave_equality_and_hash_alone():
 
 @pytest.mark.parametrize("curve, message", [
     (SncdCurve([("a", 3, 0), ("b", 1, 0)], [("a", "b")]),
-     "multiplicity 3 of 'a' does not divide 1"),
+     "multiplicity 3 of 'a' does not divide the incident sum 1"),
     (SncdCurve([("a", 1, 1), ("b", 1, 1)], []), "graph is not connected"),
     (SncdCurve([("a", 3, 0), ("b", 1, 0), ("c", 1, 1)], [("a", "b")]),
      "graph is not connected"),                            # both: connectivity first
