@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .curves import _MULTIPLE, SncdCurve, Vertex, serialize_curve
+from .curves import _MULTIPLE, SncdCurve, serialize_curve
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
@@ -86,12 +86,12 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     adjacent to the second endpoint carries ``mu_1``.
     """
     _check_preconditions(curve, d)
-    new_vertices = []
+    new_vertices = []  # (id, N, g) triples
     vrecords = []
-    for v in curve.vertices:
-        g = gcd(v.N, d)
-        new_vertices.append(Vertex(v.id, v.N // g, v.g))
-        vrecords.append((v.id, v.N, g, v.N // g))
+    for vid, n, g in zip(curve.ids, curve.N, curve.g):
+        k = gcd(n, d)
+        new_vertices.append((vid, n // k, g))
+        vrecords.append((vid, n, k, n // k))
     new_edges: list[tuple[str, str]] = []
     erecords = []
     for idx, (a, b) in enumerate(curve.edges):
@@ -109,7 +109,7 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
         interior = local.chain.mu[1:-1]
         ids = ["%s|%s|%d|%d" % (a, b, idx, k + 1) for k in range(len(interior))]
         for vid, mult in zip(ids, interior):
-            new_vertices.append(Vertex(vid, mult, 0))
+            new_vertices.append((vid, mult, 0))
         # chain ends: mu[0] sits on b's side, mu[-1] on a's side
         path = [b] + ids + [a]
         for u, w in zip(path, path[1:]):

@@ -102,6 +102,7 @@ def ctame_elliptic(kt: KodairaType | str) -> Fraction:
 class EllipticData(Record):
     """Numerical inputs for the elliptic conductor formulas.
 
+    ``kodaira`` must be a :class:`KodairaType`, which is checked first.
     ``potential`` is ``"good"`` or ``"multiplicative"``, the latter only on
     the types ``I_n`` and ``I_n*`` with ``n >= 1``; ``v_j`` is the
     valuation of the j-invariant (needed, and negative, in the
@@ -121,6 +122,8 @@ class EllipticData(Record):
         v_j: int | None = None, delta_wild: int = 0, p: int = 1, art: int | None = None,
     ):
         super().__init__(kodaira, v_delta, potential, v_j, delta_wild, p, art)
+        if not isinstance(kodaira, KodairaType):
+            raise PreconditionError("kodaira must be a KodairaType, not %s" % type(kodaira).__name__)
         if potential not in (GOOD, MULTIPLICATIVE):
             raise PreconditionError("potential must be 'good' or 'multiplicative'")
         if v_delta < 0:
@@ -160,10 +163,13 @@ def c_elliptic(data: EllipticData) -> Fraction:
 
 def c_relative(v_delta: int, v_delta_prime: int, ram_index: int) -> Fraction:
     """Conductor of a single extension step from the two discriminants:
-    ``(v(Delta) - v'(Delta')/e)/12``."""
+    ``(v(Delta) - v'(Delta')/e)/12``, which must not be negative."""
     if ram_index < 1:
         raise PreconditionError("ramification index must be >= 1")
-    return Fraction(v_delta, 12) - Fraction(v_delta_prime, 12 * ram_index)
+    c = Fraction(v_delta, 12) - Fraction(v_delta_prime, 12 * ram_index)
+    if c < 0:
+        raise NegativeConductor("inputs force c = %s < 0" % c)
+    return c
 
 
 def d_pot(data: EllipticData) -> int:

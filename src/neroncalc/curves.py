@@ -17,6 +17,7 @@ import heapq
 import json
 import warnings
 from math import gcd
+from operator import itemgetter
 
 from .errors import MalformedFiber, ParseError, PreconditionError
 from .record import Record
@@ -36,15 +37,25 @@ class SncdCurve(Record):
     """Immutable dual graph with multiplicities and genera.
 
     The constructor is the one checker of curve data, for library callers
-    and :func:`parse_curve` alike.  ``vertices`` holds :class:`Vertex`
-    records, kept as they are, or ``(id, N, g)`` triples; ``edges`` are
-    unordered pairs of vertex ids, each normalized to lexicographic order,
-    in list order.  It refuses, in this order: a vertex that is not three
-    items or has a non-``str`` id or a non-``int`` ``N`` or ``g`` (``bool``
-    included), duplicate ids, a ``p`` that is not an ``int >= 1``
+    and :func:`parse_curve` alike.  ``vertices`` are :class:`Vertex`
+    records or ``(id, N, g)`` triples; ``edges`` are unordered pairs of
+    vertex ids, each normalized to lexicographic order, in list order.  It
+    refuses, in this order: a vertex that is not three items or has a
+    non-``str`` id or a non-``int`` ``N`` or ``g`` (``bool`` included),
+    duplicate ids, a ``p`` that is not an ``int >= 1``
     (:class:`PreconditionError`), an empty id, ``N < 1``, ``g < 0``, and an
     edge that is not a tuple or list of two known ids or is a loop
     (:class:`MalformedFiber`).
+
+    The curve is stored by columns: ``ids``, ``N`` and ``g`` are parallel
+    lists in vertex order, and an id's position in them comes from one
+    dict.  Callers must not mutate them.  The field ``vertices``, the tuple
+    of :class:`Vertex` records, is built on first use and then kept; a
+    record the caller passed in is that same object in it.  Until then its
+    slot in ``__dict__``, first as for every record, holds the caller's
+    records by position.  So code that reads the columns builds no record
+    per vertex, while equality, hashing and the repr, which read the fields,
+    are those of the record-built curve.
 
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
     :func:`geometry` and :func:`genus` read, and
@@ -58,54 +69,61 @@ class SncdCurve(Record):
     p: int = 1
 
     def __init__(self, vertices, edges, p: int = 1):
-        records = []
+        ids, N, g, kept = [], [], [], {}
         for i, v in enumerate(vertices):
             try:
-                v = v if isinstance(v, Vertex) else Vertex(*v)
-                if not isinstance(v.id, str) or type(v.N) is not int or type(v.g) is not int:
+                if type(v) is not tuple and isinstance(v, Vertex):
+                    kept[i] = v
+                    v = v.id, v.N, v.g
+                vid, n, gi = v
+                if type(n) is not int or type(gi) is not int or not isinstance(vid, str):
                     raise TypeError
-            except TypeError:  # or not an iterable of three items
+            except (TypeError, ValueError):  # or not an iterable of three items
                 raise MalformedFiber("vertex %d has wrongly typed fields" % i) from None
-            records.append(v)
-        by_id = {v.id: v for v in records}
-        if len(by_id) != len(records):
+            ids.append(vid)
+            N.append(n)
+            g.append(gi)
+        pos = dict(zip(ids, range(len(ids))))
+        if len(pos) != len(ids):
             raise MalformedFiber("duplicate vertex ids")
         if type(p) is not int or p < 1:
             raise PreconditionError("characteristic exponent must be >= 1")
-        for v in records:
-            if not v.id:
-                raise MalformedFiber("empty vertex id")
-            if v.N < 1:
-                raise MalformedFiber("multiplicity of %r must be >= 1" % v.id)
-            if v.g < 0:
-                raise MalformedFiber("genus of %r must be >= 0" % v.id)
+        if "" in pos or min(N, default=1) < 1 or min(g, default=0) < 0:
+            for vid, n, gi in zip(ids, N, g):  # the first fault in vertex order
+                if not vid:
+                    raise MalformedFiber("empty vertex id")
+                if n < 1:
+                    raise MalformedFiber("multiplicity of %r must be >= 1" % vid)
+                if gi < 0:
+                    raise MalformedFiber("genus of %r must be >= 0" % vid)
         norm = []
         for i, e in enumerate(edges):
-            if not isinstance(e, (tuple, list)) or len(e) != 2:
-                raise MalformedFiber("edge %d must be a pair" % i)
-            a, b = e
-            if not isinstance(a, str) or not isinstance(b, str):
-                raise MalformedFiber("edge %d must join two vertex ids" % i)
-            if a not in by_id or b not in by_id:
-                raise MalformedFiber("edge %r references unknown vertex" % (tuple(e),))
-            if a == b:
-                raise MalformedFiber("loop edge at %r (components are smooth)" % a)
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                a = b = None
+            if (type(a) is not str or type(b) is not str or a == b
+                    or a not in pos or b not in pos or type(e) not in (tuple, list)):
+                _check_edge(i, e, pos)  # raises, unless subclasses of str, tuple or list
             norm.append((a, b) if a <= b else (b, a))
-        super().__init__(tuple(records), tuple(norm), p)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_adj", None)
-        object.__setattr__(self, "_geo", None)
-        object.__setattr__(self, "_phi", None)
-
-    def vertex(self, vid: str) -> Vertex:
-        return self._by_id[vid]
-
-    def multiplicity(self, vid: str) -> int:
-        return self._by_id[vid].N
+        vars(self).update(vertices=kept, edges=tuple(norm), p=p, ids=ids, N=N, g=g,
+                          _pos=pos, _adj=None, _geo=None, _phi=None)
 
     @property
-    def ids(self) -> list[str]:
-        return [v.id for v in self.vertices]
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The :class:`Vertex` records in vertex order, built on first use."""
+        vs = vars(self)["vertices"]
+        if type(vs) is dict:  # not built yet: the caller's records by position
+            vs = tuple(vs.get(i) or Vertex(*v)
+                       for i, v in enumerate(zip(self.ids, self.N, self.g)))
+            vars(self)["vertices"] = vs
+        return vs
+
+    def vertex(self, vid: str) -> Vertex:
+        return self.vertices[self._pos[vid]]
+
+    def multiplicity(self, vid: str) -> int:
+        return self.N[self._pos[vid]]
 
     def adjacency(self) -> dict[str, dict[str, int]]:
         """Neighbour -> number of edges to it, per vertex.
@@ -115,7 +133,7 @@ class SncdCurve(Record):
         callers must not mutate them.
         """
         if self._adj is None:
-            adj: dict[str, dict[str, int]] = {v.id: {} for v in self.vertices}
+            adj: dict[str, dict[str, int]] = {vid: {} for vid in self.ids}
             for a, b in self.edges:
                 na, nb = adj[a], adj[b]
                 na[b] = na.get(b, 0) + 1
@@ -124,24 +142,37 @@ class SncdCurve(Record):
         return self._adj
 
     def multiplicity_gcd(self) -> int:
-        return gcd(*(v.N for v in self.vertices)) if self.vertices else 0
+        return gcd(*self.N) if self.N else 0
 
     def b1(self) -> int:
         """First Betti number of the graph (assumes connectedness)."""
-        return len(self.edges) - len(self.vertices) + 1
+        return len(self.edges) - len(self.ids) + 1
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        if not self.ids:
             return False
         adj = self.adjacency()
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
+        seen = {self.ids[0]}
+        stack = [self.ids[0]]
         while stack:
             for w in adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return len(seen) == len(self.ids)
+
+
+def _check_edge(i: int, e, pos: dict[str, int]) -> None:
+    """The constructor's refusals of edge ``i``, in their order."""
+    if not isinstance(e, (tuple, list)) or len(e) != 2:
+        raise MalformedFiber("edge %d must be a pair" % i)
+    a, b = e
+    if not isinstance(a, str) or not isinstance(b, str):
+        raise MalformedFiber("edge %d must join two vertex ids" % i)
+    if a not in pos or b not in pos:
+        raise MalformedFiber("edge %r references unknown vertex" % (tuple(e),))
+    if a == b:
+        raise MalformedFiber("loop edge at %r (components are smooth)" % a)
 
 
 class CurveGeometry(Record):
@@ -177,25 +208,24 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
     never raises."""
     if curve._geo is not None:
         return curve._geo
-    by_id = curve._by_id
-    degree = dict.fromkeys(by_id, 0)
-    incident = dict.fromkeys(by_id, 0)
+    ids, N, g, pos = curve.ids, curve.N, curve.g, curve._pos
+    degree, incident = [0] * len(ids), [0] * len(ids)
     for a, b in curve.edges:
-        degree[a] += 1
-        degree[b] += 1
-        incident[a] += by_id[b].N
-        incident[b] += by_id[a].N
+        i, j = pos[a], pos[b]
+        degree[i] += 1
+        degree[j] += 1
+        incident[i] += N[j]
+        incident[j] += N[i]
     chi_open, self_int, nondividing, euler = {}, {}, [], 0
-    for v in curve.vertices:
-        vid, inc = v.id, incident[v.id]
-        chi_open[vid] = chi = 2 - 2 * v.g - degree[vid]
-        self_int[vid] = -(inc // v.N)
-        if inc % v.N:
-            nondividing.append((v, inc))
-        euler += v.N * chi
-    geo = CurveGeometry(degree, chi_open, self_int, curve.b1(),
-                        sum(v.g for v in curve.vertices), curve.is_connected(),
-                        tuple(nondividing), euler)
+    for i, vid in enumerate(ids):
+        n, inc = N[i], incident[i]
+        chi_open[vid] = chi = 2 - 2 * g[i] - degree[i]
+        self_int[vid] = -(inc // n)
+        if inc % n:
+            nondividing.append((curve.vertices[i], inc))
+        euler += n * chi
+    geo = CurveGeometry(dict(zip(ids, degree)), chi_open, self_int, curve.b1(), sum(g),
+                        curve.is_connected(), tuple(nondividing), euler)
     object.__setattr__(curve, "_geo", geo)
     return geo
 
@@ -269,23 +299,23 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     O((V + E) log V) overall.  A curve with nothing to contract is returned
     as is.
     """
-    vs, by_id = curve.vertices, curve._by_id
+    ids, pos = curve.ids, curve._pos
     adj = curve.adjacency()
-    heap = [i for i, v in enumerate(vs) if _contractible(by_id, v, adj[v.id])]
+    heap = [i for i, vid in enumerate(ids) if _contractible(curve, i, adj[vid])]
     if not heap:
         return curve
-    pos = {v.id: i for i, v in enumerate(vs)}
     adj = {vid: dict(nbrs) for vid, nbrs in adj.items()}  # edited below
     removed: set[str] = set()
     new_edges = []
     while heap:
-        v = vs[heapq.heappop(heap)]
-        if v.id in removed or not _contractible(by_id, v, adj[v.id]):
+        i = heapq.heappop(heap)
+        vid = ids[i]
+        if vid in removed or not _contractible(curve, i, adj[vid]):
             continue
-        removed.add(v.id)
-        nbrs = adj.pop(v.id)
+        removed.add(vid)
+        nbrs = adj.pop(vid)
         for w in nbrs:
-            del adj[w][v.id]
+            del adj[w][vid]
         if len(nbrs) == 2:
             a, b = sorted(nbrs)
             na, nb = adj[a], adj[b]
@@ -293,23 +323,25 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
             nb[a] = nb.get(a, 0) + 1
             new_edges.append((a, b))
         for w in nbrs:
-            if _contractible(by_id, by_id[w], adj[w]):
+            if _contractible(curve, pos[w], adj[w]):
                 heapq.heappush(heap, pos[w])
     return SncdCurve(
-        [v for v in vs if v.id not in removed],
+        [v for v in zip(ids, curve.N, curve.g) if v[0] not in removed],
         [e for e in curve.edges + tuple(new_edges)
          if e[0] not in removed and e[1] not in removed],
         curve.p,
     )
 
 
-def _contractible(by_id: dict[str, Vertex], v: Vertex, nbrs: dict[str, int]) -> bool:
+def _contractible(curve: SncdCurve, i: int, nbrs: dict[str, int]) -> bool:
     """Genus 0, one or two simple edges to distinct vertices (two edges to
     one vertex would contract to a loop), and self-intersection exactly -1:
-    the multiplicities of the neighbours add up to ``N_v``."""
-    if v.g or not 0 < len(nbrs) <= 2 or sum(nbrs.values()) != len(nbrs):
+    the multiplicities of the neighbours of the vertex at position ``i``
+    add up to its own."""
+    if curve.g[i] or not 0 < len(nbrs) <= 2 or sum(nbrs.values()) != len(nbrs):
         return False
-    return sum(by_id[w].N for w in nbrs) == v.N
+    N, pos = curve.N, curve._pos
+    return sum(N[pos[w]] for w in nbrs) == N[i]
 
 
 def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> SncdCurve:
@@ -317,10 +349,10 @@ def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> Sncd
 
     Adds an exceptional vertex with the same multiplicity and genus 0.
     """
-    v = curve.vertex(vid)
+    n = curve.multiplicity(vid)
     nid = new_id or _fresh_id(curve, vid + "^")
     return SncdCurve(
-        curve.vertices + (Vertex(nid, v.N, 0),),
+        [*zip(curve.ids, curve.N, curve.g), (nid, n, 0)],
         curve.edges + ((vid, nid),),
         curve.p,
     )
@@ -340,11 +372,11 @@ def blow_up_intersection(
     edges = list(curve.edges)
     del edges[edge_index]
     edges += [(a, nid), (b, nid)]
-    return SncdCurve(curve.vertices + (Vertex(nid, n, 0),), edges, curve.p)
+    return SncdCurve([*zip(curve.ids, curve.N, curve.g), (nid, n, 0)], edges, curve.p)
 
 
 def _fresh_id(curve: SncdCurve, base: str) -> str:
-    taken = curve._by_id
+    taken = curve._pos
     if base not in taken:
         return base
     k = 2
@@ -397,6 +429,9 @@ def _parse_int(text: str, error, noun: str, invalid: str) -> int:
         raise error(message) from exc
 
 
+_VERTEX_FIELDS = itemgetter("id", "N", "g")
+
+
 def parse_curve(text: str, p: int | None = None) -> SncdCurve:
     """Read a curve document; see :func:`serialize_curve` for the format.
 
@@ -404,7 +439,10 @@ def parse_curve(text: str, p: int | None = None) -> SncdCurve:
     positive integer; a non-empty ``vertices`` list of objects with ``id``,
     ``N`` and ``g``; an ``edges`` list) and leaves each vertex and edge to
     :class:`SncdCurve`, whose :class:`MalformedFiber` comes back as a
-    :class:`ParseError` with the same text.  A given ``p`` replaces the
+    :class:`ParseError` with the same text.  The vertices reach it as
+    ``(id, N, g)`` triples made one at a time, and the shape of each vertex
+    is looked at only once the curve fails, so that a fault of shape is
+    still the one reported, wherever it stands.  A given ``p`` replaces the
     document's; without one, a missing ``p`` defaults to 1 and emits a
     :class:`CurveWarning`.
     """
@@ -423,17 +461,19 @@ def parse_curve(text: str, p: int | None = None) -> SncdCurve:
         raise ParseError("field 'vertices' must be a non-empty list")
     if not isinstance(raw_edges, list):
         raise ParseError("field 'edges' must be a list")
-    vertices = []
-    for i, rv in enumerate(raw_vertices):
-        if not isinstance(rv, dict):
-            raise ParseError("vertex %d must be an object" % i)
-        try:
-            vertices.append((rv["id"], rv["N"], rv["g"]))
-        except KeyError as exc:
-            raise ParseError("vertex %d misses field %s" % (i, exc)) from exc
     try:
-        return SncdCurve(vertices, raw_edges, doc.get("p", 1) if p is None else p)
-    except MalformedFiber as exc:
+        return SncdCurve(map(_VERTEX_FIELDS, raw_vertices), raw_edges,
+                         doc.get("p", 1) if p is None else p)
+    except (MalformedFiber, KeyError, TypeError) as exc:  # the last two from _VERTEX_FIELDS
+        for i, rv in enumerate(raw_vertices):
+            if not isinstance(rv, dict):
+                raise ParseError("vertex %d must be an object" % i) from None
+            try:
+                _VERTEX_FIELDS(rv)
+            except KeyError as err:
+                raise ParseError("vertex %d misses field %s" % (i, err)) from err
+        if not isinstance(exc, MalformedFiber):
+            raise
         raise ParseError(str(exc)) from exc
 
 
@@ -441,7 +481,8 @@ def _curve_doc(curve: SncdCurve) -> dict:
     """The curve document as plain JSON values, in :func:`serialize_curve`'s key order."""
     return {
         "p": curve.p,
-        "vertices": [{"id": v.id, "N": v.N, "g": v.g} for v in curve.vertices],
+        "vertices": [{"id": vid, "N": n, "g": gi}
+                     for vid, n, gi in zip(curve.ids, curve.N, curve.g)],
         "edges": [list(e) for e in curve.edges],
     }
 

@@ -55,12 +55,12 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     if curve._phi is not None:
         return curve._phi
     geo, adj = geometry(curve), curve.adjacency()
-    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    pos = curve._pos
     degree, self_int = geo.degree, geo.self_int
     # the foldable vertices: one or two edges, simple and to distinct neighbours
     unwalked = {vid for vid, nbrs in adj.items()
                 if len(nbrs) == degree[vid] in (1, 2)}
-    kept = [v.id for v in curve.vertices if v.id not in unwalked] or [curve.vertices[0].id]
+    kept = [vid for vid in curve.ids if vid not in unwalked] or [curve.ids[0]]
     unwalked.discard(kept[0])
     rows = {}
     for P in kept:
@@ -112,12 +112,11 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
 def _chi_product(curve: SncdCurve, p: int) -> CycloProduct:
     """``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}`` with ``N'_i`` the prime-to-``p``
     part of ``N_i`` (``p = 1`` strips nothing)."""
-    chi_open = geometry(curve).chi_open
+    chi_open = geometry(curve).chi_open  # in vertex order
     factors: dict[int, int] = {}
-    for v in curve.vertices:
-        chi = chi_open[v.id]
+    for n, chi in zip(curve.N, chi_open.values()):
         if chi:
-            n = prime_to_part(v.N, p)
+            n = prime_to_part(n, p)
             factors[n] = factors.get(n, 0) - chi
     return CycloProduct(factors)
 
@@ -160,10 +159,10 @@ def lorenzini_form(curve: SncdCurve) -> CycloProduct:
     """
     geo = geometry(curve)
     factors = {1: 2 * geo.abelian_rank + 2 * geo.b1}
-    for v in curve.vertices:
-        w = 2 * v.g + geo.degree[v.id] - 2
+    for n, g, degree in zip(curve.N, curve.g, geo.degree.values()):
+        w = 2 * g + degree - 2
         if w:
-            n = prime_to_part(v.N, curve.p)
+            n = prime_to_part(n, curve.p)
             factors[n] = factors.get(n, 0) + w
             factors[1] = factors.get(1, 0) - w
     return CycloProduct(factors)
@@ -173,8 +172,8 @@ def stabilization_index(curve: SncdCurve) -> int:
     """lcm of the multiplicities of the principal components (1 if none):
     those of positive genus or meeting the rest of the fiber in at least
     3 points (degree >= 3 in :func:`~neroncalc.curves.geometry`)."""
-    degree = geometry(curve).degree
-    principal = [v.N for v in curve.vertices if v.g > 0 or degree[v.id] >= 3]
+    degree = geometry(curve).degree  # in vertex order
+    principal = [n for n, g, d in zip(curve.N, curve.g, degree.values()) if g > 0 or d >= 3]
     return lcm(*principal) if principal else 1
 
 
@@ -206,9 +205,8 @@ def trace_identities(curve: SncdCurve) -> TraceReport:
     value = char_poly_prime(curve).value_at_one()
     phi_prime = component_group(curve).prime_to(curve.p).order
     prod = Fraction(1)
-    for v in curve.vertices:
-        n = prime_to_part(v.N, curve.p)
-        prod *= Fraction(n) ** (geo.degree[v.id] - 2)
+    for n, degree in zip(curve.N, geo.degree.values()):
+        prod *= Fraction(prime_to_part(n, curve.p)) ** (degree - 2)
     if additive:
         agree = value == phi_prime == prod
     else:

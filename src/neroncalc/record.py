@@ -5,7 +5,9 @@ A subclass lists its fields as class annotations, in order.
 keywords, and stores them in field order, so the instances of a class share
 their ``__dict__`` keys.  A subclass writes its own ``__init__`` only to
 check or normalize its input, and stores the fields with one
-``super().__init__`` call.  :class:`Record` adds what a frozen dataclass
+``super().__init__`` call; :class:`~neroncalc.curves.SncdCurve`, whose
+``vertices`` field is built on first use, fills its ``__dict__`` in the
+same order itself.  :class:`Record` adds what a frozen dataclass
 would: equality of the field tuples within one class, a hash of the field
 tuple, a ``Name(field=value)`` repr, and refusal to set or delete an
 attribute.  Importing it costs nothing: no :mod:`dataclasses`, no methods

@@ -221,7 +221,7 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         geo = geometry(curve)
         t, a_rank = geo.b1, geo.abelian_rank
         u = g - t - a_rank
-        ab = tuple(sorted(v.g for v in curve.vertices if v.g > 0))
+        ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
         phi_alpha = (alpha // aprime) ** t * component_group(curve).order
         shape = geometric_sum(e, alpha, t, w).scale(Fraction(1, aprime**t))
         torus = RationalSeries(

@@ -180,6 +180,21 @@ def test_negative_conductor_is_refused():
     assert c_elliptic(star) == Fraction(1, 2)
 
 
+def test_negative_relative_conductor_is_refused():
+    with pytest.raises(NegativeConductor, match=r"^inputs force c = -1 < 0$"):
+        c_relative(0, 12, 1)
+    with pytest.raises(NegativeConductor, match=r"^inputs force c = -1/6 < 0$"):
+        c_relative(1, 9, 3)
+    assert c_relative(3, 9, 3) == 0
+
+
+@pytest.mark.parametrize("potential, v_j", [("multiplicative", -1), ("good", None)])
+def test_kodaira_must_be_a_kodaira_type(potential, v_j):
+    with pytest.raises(PreconditionError) as exc:
+        EllipticData("II", 2, potential, v_j=v_j)
+    assert str(exc.value) == "kodaira must be a KodairaType, not str"
+
+
 def test_wild_defect_generic_and_tame():
     tame = wild_defect(standard_data("II"))
     assert tame.defect == 0 and tame.c == Fraction(1, 6)

@@ -1,5 +1,6 @@
 """Curve model: validation, derived geometry, contraction, serialization."""
 
+import gc
 import json
 import time
 from math import gcd, lcm
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neroncalc.basechange import base_change_laws, transform
 from neroncalc.curves import (
     CurveWarning,
     SncdCurve,
@@ -23,12 +25,12 @@ from neroncalc.curves import (
     validate,
 )
 from neroncalc.errors import MalformedFiber, ParseError, PreconditionError
-from neroncalc.invariants import stabilization_index
+from neroncalc.invariants import invariant_report, stabilization_index
 from neroncalc.kodaira import kodaira_curve, kodaira_In, kodaira_Instar
 from neroncalc.record import Record
 
 from conftest import curves
-from curve_oracles import parse_curve_two_stage
+from curve_oracles import parse_curve_shape_first, parse_curve_two_stage
 
 
 def test_validate_star_fiber(all_fixture_curves):
@@ -260,6 +262,28 @@ def test_constructor_keeps_vertex_records_and_builds_the_rest():
     assert curve.edges == (("b", "o"),)
 
 
+@given(curves(), st.integers(0, 2 ** 8))
+@settings(max_examples=120, deadline=None)
+def test_columnar_curve_matches_the_record_built_curve(curve, mask):
+    triples = list(zip(curve.ids, curve.N, curve.g))
+    records = [Vertex(*t) for t in triples]
+    mixed = [v if mask >> i & 1 else t for i, (t, v) in enumerate(zip(triples, records))]
+    built = [SncdCurve(vs, curve.edges, curve.p) for vs in (triples, records, mixed)]
+    for c in built:  # the fields lead, before the records are built and after
+        assert list(vars(c))[:3] == ["vertices", "edges", "p"]
+        assert list(zip(c.ids, c.N, c.g)) == triples
+    columnar, by_record, half = built
+    assert columnar == by_record == half == curve
+    assert hash(columnar) == hash(by_record) == hash(half)
+    assert repr(columnar) == repr(by_record) == repr(half)
+    assert columnar.vertices == by_record.vertices == half.vertices == tuple(records)
+    assert all(v is r for v, r in zip(by_record.vertices, records))
+    assert all(v is r for v, r, m in zip(half.vertices, records, mixed) if m is r)
+    assert half.vertices is half.vertices
+    for c in built:
+        assert list(vars(c))[:3] == ["vertices", "edges", "p"]
+
+
 @given(curves())
 @settings(max_examples=120, deadline=None)
 def test_weighted_euler_sum_is_even_and_bounded(curve):
@@ -426,6 +450,56 @@ def test_fiber_pass_builds_no_record_per_vertex(monkeypatch):
     assert len(built) <= 2, built[:5]
 
 
+@pytest.fixture(scope="module")
+def transformed_document() -> str:
+    """The 20,017-vertex document of ``transform(I0*, 10007)``."""
+    return serialize_curve(transform(kodaira_curve("I0*"), 10007)[0])
+
+
+def _vertex_records(monkeypatch, run) -> int:
+    """How many :class:`Vertex` records ``run()`` builds."""
+    built = []
+    init = Record.__init__
+
+    def spy(self, *args, **kwargs):
+        if type(self) is Vertex:
+            built.append(args)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Record, "__init__", spy)
+        run()
+    return len(built)
+
+
+def test_hot_path_builds_no_record_per_vertex(monkeypatch, transformed_document):
+    i5 = kodaira_curve("I5")
+    curve = parse_curve(transformed_document)
+    runs = {
+        "parse": lambda: parse_curve(transformed_document),
+        "transform_contract": lambda: contract_minus_one(transform(i5, 2003)[0]),
+        "report_laws": lambda: (invariant_report(curve), base_change_laws(i5, 2003)),
+    }
+    counts = {name: _vertex_records(monkeypatch, run) for name, run in runs.items()}
+    assert all(n <= 2 for n in counts.values()), counts
+
+
+def test_parse_stays_near_json_loads(transformed_document):
+    """Best of 7: the parse costs at most a few json.loads of its text.
+
+    Each timed call starts from a full collection, so that a collection of
+    the whole session's heap falls into neither call by chance."""
+    best = {json.loads: float("inf"), parse_curve: float("inf")}
+    for _ in range(7):
+        for read in best:
+            gc.collect()
+            t0 = time.perf_counter()
+            read(transformed_document)
+            best[read] = min(best[read], time.perf_counter() - t0)
+    ratio = best[parse_curve] / best[json.loads]
+    assert ratio < 3.5, ratio
+
+
 def test_long_cycle_walks_fast():
     best = _curves_layer_seconds(10000)
     assert best < 0.1, best
@@ -525,5 +599,7 @@ def test_parse_matches_the_two_stage_reader_on_one_fault(curve, fault, k, pos):
 @settings(max_examples=150, deadline=None)
 def test_several_faults_end_in_a_parse_error(curve, faults):
     text = planted(curve, faults)
-    assert parse_error(parse_curve, text).count("\n") == 0
+    message = parse_error(parse_curve, text)
+    assert message.count("\n") == 0
+    assert message == parse_error(parse_curve_shape_first, text)
     parse_error(parse_curve_two_stage, text)
