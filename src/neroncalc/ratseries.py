@@ -16,6 +16,12 @@ A sum is assembled once (:meth:`RationalSeries.sum`): one common
 denominator, one numerator, one reduction.  Reduction rejects a factor by
 the remainder modulo it, linear in the numerator's terms.
 
+A block of arithmetic progressions ``sum_q (q e + b)^t L^{q w} T^{q e + b}``
+over many residues ``b`` is one progression numerator over
+``(1 - L^w T^e)^{t+1}``: the ``T d/dT`` recursion that builds it is linear
+in its start, so all residues enter it at once and the block is built and
+reduced once, not once per residue.
+
 >>> s = geometric_sum(2, 1, 0, 0)   # T + T^3 + T^5 + ...
 >>> str(s)
 '(T) / (1 - T^2)'
@@ -44,15 +50,9 @@ def _coeff(v) -> int | Fraction:
     """``v`` as an ``int`` when it is integral, else as a ``Fraction``."""
     if type(v) is int:
         return v
-    v = Fraction(v)
+    if type(v) is not Fraction:
+        v = Fraction(v)
     return v.numerator if v.denominator == 1 else v
-
-
-def _poly_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return _clean(out)
 
 
 def _poly_scale(a: Poly, c) -> Poly:
@@ -188,6 +188,9 @@ class RationalSeries:
         >>> str(RationalSeries.sum(geometric_sum(2, b, 0, 0) for b in (1, 2)))
         '(T + T^2) / (1 - T^2)'
         """
+        terms = list(terms)
+        if len(terms) == 1:  # a series is stored reduced
+            return terms[0]
         terms = [(s._num_dict(), Counter(s.den)) for s in terms]
         common: Counter = Counter()
         for _, den in terms:
@@ -381,6 +384,30 @@ def _factor_str(a: int, b: int) -> str:
     return "(1 - %s %s)" % (lpart, tpart)
 
 
+def _progression_sum(start: Poly, e: int, t: int, w: int) -> RationalSeries:
+    """Closed form of ``sum_{q >= 0} (n + q e)^t c L^{l + q w} [B] T^{n + q e}``
+    summed over the terms ``c L^l [B] T^n`` of ``start``: one progression
+    numerator over ``(1 - L^w T^e)^{t+1}``.
+
+    Built by applying ``T d/dT`` ``t`` times to ``start / (1 - L^w T^e)``,
+    which is linear in ``start``.  Integral start coefficients stay ``int``.
+    """
+    if t < 0:
+        raise PreconditionError("need t >= 0, got t = %d" % t)
+    num: Poly = {k: _coeff(v) for k, v in start.items()}
+    for k in range(1, t + 1):
+        # T d/dT (num / f^k) = (theta num - L^w T^e theta num + k e L^w T^e num) / f^{k+1}
+        out: Poly = {}
+        for (n, l, ab), v in num.items():
+            key = (n, l, ab)
+            out[key] = out[key] + n * v if key in out else n * v
+            key = (n + e, l + w, ab)
+            c = (k * e - n) * v
+            out[key] = out[key] + c if key in out else c
+        num = out
+    return RationalSeries(num, ((w, e),) * (t + 1))
+
+
 def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
     """Closed form of ``sum_{q >= 0} (q e + b)^t L^{q w} T^{q e + b}``.
 
@@ -392,10 +419,4 @@ def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
     """
     if e < 1 or b < 1:
         raise PreconditionError("need e >= 1 and b >= 1")
-    num: Poly = {(b, 0, ()): 1}
-    for k in range(1, t + 1):
-        theta = {(n, l, ab): v * n for (n, l, ab), v in num.items()}
-        shift_theta = {(n + e, l + w, ab): v for (n, l, ab), v in theta.items()}
-        shift_num = {(n + e, l + w, ab): v * k * e for (n, l, ab), v in num.items()}
-        num = _poly_add(_poly_add(theta, _poly_scale(shift_theta, -1)), shift_num)
-    return RationalSeries(num, ((w, e),) * (t + 1))
+    return _progression_sum({(b, 0, ()): 1}, e, t, w)

@@ -32,7 +32,7 @@ from .errors import (
     ProviderIncomplete,
 )
 from .invariants import component_group, stabilization_index
-from .ratseries import RationalSeries, geometric_sum
+from .ratseries import RationalSeries, _progression_sum
 from .record import Record
 
 
@@ -73,7 +73,13 @@ def ord_function(jumps: JumpSet, d: int) -> int:
     """
     if d < 0:
         raise PreconditionError("degree must be non-negative")
-    return sum(m * (d * j.numerator // j.denominator) for j, m in jumps.jumps)
+    return _ord_values(jumps, (d,))[0]
+
+
+def _ord_values(jumps: JumpSet, degrees) -> list[int]:
+    """:func:`ord_function` at each of ``degrees``, reading each jump once."""
+    terms = [(j.numerator, j.denominator, m) for j, m in jumps.jumps]
+    return [sum(m * (d * n // den) for n, den, m in terms) for d in degrees]
 
 
 def prym_jump_difference(jumps_a: JumpSet, jumps_a1: JumpSet) -> JumpSet:
@@ -167,9 +173,11 @@ class ReductionProvider:
 def component_series(provider: ReductionProvider) -> RationalSeries:
     """Generating series of component group orders over all tame degrees.
 
-    Assembled degree block by degree block: each stable degree ``a``
-    contributes ``|Phi_a|`` times a sum of arithmetic-progression series
-    with weight ``d^{t_a}``, substituted ``T -> T^a``.
+    Assembled degree block by degree block, each block one progression
+    numerator: a stable degree ``a`` contributes ``|Phi_a| (d/a)^{t_a} T^d``
+    over the degrees ``d = a b`` with ``b`` a residue prime to ``e/a`` (and
+    to ``p``) modulo the block's period ``m``, so all its residues share the
+    denominator ``(1 - T^{m a})^{t_a + 1}``.
     """
     provider.require_complete()
     e, p = provider.e, provider.p
@@ -177,28 +185,33 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
     for a in provider.stable_degrees():
         curve = provider.curve_for(a)
         t = geometry(curve).b1
-        phi = component_group(curve).order
+        c = Fraction(component_group(curve).order, a**t)
         e_a = e // a
         m = e_a if p == 1 else lcm(e_a, p)
-        block = RationalSeries.sum(
-            geometric_sum(m, b, t, 0)
+        start = {
+            (a * b, 0, ()): c
             for b in range(1, m + 1)
             if gcd(b, e_a) == 1 and (p == 1 or b % p)
-        )
-        blocks.append(block.scale(phi).subs_T_power(a))
-    # Every term has a power of one factor: (1 - T^m) in a block, and after
-    # T -> T^a (1 - T^e) or (1 - T^{e p}) for all blocks alike.  A reduced
-    # num / f^k is unique, so one-shot sums equal pairwise folds exactly.
+        }
+        blocks.append(_progression_sum(start, m * a, t, 0))
+    # Every block is one numerator over a power of one factor, (1 - T^e) or
+    # (1 - T^{e p}) for all blocks alike.  A reduced num / f^k is unique, so
+    # the one-shot sum equals the per-residue pairwise fold exactly.
     return RationalSeries.sum(blocks).require_integral("component series")
 
 
 def _euler_blocks(provider: ReductionProvider):
-    """Yield ``(alpha, alpha', curve)`` over residues ``1..e`` prime to p."""
+    """Yield ``(alpha', curve, residues)`` per stable degree ``alpha'``, with
+    the residues ``alpha`` in ``1..e`` prime to p and ``gcd(alpha, e) =
+    alpha'``, ascending."""
     e, p = provider.e, provider.p
+    residues: dict[int, list[int]] = {}
     for alpha in range(1, e + 1):
         if p > 1 and gcd(alpha, p) != 1:
             continue
-        yield alpha, gcd(alpha, e), provider.curve_for(gcd(alpha, e))
+        residues.setdefault(gcd(alpha, e), []).append(alpha)
+    for aprime, alphas in sorted(residues.items()):
+        yield aprime, provider.curve_for(aprime), alphas
 
 
 def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
@@ -206,7 +219,9 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
 
     Each residue ``alpha mod e`` contributes the class of the degree
     ``gcd(alpha, e)`` fiber, a component count growing like ``d^t``, and an
-    L-weight ``ord(d)`` advancing by ``e * c_tame`` per period.
+    L-weight ``ord(d)`` advancing by ``e * c_tame`` per period.  The
+    residues of one degree ``alpha'`` form one progression numerator over
+    ``(1 - L^w T^e)^{t+1}``, times that degree's torus class.
     """
     provider.require_complete()
     jumps = provider.require_jumps()
@@ -217,22 +232,23 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         raise InconsistentData("e * c_tame = %s is not an integer" % w)
     w = int(w)
     blocks = []
-    for alpha, aprime, curve in _euler_blocks(provider):
+    for aprime, curve, alphas in _euler_blocks(provider):
         geo = geometry(curve)
         t, a_rank = geo.b1, geo.abelian_rank
         u = g - t - a_rank
         ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
-        phi_alpha = (alpha // aprime) ** t * component_group(curve).order
-        shape = geometric_sum(e, alpha, t, w).scale(Fraction(1, aprime**t))
+        phi = component_group(curve).order
+        start = {
+            (alpha, u + ord_alpha, ab): Fraction((alpha // aprime) ** t * phi, aprime**t)
+            for alpha, ord_alpha in zip(alphas, _ord_values(jumps, alphas))
+        }
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = (
-            shape.mul_monomial(phi_alpha, l=u + ord_function(jumps, alpha), ab=ab)
-            * torus
-        )
-        blocks.append(block.require_integral("zeta block at residue %d" % alpha))
-    # One factor (1 - L^w T^e) throughout, as in component_series.
+        block = _progression_sum(start, e, t, w) * torus
+        blocks.append(block.require_integral("zeta block at degree %d" % aprime))
+    # One factor (1 - L^w T^e) throughout, each degree block one progression
+    # numerator, as in component_series.
     return RationalSeries.sum(blocks).require_integral("motivic zeta")
 
 
@@ -241,14 +257,14 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
     additive reduction and 0 elsewhere."""
     provider.require_complete()
     e = provider.e
-    terms = []
-    for alpha, _, curve in _euler_blocks(provider):
+    num = {}
+    for _, curve, alphas in _euler_blocks(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             phi = component_group(curve).order
-            terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, e),)))
-    # One factor (1 - T^e) throughout, as in component_series.
-    return RationalSeries.sum(terms).require_integral("euler specialization")
+            num.update(((alpha, 0, ()), phi) for alpha in alphas)
+    # One numerator over the one factor (1 - T^e), as in component_series.
+    return RationalSeries(num, ((0, e),)).require_integral("euler specialization")
 
 
 def euler_characteristic_map(series: RationalSeries) -> RationalSeries:
@@ -311,10 +327,13 @@ def load_provider(path: str) -> ReductionProvider:
         items = []
         for entry in doc["jumps"]:
             try:
-                j, m = Fraction(str(entry["j"])), entry.get("m", 1)
+                text, m = str(entry["j"]), entry.get("m", 1)
+                # Fraction("1e-10000000") would build a 10^7-digit power of 10
+                j = None if "e" in text.lower() else Fraction(text)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ParseError("bad jump entry %r" % (entry,)) from exc
-            if type(m) is not int:  # refuses 1.5 and true as well as "1"
+            # refuses exponent notation, and an m of 1.5 and true as well as "1"
+            if j is None or type(m) is not int:
                 raise ParseError("bad jump entry %r" % (entry,))
             items.append((j, m))
         jumps = JumpSet(items)

@@ -1,0 +1,86 @@
+"""Per-residue assemblies of the three provider series, used only by the tests.
+
+These are the bodies :mod:`neroncalc.zeta` had before each block became one
+progression numerator: every residue of a block is its own
+:func:`~neroncalc.ratseries.geometric_sum`, built and reduced on its own,
+then scaled, substituted or multiplied, and the residues are summed.  A
+reduced numerator over powers of one factor is unique, so the library's
+block-at-once assemblies must give the same ``to_dict()`` bit for bit.
+"""
+
+from fractions import Fraction
+from math import comb, gcd, lcm
+
+from neroncalc.curves import geometry
+from neroncalc.errors import InconsistentData
+from neroncalc.invariants import component_group
+from neroncalc.ratseries import RationalSeries, geometric_sum
+from neroncalc.zeta import ReductionProvider, ord_function
+
+
+def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
+    provider.require_complete()
+    e, p = provider.e, provider.p
+    blocks = []
+    for a in provider.stable_degrees():
+        curve = provider.curve_for(a)
+        t = geometry(curve).b1
+        phi = component_group(curve).order
+        e_a = e // a
+        m = e_a if p == 1 else lcm(e_a, p)
+        block = RationalSeries.sum(
+            geometric_sum(m, b, t, 0)
+            for b in range(1, m + 1)
+            if gcd(b, e_a) == 1 and (p == 1 or b % p)
+        )
+        blocks.append(block.scale(phi).subs_T_power(a))
+    return RationalSeries.sum(blocks).require_integral("component series")
+
+
+def _residues(provider: ReductionProvider):
+    """Yield ``(alpha, alpha', curve)`` over residues ``1..e`` prime to p."""
+    e, p = provider.e, provider.p
+    for alpha in range(1, e + 1):
+        if p > 1 and gcd(alpha, p) != 1:
+            continue
+        yield alpha, gcd(alpha, e), provider.curve_for(gcd(alpha, e))
+
+
+def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
+    provider.require_complete()
+    jumps = provider.require_jumps()
+    e = provider.e
+    g = provider.genus
+    w = e * jumps.c_tame
+    if w.denominator != 1:
+        raise InconsistentData("e * c_tame = %s is not an integer" % w)
+    w = int(w)
+    blocks = []
+    for alpha, aprime, curve in _residues(provider):
+        geo = geometry(curve)
+        t, a_rank = geo.b1, geo.abelian_rank
+        u = g - t - a_rank
+        ab = tuple(sorted(filter(None, curve.g)))
+        phi_alpha = (alpha // aprime) ** t * component_group(curve).order
+        shape = geometric_sum(e, alpha, t, w).scale(Fraction(1, aprime**t))
+        torus = RationalSeries(
+            {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
+        )
+        block = (
+            shape.mul_monomial(phi_alpha, l=u + ord_function(jumps, alpha), ab=ab)
+            * torus
+        )
+        blocks.append(block.require_integral("zeta block at residue %d" % alpha))
+    return RationalSeries.sum(blocks).require_integral("motivic zeta")
+
+
+def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
+    provider.require_complete()
+    e = provider.e
+    terms = []
+    for alpha, _, curve in _residues(provider):
+        geo = geometry(curve)
+        if geo.b1 == 0 and geo.abelian_rank == 0:
+            phi = component_group(curve).order
+            terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, e),)))
+    return RationalSeries.sum(terms).require_integral("euler specialization")

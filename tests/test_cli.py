@@ -374,6 +374,7 @@ HOSTILE_PROVIDERS = {
     "jumps_int": {"base": "II.json", "jumps": 5},
     "jumps_strings": {"base": "II.json", "jumps": ["1/6"]},
     "jump_fractional_m": {"base": "II.json", "jumps": [{"j": "1/6", "m": 1.5}]},
+    "jump_exponent": {"base": "II.json", "jumps": [{"j": "1e-5000"}]},
     "p_bool": {"p": True, "base": "II.json"},
     "p_5000_digits": '{"p": 1%s, "base": "II.json"}' % ("0" * 4999),
     "curves_degree_5000_digits": {"base": "II.json", "curves": {"1" + "0" * 4999: "IV.json"}},

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.errors import NonIntegralAssembly, NonReducible
+from neroncalc.errors import NonIntegralAssembly, NonReducible, PreconditionError
 from neroncalc.ratseries import RationalSeries, geometric_sum
 
 
@@ -37,6 +37,12 @@ def test_geometric_sum_matches_direct_summation(e, b, t, w):
         direct[(n, q * w, ())] = Fraction(n**t)
         q += 1
     assert expanded == direct
+
+
+def test_geometric_sum_refuses_a_negative_power():
+    # sum (q + 1)^{-1} T^{q + 1} has no closed form in this ring
+    with pytest.raises(PreconditionError, match=r"\bt\b"):
+        geometric_sum(1, 1, -1, 0)
 
 
 def test_addition_crosses_denominators():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neroncalc.curves import SncdCurve
 from neroncalc.cyclo import CycloProduct, _divisors
 from neroncalc.kodaira import kodaira_curve
 from neroncalc.ratseries import (
@@ -18,11 +19,11 @@ from neroncalc.ratseries import (
     _den_poly,
     _divide_by_factor,
     _factor_poly,
-    _poly_add,
     _poly_mul,
     _remainder,
 )
 from neroncalc.zeta import (
+    JumpSet,
     ReductionProvider,
     component_series,
     euler_characteristic_map,
@@ -32,8 +33,20 @@ from neroncalc.zeta import (
 )
 
 from cyclo_oracles import phi_basis_as_poly
+from series_oracles import (
+    component_series_per_residue,
+    euler_specialize_per_residue,
+    motivic_zeta_per_residue,
+)
 
 # -- oracles: the pairwise sum and the verified division ------------------------
+
+
+def poly_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return _clean(out)
 
 
 def pairwise_add(x: RationalSeries, y: RationalSeries) -> RationalSeries:
@@ -47,7 +60,7 @@ def pairwise_add(x: RationalSeries, y: RationalSeries) -> RationalSeries:
         extra1.remove(f)
     for f in den2:
         extra2.remove(f)
-    num = _poly_add(
+    num = poly_add(
         _poly_mul(dict(x.num), _den_poly(extra1)),
         _poly_mul(dict(y.num), _den_poly(extra2)),
     )
@@ -130,16 +143,120 @@ def _providers():
         yield load_provider(os.path.join(FIXTURES, name))
     yield ReductionProvider(kodaira_curve("I3", p=11))
     yield ReductionProvider(kodaira_curve("I5", p=3))
+    # e = 3 with a loop at degree 1: residue 2 has alpha != gcd(alpha, e)
+    # and t = 1, so the zeta block weighs it by (alpha / alpha')^t
+    looped = SncdCurve(
+        [("c1", 3, 0), ("c2", 3, 0), ("a1", 2, 0), ("a2", 2, 0),
+         ("b1", 1, 0), ("b2", 1, 0), ("t1", 1, 0), ("t2", 1, 0)],
+        [("c1", "c2"), ("c1", "c2"), ("c1", "a1"), ("a1", "b1"), ("c1", "t1"),
+         ("c2", "a2"), ("a2", "b2"), ("c2", "t2")])
+    top = SncdCurve([("c", 1, 4), ("v", 1, 0)], [("c", "v"), ("c", "v")])
+    yield ReductionProvider(looped, {3: top}, JumpSet([(Fraction(1, 3), 1)]))
+
+
+def star(q: int, p: int = 1) -> SncdCurve:
+    """The ``y^q`` star: a centre of multiplicity ``q`` meeting ``q`` reduced
+    rational arms, with ``e = q`` and genus ``(q - 1)(q - 2)/2``."""
+    arms = [("a%d" % i, 1, 0) for i in range(q)]
+    return SncdCurve([("c", q, 0)] + arms, [(a, "c") for a, _, _ in arms], p)
+
+
+def star_provider(q: int, p: int = 1, jumps=None) -> ReductionProvider:
+    """The star with its degree-``q`` reduction, one smooth component."""
+    top = SncdCurve([("o", 1, (q - 1) * (q - 2) // 2)], [], p)
+    return ReductionProvider(star(q, p), {q: top}, jumps)
+
+
+ASSEMBLIES = [
+    (component_series, component_series_per_residue),
+    (motivic_zeta, motivic_zeta_per_residue),
+    (euler_specialize, euler_specialize_per_residue),
+]
+
+
+def _assemblies(provider):
+    """The (library, oracle) pairs that apply: the zeta needs jumps."""
+    return [(library, oracle) for library, oracle in ASSEMBLIES
+            if library is not motivic_zeta or provider.jumps is not None]
+
+
+def _assert_assembles_as_the_oracles(provider):
+    for library, oracle in _assemblies(provider):
+        assert library(provider).to_dict() == oracle(provider).to_dict(), library
 
 
 @pytest.mark.parametrize("provider", list(_providers()))
 def test_callers_assemble_as_the_pairwise_fold(provider, monkeypatch):
-    assemblies = [component_series, euler_specialize]
-    if provider.jumps is not None:
-        assemblies.append(motivic_zeta)
-    one_shot = [f(provider).to_dict() for f in assemblies]
+    """The one-shot block assemblies against the per-residue oracles summed
+    by the pairwise fold, on the three shipped providers among others."""
+    one_shot = [library(provider).to_dict() for library, _ in _assemblies(provider)]
     monkeypatch.setattr(RationalSeries, "sum", classmethod(lambda cls, ts: fold(ts)))
-    assert [f(provider).to_dict() for f in assemblies] == one_shot
+    assert [oracle(provider).to_dict() for _, oracle in _assemblies(provider)] == one_shot
+
+
+@given(st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))
+@settings(max_examples=40, deadline=None)
+def test_cycle_series_equal_the_per_residue_oracles(n, p):
+    _assert_assembles_as_the_oracles(
+        ReductionProvider(kodaira_curve("I%d" % n, p=p), {}, JumpSet([])))
+
+
+@given(st.integers(1, 6), st.sampled_from([1, 3, 5, 7]))
+@settings(max_examples=20, deadline=None)
+def test_looped_degree_blocks_equal_the_per_residue_oracles(n, p):
+    """``I_n*`` becomes ``I_2n`` at degree 2: a block with ``a = 2`` and
+    ``t = 1``, where the start divides ``|Phi_2|`` by ``a^t``."""
+    base = kodaira_curve("I%d*" % n, p=p)
+    _assert_assembles_as_the_oracles(ReductionProvider(
+        base, {2: kodaira_curve("I%d" % (2 * n), p=p)}, JumpSet([(Fraction(1, 2), 1)])))
+
+
+@st.composite
+def star_providers(draw):
+    q = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    p = draw(st.sampled_from([1, 2, 3, 5, 7, 11, 13]).filter(lambda p: q % p))
+    genus = (q - 1) * (q - 2) // 2
+    ks = draw(st.lists(st.integers(0, q - 1), max_size=min(genus, 12)))
+    return star_provider(q, p, JumpSet((Fraction(k, q), 1) for k in ks))
+
+
+@given(star_providers())
+@settings(max_examples=40, deadline=None)
+def test_star_series_equal_the_per_residue_oracles(provider):
+    _assert_assembles_as_the_oracles(provider)
+
+
+def _count_series(monkeypatch) -> list:
+    """Count ``RationalSeries.__init__`` calls from now on."""
+    built = []
+    real = RationalSeries.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalSeries, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize("make, assemblies", [
+    (lambda: ReductionProvider(kodaira_curve("I3", p=151)), [component_series]),
+    (lambda: star_provider(41, 1, JumpSet((Fraction(k, 41), 1) for k in range(1, 41))),
+     [motivic_zeta, euler_specialize]),
+    (lambda: load_provider(os.path.join(FIXTURES, "provider_II.json")),
+     [component_series, motivic_zeta, euler_specialize]),
+], ids=["I3_p151", "star41", "provider_II"])
+def test_assembly_builds_no_series_per_residue(make, assemblies, monkeypatch):
+    """A block of residues is one series: the count follows the stable
+    degrees (1, 2 and 4 here), not the residues (150, 41 and 6)."""
+    provider = make()
+    degrees = len(provider.stable_degrees())
+    for assembly in assemblies:
+        assembly(provider)  # warm the curve caches
+        built = _count_series(monkeypatch)
+        assembly(provider)
+        monkeypatch.undo()
+        assert len(built) <= 3 * degrees + 1, (assembly, len(built))
 
 
 SHIPPED_PROVIDERS = sorted(
