@@ -170,101 +170,77 @@ class ReductionProvider:
         return self.jumps
 
 
+def _degree_blocks(provider: ReductionProvider):
+    """Yield ``(a, curve, c, degrees)`` per stable degree ``a``: the ``d`` in
+    ``1..lcm(e, p)`` with ``p`` not dividing ``d`` and ``gcd(d, e) = a``, and
+    the start ``c = |Phi_a| / a^t``, so ``|Phi(d)| = c d^t`` on their classes
+    modulo ``lcm(e, p)``.  The only walk over the tame residues."""
+    e, p = provider.e, provider.p
+    for a in provider.stable_degrees():
+        curve = provider.curve_for(a)
+        c = Fraction(component_group(curve).order, a ** geometry(curve).b1)
+        degrees = range(a, lcm(e, p) + 1, a)
+        yield a, curve, c, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
+
+
 def component_series(provider: ReductionProvider) -> RationalSeries:
     """Generating series of component group orders over all tame degrees.
 
-    Assembled degree block by degree block, each block one progression
-    numerator: a stable degree ``a`` contributes ``|Phi_a| (d/a)^{t_a} T^d``
-    over the degrees ``d = a b`` with ``b`` a residue prime to ``e/a`` (and
-    to ``p``) modulo the block's period ``m``, so all its residues share the
-    denominator ``(1 - T^{m a})^{t_a + 1}``.
+    Each stable degree ``a`` contributes ``|Phi_a| (d/a)^{t_a} T^d`` over the
+    degrees ``d`` prime to ``p`` with ``gcd(d, e) = a``: one progression
+    numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``.
     """
     provider.require_complete()
-    e, p = provider.e, provider.p
-    blocks = []
-    for a in provider.stable_degrees():
-        curve = provider.curve_for(a)
-        t = geometry(curve).b1
-        c = Fraction(component_group(curve).order, a**t)
-        e_a = e // a
-        m = e_a if p == 1 else lcm(e_a, p)
-        start = {
-            (a * b, 0, ()): c
-            for b in range(1, m + 1)
-            if gcd(b, e_a) == 1 and (p == 1 or b % p)
-        }
-        blocks.append(_progression_sum(start, m * a, t, 0))
-    # Every block is one numerator over a power of one factor, (1 - T^e) or
-    # (1 - T^{e p}) for all blocks alike.  A reduced num / f^k is unique, so
-    # the one-shot sum equals the per-residue pairwise fold exactly.
+    period = lcm(provider.e, provider.p)
+    blocks = [
+        _progression_sum({(d, 0, ()): c for d in degrees}, period, geometry(curve).b1, 0)
+        for _, curve, c, degrees in _degree_blocks(provider)
+    ]
+    # Every block is one numerator over a power of one factor.  A reduced
+    # num / f^k is unique, so the one-shot sum equals the pairwise fold.
     return RationalSeries.sum(blocks).require_integral("component series")
-
-
-def _euler_blocks(provider: ReductionProvider):
-    """Yield ``(alpha', curve, residues)`` per stable degree ``alpha'``, with
-    the residues ``alpha`` in ``1..e`` prime to p and ``gcd(alpha, e) =
-    alpha'``, ascending."""
-    e, p = provider.e, provider.p
-    residues: dict[int, list[int]] = {}
-    for alpha in range(1, e + 1):
-        if p > 1 and gcd(alpha, p) != 1:
-            continue
-        residues.setdefault(gcd(alpha, e), []).append(alpha)
-    for aprime, alphas in sorted(residues.items()):
-        yield aprime, provider.curve_for(aprime), alphas
 
 
 def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     """Zeta series of Neron classes ``[G(d)] L^{ord(d)} T^d`` in closed form.
 
-    Each residue ``alpha mod e`` contributes the class of the degree
-    ``gcd(alpha, e)`` fiber, a component count growing like ``d^t``, and an
-    L-weight ``ord(d)`` advancing by ``e * c_tame`` per period.  The
-    residues of one degree ``alpha'`` form one progression numerator over
-    ``(1 - L^w T^e)^{t+1}``, times that degree's torus class.
+    At a degree ``d`` prime to ``p`` the class is that of the degree ``a =
+    gcd(d, e)`` fiber with ``|Phi_a| (d/a)^t`` components, and ``ord(d)``
+    grows by ``w = lcm(e, p) * c_tame`` per period: each block one
+    progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}``, times that
+    degree's torus class.
     """
     provider.require_complete()
     jumps = provider.require_jumps()
-    e = provider.e
-    g = provider.genus
-    w = e * jumps.c_tame
+    period = lcm(provider.e, provider.p)
+    w = period * jumps.c_tame
     if w.denominator != 1:
-        raise InconsistentData("e * c_tame = %s is not an integer" % w)
-    w = int(w)
+        raise InconsistentData("lcm(e, p) * c_tame = %s is not an integer" % w)
     blocks = []
-    for aprime, curve, alphas in _euler_blocks(provider):
+    for a, curve, c, degrees in _degree_blocks(provider):
         geo = geometry(curve)
-        t, a_rank = geo.b1, geo.abelian_rank
-        u = g - t - a_rank
+        t, u = geo.b1, provider.genus - geo.b1 - geo.abelian_rank
         ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
-        phi = component_group(curve).order
-        start = {
-            (alpha, u + ord_alpha, ab): Fraction((alpha // aprime) ** t * phi, aprime**t)
-            for alpha, ord_alpha in zip(alphas, _ord_values(jumps, alphas))
-        }
+        start = {(d, u + o, ab): c for d, o in zip(degrees, _ord_values(jumps, degrees))}
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = _progression_sum(start, e, t, w) * torus
-        blocks.append(block.require_integral("zeta block at degree %d" % aprime))
-    # One factor (1 - L^w T^e) throughout, each degree block one progression
-    # numerator, as in component_series.
+        block = _progression_sum(start, period, t, int(w)) * torus
+        blocks.append(block.require_integral("zeta block at degree %d" % a))
     return RationalSeries.sum(blocks).require_integral("motivic zeta")
 
 
 def euler_specialize(provider: ReductionProvider) -> RationalSeries:
-    """Integer series whose ``T^d`` coefficient is ``|Phi(d)|`` on degrees of
-    additive reduction and 0 elsewhere."""
+    """Integer series whose ``T^d`` coefficient, for ``d`` prime to ``p``, is
+    ``|Phi(d)|`` on degrees of additive reduction and 0 elsewhere."""
     provider.require_complete()
-    e = provider.e
     num = {}
-    for _, curve, alphas in _euler_blocks(provider):
+    for _, curve, c, degrees in _degree_blocks(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
-            phi = component_group(curve).order
-            num.update(((alpha, 0, ()), phi) for alpha in alphas)
-    # One numerator over the one factor (1 - T^e), as in component_series.
-    return RationalSeries(num, ((0, e),)).require_integral("euler specialization")
+            num.update(((d, 0, ()), c) for d in degrees)
+    period = lcm(provider.e, provider.p)
+    return RationalSeries(num, ((0, period),)).require_integral("euler specialization")
 
 
 def euler_characteristic_map(series: RationalSeries) -> RationalSeries:
@@ -326,15 +302,20 @@ def load_provider(path: str) -> ReductionProvider:
     if "jumps" in doc:
         items = []
         for entry in doc["jumps"]:
+            # named by its repr, or past 40 characters by its first 20 and length
+            shown = repr(entry)
+            if len(shown) > 40:
+                shown = "%s... (%d characters)" % (shown[:20], len(shown))
             try:
                 text, m = str(entry["j"]), entry.get("m", 1)
                 # Fraction("1e-10000000") would build a 10^7-digit power of 10
                 j = None if "e" in text.lower() else Fraction(text)
+                str(j)  # past the interpreter's digit limit no message could name j
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ParseError("bad jump entry %r" % (entry,)) from exc
+                raise ParseError("bad jump entry %s" % shown) from exc
             # refuses exponent notation, and an m of 1.5 and true as well as "1"
             if j is None or type(m) is not int:
-                raise ParseError("bad jump entry %r" % (entry,))
+                raise ParseError("bad jump entry %s" % shown)
             items.append((j, m))
         jumps = JumpSet(items)
     return ReductionProvider(base, curves, jumps)

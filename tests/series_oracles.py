@@ -1,11 +1,13 @@
 """Per-residue assemblies of the three provider series, used only by the tests.
 
-These are the bodies :mod:`neroncalc.zeta` had before each block became one
-progression numerator: every residue of a block is its own
-:func:`~neroncalc.ratseries.geometric_sum`, built and reduced on its own,
-then scaled, substituted or multiplied, and the residues are summed.  A
-reduced numerator over powers of one factor is unique, so the library's
-block-at-once assemblies must give the same ``to_dict()`` bit for bit.
+Each walks its own residues, independently of :mod:`neroncalc.zeta`: every
+residue is its own :func:`~neroncalc.ratseries.geometric_sum`, built and
+reduced on its own, then scaled, substituted or multiplied, and the residues
+are summed.  All three run over the residues prime to ``p`` modulo
+``lcm(e, p)``, and a residue of stable degree ``a`` starts at ``|Phi_a| /
+a^t``.  A reduced numerator over powers of one factor is unique, so the
+library's block-at-once assemblies must give the same ``to_dict()`` bit for
+bit.
 """
 
 from fractions import Fraction
@@ -38,9 +40,10 @@ def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
 
 
 def _residues(provider: ReductionProvider):
-    """Yield ``(alpha, alpha', curve)`` over residues ``1..e`` prime to p."""
+    """Yield ``(alpha, alpha', curve)`` over the residues ``alpha`` in
+    ``1..lcm(e, p)`` prime to p, with ``alpha' = gcd(alpha, e)``."""
     e, p = provider.e, provider.p
-    for alpha in range(1, e + 1):
+    for alpha in range(1, lcm(e, p) + 1):
         if p > 1 and gcd(alpha, p) != 1:
             continue
         yield alpha, gcd(alpha, e), provider.curve_for(gcd(alpha, e))
@@ -49,11 +52,11 @@ def _residues(provider: ReductionProvider):
 def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
     provider.require_complete()
     jumps = provider.require_jumps()
-    e = provider.e
+    period = lcm(provider.e, provider.p)
     g = provider.genus
-    w = e * jumps.c_tame
+    w = period * jumps.c_tame
     if w.denominator != 1:
-        raise InconsistentData("e * c_tame = %s is not an integer" % w)
+        raise InconsistentData("lcm(e, p) * c_tame = %s is not an integer" % w)
     w = int(w)
     blocks = []
     for alpha, aprime, curve in _residues(provider):
@@ -61,13 +64,13 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
         t, a_rank = geo.b1, geo.abelian_rank
         u = g - t - a_rank
         ab = tuple(sorted(filter(None, curve.g)))
-        phi_alpha = (alpha // aprime) ** t * component_group(curve).order
-        shape = geometric_sum(e, alpha, t, w).scale(Fraction(1, aprime**t))
+        phi = component_group(curve).order
+        shape = geometric_sum(period, alpha, t, w).scale(Fraction(1, aprime**t))
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
         block = (
-            shape.mul_monomial(phi_alpha, l=u + ord_function(jumps, alpha), ab=ab)
+            shape.mul_monomial(phi, l=u + ord_function(jumps, alpha), ab=ab)
             * torus
         )
         blocks.append(block.require_integral("zeta block at residue %d" % alpha))
@@ -76,11 +79,11 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
 
 def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
     provider.require_complete()
-    e = provider.e
+    period = lcm(provider.e, provider.p)
     terms = []
     for alpha, _, curve in _residues(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             phi = component_group(curve).order
-            terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, e),)))
+            terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, period),)))
     return RationalSeries.sum(terms).require_integral("euler specialization")

@@ -375,6 +375,10 @@ HOSTILE_PROVIDERS = {
     "jumps_strings": {"base": "II.json", "jumps": ["1/6"]},
     "jump_fractional_m": {"base": "II.json", "jumps": [{"j": "1/6", "m": 1.5}]},
     "jump_exponent": {"base": "II.json", "jumps": [{"j": "1e-5000"}]},
+    # a jump past the 4300-digit limit could not be printed in any message
+    "jump_4301_decimals": {"base": "II.json", "jumps": [{"j": "0.%s1" % ("0" * 4299)}]},
+    "jump_4301_decimals_above_one": {"base": "II.json", "jumps": [{"j": "1.%s1" % ("0" * 4299)}]},
+    "jump_4401_digit_denominator": {"base": "II.json", "jumps": [{"j": "1/1%s" % ("0" * 4400)}]},
     "p_bool": {"p": True, "base": "II.json"},
     "p_5000_digits": '{"p": 1%s, "base": "II.json"}' % ("0" * 4999),
     "curves_degree_5000_digits": {"base": "II.json", "curves": {"1" + "0" * 4999: "IV.json"}},
@@ -497,6 +501,15 @@ def test_long_degree_names_its_digit_count(tmp_path):
     _write(path, HOSTILE_PROVIDERS["curves_degree_5000_digits"])
     code, out, err = run_child("series", str(path))
     assert err == "error: curve degree %s... has too many digits (5000)\n" % ("1" + "0" * 19)
+
+
+def test_long_jump_is_named_by_its_first_20_characters(tmp_path):
+    (tmp_path / "II.json").write_text(open(fx("II.json")).read())
+    path = tmp_path / "provider.json"
+    _write(path, HOSTILE_PROVIDERS["jump_4301_decimals"])
+    shown = repr(HOSTILE_PROVIDERS["jump_4301_decimals"]["jumps"][0])
+    message = "bad jump entry %s... (%d characters)" % (shown[:20], len(shown))
+    assert run_child("series", str(path)) == (1, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("degree, shown", [

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.curves import SncdCurve
 from neroncalc.cyclo import CycloProduct, _divisors
 from neroncalc.kodaira import kodaira_curve
 from neroncalc.ratseries import (
@@ -33,6 +32,7 @@ from neroncalc.zeta import (
 )
 
 from cyclo_oracles import phi_basis_as_poly
+from provider_sweep import looped_provider, star_provider
 from series_oracles import (
     component_series_per_residue,
     euler_specialize_per_residue,
@@ -144,27 +144,9 @@ def _providers():
     yield ReductionProvider(kodaira_curve("I3", p=11))
     yield ReductionProvider(kodaira_curve("I5", p=3))
     # e = 3 with a loop at degree 1: residue 2 has alpha != gcd(alpha, e)
-    # and t = 1, so the zeta block weighs it by (alpha / alpha')^t
-    looped = SncdCurve(
-        [("c1", 3, 0), ("c2", 3, 0), ("a1", 2, 0), ("a2", 2, 0),
-         ("b1", 1, 0), ("b2", 1, 0), ("t1", 1, 0), ("t2", 1, 0)],
-        [("c1", "c2"), ("c1", "c2"), ("c1", "a1"), ("a1", "b1"), ("c1", "t1"),
-         ("c2", "a2"), ("a2", "b2"), ("c2", "t2")])
-    top = SncdCurve([("c", 1, 4), ("v", 1, 0)], [("c", "v"), ("c", "v")])
-    yield ReductionProvider(looped, {3: top}, JumpSet([(Fraction(1, 3), 1)]))
-
-
-def star(q: int, p: int = 1) -> SncdCurve:
-    """The ``y^q`` star: a centre of multiplicity ``q`` meeting ``q`` reduced
-    rational arms, with ``e = q`` and genus ``(q - 1)(q - 2)/2``."""
-    arms = [("a%d" % i, 1, 0) for i in range(q)]
-    return SncdCurve([("c", q, 0)] + arms, [(a, "c") for a, _, _ in arms], p)
-
-
-def star_provider(q: int, p: int = 1, jumps=None) -> ReductionProvider:
-    """The star with its degree-``q`` reduction, one smooth component."""
-    top = SncdCurve([("o", 1, (q - 1) * (q - 2) // 2)], [], p)
-    return ReductionProvider(star(q, p), {q: top}, jumps)
+    # and t = 1; at d = 2 mod 3 the zeta counts |Phi_1| d^t components, as
+    # the component series does
+    yield looped_provider()
 
 
 ASSEMBLIES = [

@@ -1,13 +1,14 @@
 """Component series, order function, motivic zeta and its specialization."""
 
 from fractions import Fraction
-from math import floor, gcd
+from math import comb, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.basechange import transform
+from neroncalc.curves import genus, geometry
 from neroncalc.errors import (
     InconsistentData,
     NotContained,
@@ -27,6 +28,8 @@ from neroncalc.zeta import (
     ord_function,
     prym_jump_difference,
 )
+
+from provider_sweep import law_providers
 
 JUMP_TABLE = {
     "I0": Fraction(0),
@@ -72,6 +75,10 @@ def provider_good():
     return ReductionProvider(good_elliptic(), {}, JumpSet([(Fraction(0), 1)]))
 
 
+# cycles, I_n*, stars, II and a looped e = 3 base at p in {1, 2, 3, 5, 7, 11, 13}
+LAW_PROVIDERS = [pytest.param(make, id=name) for name, make in law_providers()]
+
+
 def plain(num, den=()):
     return RationalSeries({(n, 0, ()): Fraction(c) for n, c in num.items()}, den)
 
@@ -93,11 +100,15 @@ def test_component_series_pole_and_degree():
     assert s.pole_order_at_one() == 1 and s.degree() == 0
 
 
-@pytest.mark.parametrize("make", [provider_I0star, provider_I2, provider_II])
+@pytest.mark.parametrize(
+    "make", [provider_I0star, provider_I2, provider_II] + LAW_PROVIDERS
+)
 def test_component_series_against_transform_oracle(make):
+    """At each ``d <= 24`` prime to ``e p``, the component series and the
+    zeta both count the components of the degree-``d`` transform."""
     provider = make()
-    series = component_series(provider)
-    coeffs = series.expand(24)
+    coeffs = component_series(provider).expand(24)
+    zeta = motivic_zeta(provider).expand(24)
     e, p = provider.e, provider.p
     for d in range(1, 25):
         if gcd(d, e * p) != 1:
@@ -105,14 +116,39 @@ def test_component_series_against_transform_oracle(make):
         out, _ = transform(provider.base, d)
         direct = component_group(out).order
         assert coeffs.get((d, 0, ()), 0) == direct, "degree %d" % d
+        # (L - 1)^t L^k [B] |Phi(d)|: the top power of L carries the count
+        top = max(((l, v) for (n, l, _), v in zeta.items() if n == d), default=(0, 0))
+        assert top[1] == direct, "zeta at degree %d" % d
+
+
+@pytest.mark.parametrize("make", LAW_PROVIDERS)
+def test_series_run_over_the_tame_degrees(make):
+    """Over two periods ``lcm(e, p)``: no series has a ``T^d`` with ``p | d``,
+    and the zeta's ``T^d`` coefficient is ``(L - 1)^t L^{u + ord(d)} [B]``
+    of the degree ``gcd(d, e)`` fiber times the component series' count."""
+    provider = make()
+    e, p = provider.e, provider.p
+    order = 2 * lcm(e, p)
+    counts = component_series(provider).expand(order)
+    zeta = motivic_zeta(provider).expand(order)
+    for series in (counts, zeta, euler_specialize(provider).expand(order)):
+        assert [n for n, _, _ in series if p > 1 and n % p == 0] == []
+    want = {}
+    for (d, _, _), count in counts.items():
+        curve = provider.curve_for(gcd(d, e))
+        geo = geometry(curve)
+        t = geo.b1
+        l = provider.genus - t - geo.abelian_rank + ord_function(provider.jumps, d)
+        ab = tuple(sorted(filter(None, curve.g)))
+        for k in range(t + 1):
+            want[(d, l + k, ab)] = comb(t, k) * (-1) ** (t - k) * count
+    assert zeta == want
 
 
 @pytest.mark.parametrize(
     "make", [provider_I0star, provider_I2, provider_II, provider_good]
 )
 def test_component_series_pole_is_max_toric_rank_plus_one(make):
-    from neroncalc.curves import geometry
-
     provider = make()
     t_tame = max(geometry(c).b1 for c in provider.curves.values())
     assert component_series(provider).pole_order_at_one() == t_tame + 1
@@ -124,8 +160,6 @@ def test_component_series_pole_is_max_toric_rank_plus_one(make):
 def test_component_series_degree_sign(make):
     provider = make()
     top = provider.curves[provider.e]
-    from neroncalc.curves import geometry, genus
-
     geo = geometry(top)
     potential_good = geo.b1 == 0 and geo.abelian_rank == genus(top)
     degree = component_series(provider).degree()
@@ -221,7 +255,7 @@ def test_euler_specialization_closed_forms():
 
 
 @pytest.mark.parametrize(
-    "make", [provider_I0star, provider_I2, provider_II, provider_good]
+    "make", [provider_I0star, provider_I2, provider_II, provider_good] + LAW_PROVIDERS
 )
 def test_euler_equals_chi_of_zeta(make):
     provider = make()
