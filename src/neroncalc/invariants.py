@@ -34,7 +34,26 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     of :func:`~neroncalc.curves.geometry`, which solves them from the fiber
     relation, so the relation holds by construction.
 
-    Chains are folded in closed form before elimination.  A vertex is
+    Pendant chains are cut first.  A pendant chain is a leaf ``y = x_k``
+    and the run ``x_{k-1}..x_1`` behind it of vertices with two simple
+    edges to distinct neighbours; it hangs from the vertex ``P = x_0`` where
+    that run stops.  The relations of ``x_k..x_1`` say ``x_{i-1} = b_i x_i -
+    x_{i+1}`` (``x_{k+1} = 0``, ``b_i = -E_i^2``), so each ``x_i = c_i y``
+    with the integers ``c_k = 1``, ``c_{i-1} = b_i c_i - c_{i+1}``.  The
+    fiber relation gives the multiplicities the same recursion, so ``c_i =
+    N_i / N_y``.  When the leaf has ``P``'s multiplicity, ``c_0 = 1``: the
+    chain's ``k`` relations remove its ``k`` generators with unit
+    coefficients, and ``P``'s relation, where ``x_1 = c_1 P``, gains
+    ``N_{x_1} / N_P`` on ``E_P^2``, which is the fiber relation of the graph
+    without the chain.  So the chain is cut and the group is unchanged (a
+    point blow-up's (-1)-leaf is the case ``k = 1``).  One worklist over the
+    leaves cuts in O(V + E): a walk that stops uncut at ``P`` goes on once
+    cuts leave ``P`` two simple edges to distinct neighbours.  (A cut never
+    leaves ``P`` one edge: the edge it removes is simple, so ``P`` had one,
+    at the far end of a path, or at least three.)  The cached adjacency and
+    geometry are copied at the first cut, never changed.
+
+    Chains are then folded in closed form before elimination.  A vertex is
     foldable when it has one or two incident edges, simple and to distinct
     neighbours; every other vertex is kept, and when all are foldable (a
     cycle or a path) the first one is kept.  Each maximal run ``x_1..x_k``
@@ -55,12 +74,43 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     if curve._phi is not None:
         return curve._phi
     geo, adj = geometry(curve), curve.adjacency()
-    pos = curve._pos
+    N, pos = curve.N, curve._pos
     degree, self_int = geo.degree, geo.self_int
+    # walks (leaf, prev, cur): cut pendant chains whose leaf has the N of their end
+    todo = [(v, v, next(iter(adj[v]))) for v, d in degree.items() if d == 1]
+    stops, own = {}, None  # end -> walks stopped there uncut; ids whose adj[id] is a copy
+    while todo:
+        leaf, prev, cur = todo.pop()
+        if degree.get(leaf) != 1:  # cut, or its edge cut, since the walk was queued
+            continue
+        while len(adj[cur]) == degree[cur] == 2:
+            u, w = adj[cur]
+            prev, cur = cur, w if u == prev else u
+        if N[pos[leaf]] != N[pos[cur]]:
+            stops.setdefault(cur, []).append((leaf, prev))
+            continue
+        if own is None:  # the first cut: copy the cached maps before editing
+            adj, degree, self_int, own = dict(adj), dict(degree), dict(self_int), set()
+        if cur not in own:
+            adj[cur] = dict(adj[cur])
+            own.add(cur)
+        del adj[cur][prev]
+        degree[cur] -= 1
+        self_int[cur] += N[pos[prev]] // N[pos[cur]]
+        x, y = None, leaf
+        while y != cur:  # drop leaf..prev
+            nbrs = adj.pop(y)
+            del degree[y], self_int[y]
+            for w in nbrs:
+                if w != x:
+                    break
+            x, y = y, w
+        if degree[cur] == len(adj[cur]) == 2:  # the walks that stopped at cur go on
+            todo += [(l, p, cur) for l, p in stops.pop(cur, ())]
     # the foldable vertices: one or two edges, simple and to distinct neighbours
     unwalked = {vid for vid, nbrs in adj.items()
                 if len(nbrs) == degree[vid] in (1, 2)}
-    kept = [vid for vid in curve.ids if vid not in unwalked] or [curve.ids[0]]
+    kept = [vid for vid in adj if vid not in unwalked] or [next(iter(adj))]
     unwalked.discard(kept[0])
     rows = {}
     for P in kept:

@@ -36,6 +36,11 @@ from .ratseries import RationalSeries, _progression_sum
 from .record import Record
 
 
+def _shown(text: str) -> str:
+    """``text`` for a message, or past 40 characters its first 20 and its length."""
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:20], len(text))
+
+
 class JumpSet(Record):
     """Filtration jumps ``j`` in ``[0, 1)`` with multiplicities ``m >= 1``."""
 
@@ -46,7 +51,7 @@ class JumpSet(Record):
         for j, m in jumps:
             j = Fraction(j)
             if not 0 <= j < 1:
-                raise InconsistentData("jump %s outside [0, 1)" % j)
+                raise InconsistentData("jump %s outside [0, 1)" % _shown(str(j)))
             if m < 1:
                 raise InconsistentData("jump multiplicity must be >= 1")
             merged[j] = merged.get(j, 0) + m
@@ -142,7 +147,8 @@ class ReductionProvider:
             for j, _ in jumps.jumps:
                 if (self.e * j).denominator != 1:
                     raise InconsistentData(
-                        "jump %s is not a multiple of 1/e with e=%d" % (j, self.e)
+                        "jump %s is not a multiple of 1/e with e=%d"
+                        % (_shown(str(j)), self.e)
                     )
 
     def stable_degrees(self) -> list[int]:
@@ -160,9 +166,10 @@ class ReductionProvider:
     def require_complete(self):
         missing = [a for a in self.stable_degrees() if a not in self.curves]
         if missing:
-            raise ProviderIncomplete(
-                "missing reduction data for degrees %s" % missing
-            )
+            shown = str(missing)
+            if len(shown) > 40:  # the count and the first few
+                shown = "%s, ...] (%d degrees)" % (str(missing[:5])[:-1], len(missing))
+            raise ProviderIncomplete("missing reduction data for degrees %s" % shown)
 
     def require_jumps(self) -> JumpSet:
         if self.jumps is None:
@@ -302,10 +309,7 @@ def load_provider(path: str) -> ReductionProvider:
     if "jumps" in doc:
         items = []
         for entry in doc["jumps"]:
-            # named by its repr, or past 40 characters by its first 20 and length
-            shown = repr(entry)
-            if len(shown) > 40:
-                shown = "%s... (%d characters)" % (shown[:20], len(shown))
+            shown = _shown(repr(entry))
             try:
                 text, m = str(entry["j"]), entry.get("m", 1)
                 # Fraction("1e-10000000") would build a 10^7-digit power of 10

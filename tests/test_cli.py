@@ -605,7 +605,10 @@ def test_provider_degree_below_one_is_refused(tmp_path, degree):
 @pytest.mark.parametrize("jump, message", [
     ({"j": "3/2"}, "jump 3/2 outside [0, 1)"),
     ({"j": "1/6", "m": 0}, "jump multiplicity must be >= 1"),
-], ids=["outside_unit_interval", "zero_multiplicity"])
+    ({"j": "0." + "0" * 3999 + "1"},
+     "jump 1/1%s... (4003 characters) is not a multiple of 1/e with e=6" % ("0" * 17)),
+    ({"j": "1." + "0" * 3999 + "1"}, "jump 1%s... (8003 characters) outside [0, 1)" % ("0" * 19)),
+], ids=["outside_unit_interval", "zero_multiplicity", "long_below_one", "long_above_one"])
 def test_bad_jump_is_inconsistent_data(tmp_path, jump, message):
     with open(fx("provider_II.json"), encoding="utf-8") as f:
         provider = json.load(f)
@@ -618,6 +621,28 @@ def test_bad_jump_is_inconsistent_data(tmp_path, jump, message):
     code, out, err = run_child("zeta", str(path), "--json")
     assert (code, out, json.loads(err)) == (
         1, "", {"error": message, "type": "InconsistentData"})
+
+
+def star_doc(q: int) -> dict:
+    arms = ["a%d" % k for k in range(q)]
+    return {"p": 1, "vertices": [{"id": "c", "N": q, "g": 0}]
+            + [{"id": a, "N": 1, "g": 0} for a in arms],
+            "edges": [[a, "c"] for a in arms]}
+
+
+@pytest.mark.parametrize("q, shown", [
+    (6, "[2, 3, 6]"),
+    (30030, "[2, 3, 5, 6, 7, ...] (63 degrees)"),
+], ids=["e6", "e30030"])
+def test_missing_degrees_past_40_characters_are_counted(tmp_path, q, shown):
+    _write(tmp_path / "star.json", star_doc(q))
+    path = tmp_path / "provider.json"
+    _write(path, {"base": "star.json"})
+    message = "missing reduction data for degrees " + shown
+    assert run_child("zeta", str(path)) == (1, "", "error: %s\n" % message)
+    code, out, err = run_child("zeta", str(path), "--json")
+    assert (code, out, json.loads(err)) == (
+        1, "", {"error": message, "type": "ProviderIncomplete"})
 
 
 def test_json_errors_name_their_type(tmp_path, capsys):

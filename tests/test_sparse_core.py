@@ -36,6 +36,7 @@ from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
 from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
 
 from linalg_oracles import intersection_matrix, smith_diagonal, smith_quotient
+from conftest import seed_curves
 from test_linalg import determinantal_divisors
 
 
@@ -335,6 +336,83 @@ def test_cycles_reach_the_kernel_as_two_rows():
     assert seen == [2] * len(cycles)
 
 
+# -- pendant chain cut ---------------------------------------------------------
+
+
+def star(q: int) -> SncdCurve:
+    """A centre of multiplicity ``q`` with ``q`` reduced leaves: none may be cut."""
+    arms = ["a%d" % k for k in range(q)]
+    return SncdCurve([("c", q, 0)] + [(a, 1, 0) for a in arms], [(a, "c") for a in arms])
+
+
+@st.composite
+def deep_blowups(draw, max_vertices: int = 16):
+    """Up to 24 blow-ups of a conftest seed or a small star: leaves with
+    their parent's multiplicity (cut), leaves of II, I0* and the stars
+    (kept), chains grown on both, and cycles."""
+    seeds = seed_curves() + [star(3), star(4)]
+    curve = draw(st.sampled_from(seeds))
+    for on_edge, pick in draw(st.lists(st.tuples(st.booleans(), st.integers(0, 10 ** 6)),
+                                       max_size=24)):
+        if len(curve.ids) >= max_vertices:
+            break
+        if on_edge and curve.edges:
+            curve = blow_up_intersection(curve, pick % len(curve.edges))
+        else:
+            curve = blow_up_point(curve, curve.ids[pick % len(curve.ids)])
+    return curve
+
+
+@given(deep_blowups())
+@settings(max_examples=300, deadline=None)
+def test_cut_matches_oracle_and_minimal_model(curve):
+    group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
+    assert rank == 0
+    assert component_group(curve) == group
+    assert component_group(contract_minus_one(curve)) == group
+
+
+def blowup(curve: SncdCurve, target: int, seed: int) -> SncdCurve:
+    """Seeded point and intersection blow-ups of ``curve`` up to ``target``
+    vertices, intersection ones only while the new multiplicity stays at
+    most 40, built as one curve."""
+    rng = random.Random(seed)
+    verts = list(zip(curve.ids, curve.N, curve.g))
+    mult = dict(zip(curve.ids, curve.N))
+    edges = list(curve.edges)
+    while len(verts) < target:
+        nid = "x%d" % len(verts)
+        if edges and rng.random() < 0.5:
+            k = rng.randrange(len(edges))
+            a, b = edges[k]
+            if mult[a] + mult[b] <= 40:
+                edges[k] = (a, nid)
+                edges.append((nid, b))
+                mult[nid] = mult[a] + mult[b]
+                verts.append((nid, mult[nid], 0))
+                continue
+        v = verts[rng.randrange(len(verts))][0]
+        edges.append((v, nid))
+        mult[nid] = mult[v]
+        verts.append((nid, mult[v], 0))
+    return SncdCurve(verts, edges, curve.p)
+
+
+@pytest.mark.parametrize("target", [300, 10000])
+@pytest.mark.parametrize("name", ["II", "I0*", "g2_semistable"])
+def test_kernel_sees_only_the_core_of_a_blowup(name, target):
+    base = fixture_curve(name)
+    curve = blowup(base, target, seed=target)
+    geo, adj = geometry(curve), curve.adjacency()
+    before = (dict(geo.degree), dict(geo.self_int), {v: dict(n) for v, n in adj.items()})
+    group = component_group(base)
+    with kernel_row_counts() as seen:
+        assert component_group(curve) == group
+    assert len(seen) == 1 and seen[0] <= len(base.ids) + len(base.edges)
+    assert geometry(curve) is geo and curve.adjacency() is adj
+    assert (geo.degree, geo.self_int, adj) == before
+
+
 # -- cached curve data ---------------------------------------------------------
 
 
@@ -421,10 +499,9 @@ def _component_group_seconds(n: int) -> float:
 def test_hub_without_units_stays_sparse(q):
     # centre of multiplicity q with q reduced arms: no unit is left once the
     # centre is eliminated, and Phi = (Z/q)^(q-2)
-    arms = ["a%d" % k for k in range(q)]
-    star = SncdCurve([("c", q, 0)] + [(a, 1, 0) for a in arms], [(a, "c") for a in arms])
+    curve = star(q)
     t0 = time.perf_counter()
-    assert component_group(star).factors == (q,) * (q - 2)
+    assert component_group(curve).factors == (q,) * (q - 2)
     assert time.perf_counter() - t0 < 1.0
 
 
