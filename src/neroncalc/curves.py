@@ -407,13 +407,20 @@ def _parse_json(text: str, what: str):
         raise ParseError("%s: integer literal has too many digits" % what) from exc
 
 
+def _shown(text: str, show=str) -> str:
+    """``show(text)`` for a message, or past 40 characters ``show`` of its
+    first 20 and its length."""
+    if len(text) <= 40:
+        return show(text)
+    return "%s... (%d characters)" % (show(text[:20]), len(text))
+
+
 def _parse_int(text: str, error, noun: str, invalid: str) -> int:
     """``int(text)``, or ``error`` with a message of one short line.
 
     A decimal string past the interpreter's digit limit is named as
     ``noun``, by its first 20 characters and its digit count.  Any other
-    non-integer fills ``invalid``: by its repr, or past 40 characters by
-    the repr of its first 20 and its length.
+    non-integer fills ``invalid`` by its repr, shortened by :func:`_shown`.
     """
     try:
         return int(text)
@@ -422,10 +429,8 @@ def _parse_int(text: str, error, noun: str, invalid: str) -> int:
         digits = body[1:] if body[:1] in ("+", "-") else body
         if digits.isdecimal():
             message = "%s %s... has too many digits (%d)" % (noun, text[:20], len(digits))
-        elif len(text) > 40:
-            message = invalid % ("%r... (%d characters)" % (text[:20], len(text)))
         else:
-            message = invalid % repr(text)
+            message = invalid % _shown(text, repr)
         raise error(message) from exc
 
 

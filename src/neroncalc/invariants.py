@@ -51,25 +51,32 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     cuts leave ``P`` two simple edges to distinct neighbours.  (A cut never
     leaves ``P`` one edge: the edge it removes is simple, so ``P`` had one,
     at the far end of a path, or at least three.)  The cached adjacency and
-    geometry are copied at the first cut, never changed.
+    geometry are copied at the first cut, never changed.  A chain whose
+    walk stops uncut is not walked again: the relations of ``x_k..x_2``
+    remove ``x_{k-1}..x_1``, so its leaf ``y`` stays as one generator with
+    the relation of ``x_1``, ``P - (N_P / N_y) y``, and ``P``'s row takes
+    ``N_{x_1} / N_y`` on ``y`` in place of its 1 on ``x_1``.  Such a ``P``
+    is kept below: it has at least three edges, since integral
+    self-intersections give ``N_y | N_i`` along a chain, so the two ends of
+    a path have equal ``N`` and the whole path is cut.
 
-    Chains are then folded in closed form before elimination.  A vertex is
-    foldable when it has one or two incident edges, simple and to distinct
-    neighbours; every other vertex is kept, and when all are foldable (a
-    cycle or a path) the first one is kept.  Each maximal run ``x_1..x_k``
-    of foldable vertices is walked from a kept vertex ``P = x_0``.  The
+    The runs between kept vertices, and cycles, are then folded in closed
+    form before elimination.  A vertex is foldable when it has one or two
+    incident edges, simple and to distinct neighbours; every other vertex
+    is kept, and when all are foldable (a cycle) the first one is kept.
+    Each maximal run ``x_1..x_k`` of foldable vertices outside the pendant
+    chains is walked from a kept vertex ``P = x_0``.  The
     relations of ``x_1..x_{k-1}`` say ``x_{i+1} = b_i x_i - x_{i-1}`` with
     ``b_i = -E_i^2``, so ``x_i = A_i x_1 - B_i P`` with the continuants
     ``A_0 = 0, B_0 = -1, A_1 = 1, B_1 = 0``.  Each such relation has a unit
     coefficient on the generator it removes, so ``coker(alpha)`` keeps its
     isomorphism type when only ``x_1`` and one relation stay per run:
     ``Q - A_{k+1} x_1 + B_{k+1} P``, with ``Q`` the kept vertex that ends
-    the run (no ``Q`` term when a leaf ends it), while ``Q``'s entry on
-    ``x_k`` becomes ``A_k x_1 - B_k P``.  The kernel
-    :func:`~neroncalc.linalg.smith_diagonal_sparse` gets the square system
-    left, one row per kept vertex and per run (2 rows for any cycle
-    ``I_n``), and the corank check reads its row count.  Cached on the
-    curve (failures are not).
+    the run, while ``Q``'s entry on ``x_k`` becomes ``A_k x_1 - B_k P``.
+    The kernel :func:`~neroncalc.linalg.smith_diagonal_sparse` gets the
+    square system left, one row per kept vertex, per uncut pendant chain
+    and per run (2 rows for any cycle ``I_n``), and the corank check reads
+    its row count.  Cached on the curve (failures are not).
     """
     if curve._phi is not None:
         return curve._phi
@@ -117,6 +124,14 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
         rows[pos[P]] = row = {pos[w]: k for w, k in adj[P].items()}
         if self_int[P]:
             row[pos[P]] = self_int[P]
+    for P, chains in stops.items():  # each uncut chain is its leaf y: x_i = (N_i/N_y) y
+        row, j = rows[pos[P]], pos[P]
+        for y, x1 in chains:
+            i, n = pos[y], N[pos[y]]
+            unwalked.discard(x1)
+            del row[pos[x1]]
+            row[i] = N[pos[x1]] // n
+            rows[i] = {i: -(N[j] // n), j: 1}
     for P in kept:
         for x1 in adj[P]:
             if x1 not in unwalked:
@@ -125,11 +140,8 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
             prev, cur = P, x1
             a0, b0, a1, b1 = 0, -1, 1, 0  # (A, B) of x_{i-1} and of cur = x_i
             while True:
-                if len(adj[cur]) == 1:  # a leaf ends the run
-                    Q = None
-                else:
-                    u, w = adj[cur]
-                    Q = w if u == prev else u
+                u, w = adj[cur]
+                Q = w if u == prev else u
                 b = -self_int[cur]
                 a0, b0, a1, b1 = a1, b1, b * a1 - a0, b * b1 - b0
                 if Q not in unwalked:
@@ -137,13 +149,11 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
                 unwalked.discard(Q)
                 prev, cur = cur, Q
             # cur = x_k; (a0, b0) = (A_k, B_k) and (a1, b1) = (A_{k+1}, B_{k+1})
-            i, j = pos[x1], pos[P]
+            i, j, q = pos[x1], pos[P], pos[Q]
             rows[i] = rel = {}
-            edits = [(rel, i, -a1), (rel, j, b1)]
-            if Q is not None:
-                qrow = rows[pos[Q]]
-                del qrow[pos[cur]]
-                edits += [(rel, pos[Q], 1), (qrow, i, a0), (qrow, j, -b0)]
+            qrow = rows[q]
+            del qrow[pos[cur]]
+            edits = (rel, i, -a1), (rel, j, b1), (rel, q, 1), (qrow, i, a0), (qrow, j, -b0)
             for row, col, v in edits:
                 v += row.get(col, 0)
                 if v:

@@ -13,12 +13,14 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from math import comb, gcd, lcm
+from types import MappingProxyType
 
 from .curves import (
     SncdCurve,
     _parse_int,
     _parse_json,
     _read_text,
+    _shown,
     genus,
     geometry,
     load_curve,
@@ -34,11 +36,6 @@ from .errors import (
 from .invariants import component_group, stabilization_index
 from .ratseries import RationalSeries, _progression_sum
 from .record import Record
-
-
-def _shown(text: str) -> str:
-    """``text`` for a message, or past 40 characters its first 20 and its length."""
-    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:20], len(text))
 
 
 class JumpSet(Record):
@@ -104,67 +101,69 @@ def prym_jump_difference(jumps_a: JumpSet, jumps_a1: JumpSet) -> JumpSet:
     return JumpSet((j, m) for j, m in out.items() if m)
 
 
-class ReductionProvider:
+class ReductionProvider(Record):
     """Reduction graphs of a degeneration across its stable degrees.
 
-    ``curves[a]`` is the dual graph after base change of degree ``a``, for
-    every divisor ``a`` of the stabilization index ``e`` prime to ``p``
-    (degree 1 defaults to the base graph).  Supplied graphs are checked for
-    the division law ``e(curve_a) = e/a`` and genus preservation.
+    ``curves`` maps each degree ``a`` to the dual graph after base change of
+    degree ``a``, for divisors ``a`` of the stabilization index ``e`` prime
+    to ``p``: a read-only mapping in ascending order, ``1`` to ``base``.
+    The constructor is the only judge of a provider.  It refuses a degree
+    that is not an ``int`` (``bool`` included) or not such a divisor, a
+    degree-1 curve other than the base, a curve of the wrong ``p``, index
+    (``e/a``) or genus, and jumps beyond the genus or not multiples of
+    ``1/e``.  ``p``, ``e``, ``genus``, the stable degrees and the period
+    ``lcm(e, p)`` are kept outside the fields, so ``ReductionProvider(**
+    fields)`` rebuilds an equal provider.
     """
 
+    base: SncdCurve
+    curves: MappingProxyType[int, SncdCurve]
+    jumps: JumpSet | None
+
     def __init__(self, base: SncdCurve, curves=None, jumps: JumpSet | None = None):
-        self.base = base
-        self.p = base.p
-        self.e = stabilization_index(base)
-        self.genus = genus(base)
-        self.curves: dict[int, SncdCurve] = {1: base}
+        p, e, g = base.p, stabilization_index(base), genus(base)
+        checked = {1: base}
         for a, c in (curves or {}).items():
-            a = int(a)
+            if type(a) is not int:
+                raise InconsistentData("degree %s is not an integer" % _shown(repr(a)))
             if a == 1:
+                if c is not base and c != base:
+                    raise InconsistentData("curve for degree 1 is not the base curve")
                 continue
-            if a < 1 or self.e % a or (self.p > 1 and gcd(a, self.p) != 1):
+            if a < 1 or e % a or (p > 1 and gcd(a, p) != 1):
                 raise InconsistentData(
-                    "degree %d is not a prime-to-p divisor of e=%d" % (a, self.e)
+                    "degree %d is not a prime-to-p divisor of e=%d" % (a, e)
                 )
-            if c.p != self.p:
+            if c.p != p:
                 raise InconsistentData("curve for degree %d has p=%d" % (a, c.p))
-            if stabilization_index(c) != self.e // a:
+            if stabilization_index(c) != e // a:
                 raise InconsistentData(
                     "curve for degree %d has index %d, expected %d"
-                    % (a, stabilization_index(c), self.e // a)
+                    % (a, stabilization_index(c), e // a)
                 )
-            if genus(c) != self.genus:
+            if genus(c) != g:
                 raise InconsistentData(
-                    "curve for degree %d has genus %d, expected %d"
-                    % (a, genus(c), self.genus)
+                    "curve for degree %d has genus %d, expected %d" % (a, genus(c), g)
                 )
-            self.curves[a] = c
-        self.jumps = jumps
+            checked[a] = c
         if jumps is not None:
-            if jumps.total_multiplicity > self.genus:
+            if jumps.total_multiplicity > g:
                 raise InconsistentData("more jumps than the genus allows")
             for j, _ in jumps.jumps:
-                if (self.e * j).denominator != 1:
+                if (e * j).denominator != 1:
                     raise InconsistentData(
-                        "jump %s is not a multiple of 1/e with e=%d"
-                        % (_shown(str(j)), self.e)
+                        "jump %s is not a multiple of 1/e with e=%d" % (_shown(str(j)), e)
                     )
+        super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
+        degrees = tuple(a for a in _divisors(e) if p == 1 or gcd(a, p) == 1)
+        vars(self).update(p=p, e=e, genus=g, _degrees=degrees, _period=lcm(e, p))
 
-    def stable_degrees(self) -> list[int]:
+    def stable_degrees(self) -> tuple[int, ...]:
         """Divisors of ``e`` prime to ``p``, ascending."""
-        return [
-            a for a in _divisors(self.e) if self.p == 1 or gcd(a, self.p) == 1
-        ]
-
-    def curve_for(self, a: int) -> SncdCurve:
-        try:
-            return self.curves[a]
-        except KeyError:
-            raise ProviderIncomplete("no reduction data for degree %d" % a) from None
+        return self._degrees
 
     def require_complete(self):
-        missing = [a for a in self.stable_degrees() if a not in self.curves]
+        missing = [a for a in self._degrees if a not in self.curves]
         if missing:
             shown = str(missing)
             if len(shown) > 40:  # the count and the first few
@@ -183,10 +182,10 @@ def _degree_blocks(provider: ReductionProvider):
     the start ``c = |Phi_a| / a^t``, so ``|Phi(d)| = c d^t`` on their classes
     modulo ``lcm(e, p)``.  The only walk over the tame residues."""
     e, p = provider.e, provider.p
-    for a in provider.stable_degrees():
-        curve = provider.curve_for(a)
+    for a in provider._degrees:
+        curve = provider.curves[a]
         c = Fraction(component_group(curve).order, a ** geometry(curve).b1)
-        degrees = range(a, lcm(e, p) + 1, a)
+        degrees = range(a, provider._period + 1, a)
         yield a, curve, c, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
 
 
@@ -198,9 +197,9 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
     numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``.
     """
     provider.require_complete()
-    period = lcm(provider.e, provider.p)
     blocks = [
-        _progression_sum({(d, 0, ()): c for d in degrees}, period, geometry(curve).b1, 0)
+        _progression_sum({(d, 0, ()): c for d in degrees}, provider._period,
+                         geometry(curve).b1, 0)
         for _, curve, c, degrees in _degree_blocks(provider)
     ]
     # Every block is one numerator over a power of one factor.  A reduced
@@ -219,10 +218,8 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     """
     provider.require_complete()
     jumps = provider.require_jumps()
-    period = lcm(provider.e, provider.p)
-    w = period * jumps.c_tame
-    if w.denominator != 1:
-        raise InconsistentData("lcm(e, p) * c_tame = %s is not an integer" % w)
+    period = provider._period
+    w = int(period * jumps.c_tame)  # an integer: every jump is a multiple of 1/e
     blocks = []
     for a, curve, c, degrees in _degree_blocks(provider):
         geo = geometry(curve)
@@ -232,7 +229,7 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = _progression_sum(start, period, t, int(w)) * torus
+        block = _progression_sum(start, period, t, w) * torus
         blocks.append(block.require_integral("zeta block at degree %d" % a))
     return RationalSeries.sum(blocks).require_integral("motivic zeta")
 
@@ -246,8 +243,7 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             num.update(((d, 0, ()), c) for d in degrees)
-    period = lcm(provider.e, provider.p)
-    return RationalSeries(num, ((0, period),)).require_integral("euler specialization")
+    return RationalSeries(num, ((0, provider._period),)).require_integral("euler specialization")
 
 
 def euler_characteristic_map(series: RationalSeries) -> RationalSeries:

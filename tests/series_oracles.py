@@ -25,7 +25,7 @@ def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
     e, p = provider.e, provider.p
     blocks = []
     for a in provider.stable_degrees():
-        curve = provider.curve_for(a)
+        curve = provider.curves[a]
         t = geometry(curve).b1
         phi = component_group(curve).order
         e_a = e // a
@@ -46,7 +46,7 @@ def _residues(provider: ReductionProvider):
     for alpha in range(1, lcm(e, p) + 1):
         if p > 1 and gcd(alpha, p) != 1:
             continue
-        yield alpha, gcd(alpha, e), provider.curve_for(gcd(alpha, e))
+        yield alpha, gcd(alpha, e), provider.curves[gcd(alpha, e)]
 
 
 def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:

@@ -602,6 +602,24 @@ def test_provider_degree_below_one_is_refused(tmp_path, degree):
         1, "", "error: degree %s is not a prime-to-p divisor of e=6\n" % degree)
 
 
+@pytest.mark.parametrize("name, refused", [("I0.json", True), ("II.json", False)])
+def test_degree_1_curve_must_be_the_base(tmp_path, capsys, name, refused):
+    """A degree-1 entry is refused unless it is the base curve again."""
+    with open(fx("provider_II.json"), encoding="utf-8") as f:
+        provider = json.load(f)
+    provider["base"] = os.path.abspath(fx("II.json"))
+    provider["curves"] = {a: os.path.abspath(fx(f)) for a, f in provider["curves"].items()}
+    provider["curves"]["1"] = os.path.abspath(fx(name))
+    path = tmp_path / "provider.json"
+    _write(path, provider)
+    code, out, err = run(capsys, "series", str(path), "--json")
+    if refused:
+        assert (code, out, json.loads(err)) == (1, "", {
+            "error": "curve for degree 1 is not the base curve", "type": "InconsistentData"})
+    else:
+        assert (code, out, err) == run(capsys, "series", fx("provider_II.json"), "--json")
+
+
 @pytest.mark.parametrize("jump, message", [
     ({"j": "3/2"}, "jump 3/2 outside [0, 1)"),
     ({"j": "1/6", "m": 0}, "jump multiplicity must be >= 1"),

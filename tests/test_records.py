@@ -34,14 +34,14 @@ RECORDS = {
     "BaseChangeLaws", "BaseChangeTrace", "CurveGeometry", "CycloProduct",
     "EdgeRecord", "EllipticData", "FiniteAbelianGroup", "HJChain",
     "InvariantReport", "JumpSet", "KodairaType", "LocalPointData",
-    "RamificationFiltration", "SncdCurve", "TraceReport", "ValidationReport",
-    "Vertex", "WildDefectReport",
+    "RamificationFiltration", "ReductionProvider", "SncdCurve", "TraceReport",
+    "ValidationReport", "Vertex", "WildDefectReport",
 }
 # The classes that check or normalize their input in their own ``__init__``;
 # every other record is built by ``Record.__init__`` alone.
 CHECKING = {
     "CycloProduct", "EllipticData", "FiniteAbelianGroup", "HJChain", "JumpSet",
-    "KodairaType", "RamificationFiltration", "SncdCurve",
+    "KodairaType", "RamificationFiltration", "ReductionProvider", "SncdCurve",
 }
 
 
@@ -67,7 +67,8 @@ def sample_records() -> list[Record]:
     for name in sorted(os.listdir(FIXTURES)):
         path = os.path.join(FIXTURES, name)
         if name.startswith("provider"):
-            out.append(load_provider(path).jumps)
+            provider = load_provider(path)
+            out += [provider, provider.jumps]
             continue
         curve = load_curve(path)
         report = invariant_report(curve)

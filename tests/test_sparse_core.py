@@ -372,6 +372,35 @@ def test_cut_matches_oracle_and_minimal_model(curve):
     assert component_group(contract_minus_one(curve)) == group
 
 
+def uncut_chains(curve: SncdCurve) -> list[tuple[int, int, int]]:
+    """``(length, N_leaf, N_x1)`` of each pendant chain whose leaf's
+    multiplicity differs from that of the vertex it hangs from."""
+    adj, degree, N = curve.adjacency(), geometry(curve).degree, dict(zip(curve.ids, curve.N))
+    out = []
+    for y in (v for v, d in degree.items() if d == 1):
+        prev, cur, k = y, next(iter(adj[y])), 1
+        while degree[cur] == len(adj[cur]) == 2:
+            u, w = adj[cur]
+            prev, cur, k = cur, w if u == prev else u, k + 1
+        if N[y] != N[cur]:
+            out.append((k, N[y], N[prev]))
+    return out
+
+
+def test_uncut_chains_match_the_oracle():
+    """A pendant chain that is not cut reaches the kernel as its leaf ``y``
+    alone, with ``N_{x_1}/N_y`` in its root's row: small-d transforms of
+    II*, I0* and IV*, several with such chains of two or more vertices."""
+    long_chains = 0
+    for name, e in (("II*", 6), ("I0*", 2), ("IV*", 3)):
+        for d in (d for d in range(1, 12) if gcd(d, e) == 1):
+            curve = transform(fixture_curve(name), d)[0]
+            long_chains += sum(k >= 2 and ny != nx for k, ny, nx in uncut_chains(curve))
+            group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
+            assert rank == 0 and component_group(curve) == group, (name, d)
+    assert long_chains >= 6
+
+
 def blowup(curve: SncdCurve, target: int, seed: int) -> SncdCurve:
     """Seeded point and intersection blow-ups of ``curve`` up to ``target``
     vertices, intersection ones only while the new multiplicity stays at

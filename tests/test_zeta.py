@@ -68,7 +68,7 @@ def test_provider_takes_a_degree_dividing_the_index():
     # II at d = 2 is IV; transform refuses d = 2 | e, the provider checks e / 2
     provider = ReductionProvider(fixture_curve("II"), {2: fixture_curve("IV")})
     assert provider.e == 6
-    assert stabilization_index(provider.curve_for(2)) == 3
+    assert stabilization_index(provider.curves[2]) == 3
 
 
 def provider_good():
@@ -135,7 +135,7 @@ def test_series_run_over_the_tame_degrees(make):
         assert [n for n, _, _ in series if p > 1 and n % p == 0] == []
     want = {}
     for (d, _, _), count in counts.items():
-        curve = provider.curve_for(gcd(d, e))
+        curve = provider.curves[gcd(d, e)]
         geo = geometry(curve)
         t = geo.b1
         l = provider.genus - t - geo.abelian_rank + ord_function(provider.jumps, d)
@@ -301,6 +301,35 @@ def test_provider_validation():
         ReductionProvider(
             good_elliptic(), {}, JumpSet([(Fraction(0), 2)])
         )
+
+
+def test_provider_is_frozen():
+    """Built from a dict in any order, with the base again as degree 1, a
+    provider keeps the checked curves in degree order; nothing can change."""
+    curves = {6: good_elliptic(), 2: fixture_curve("IV"), 3: fixture_curve("I0*"),
+              1: fixture_curve("II")}
+    provider = ReductionProvider(fixture_curve("II"), curves, JumpSet([(Fraction(1, 6), 1)]))
+    for name in ("jumps", "curves", "e"):
+        with pytest.raises(AttributeError):
+            setattr(provider, name, None)
+    with pytest.raises(TypeError):
+        provider.curves[2] = fixture_curve("I0*")
+    curves[2] = fixture_curve("I0*")
+    del curves[3]
+    assert list(provider.curves) == [1, 2, 3, 6] and provider.curves[1] is provider.base
+    assert provider == provider_II() and provider.curves[2] == fixture_curve("IV")
+
+
+@pytest.mark.parametrize("degree, curve, message", [
+    (1, "I0", "curve for degree 1 is not the base curve"),
+    (2.5, "IV", "degree 2.5 is not an integer"),
+    ("x", "IV", "degree 'x' is not an integer"),
+    (True, "II", "degree True is not an integer"),
+], ids=["other_base", "float", "str", "bool"])
+def test_provider_refuses_a_degree(degree, curve, message):
+    with pytest.raises(InconsistentData) as info:
+        ReductionProvider(fixture_curve("II"), {degree: fixture_curve(curve)})
+    assert str(info.value) == message and len(message) < 200
 
 
 def test_zeta_requires_jumps():
