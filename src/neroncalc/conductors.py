@@ -184,13 +184,11 @@ def d_pot(data: EllipticData) -> int:
 def artin_relation(data: EllipticData) -> tuple[int, Fraction]:
     """Recover the Artin conductor from ``c = -(Art + d_pot)/12``.
 
-    Returns ``(Art, c)`` and cross-checks a user-supplied value.
+    Returns ``(Art, c)`` and cross-checks a user-supplied value.  ``Art =
+    -v(Delta)``: ``-(v(Delta) + v(j)) + v(j)`` when multiplicative.
     """
     c = c_elliptic(data)
-    art = -12 * c - d_pot(data)
-    if art.denominator != 1:
-        raise InconsistentData("derived Artin conductor %s is not integral" % art)
-    art = int(art)
+    art = int(-12 * c) - d_pot(data)
     if data.art is not None and data.art != art:
         raise InconsistentData(
             "supplied Art = %d contradicts derived Art = %d" % (data.art, art)

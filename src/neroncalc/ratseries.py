@@ -9,12 +9,14 @@ the empty multiset is the unit).  Numerators are flat dictionaries
 
 with no zero values; denominators are multisets of factors ``1 - L^a T^b``
 with ``b >= 1``.  A ``Fraction`` coefficient only appears transiently inside
-an assembly that divides (an integral one is stored as an ``int``), and
-callers assert integrality at the end.
+an assembly that divides (an integral one is stored as an ``int``).
 
 A sum is assembled once (:meth:`RationalSeries.sum`): one common
-denominator, one numerator, one reduction.  Reduction rejects a factor by
-the remainder modulo it, linear in the numerator's terms.
+denominator, one numerator, one reduction.  Reduction tries each distinct
+factor once, dividing until it fails: the remainder modulo the factor,
+linear in the numerator's terms, rejects it, and an exact quotient is the
+numerator times the factor's geometric series cut off at the quotient's
+T-degree, the product :meth:`RationalSeries.expand` takes too.
 
 A block of arithmetic progressions ``sum_q (q e + b)^t L^{q w} T^{q e + b}``
 over many residues ``b`` is one progression numerator over
@@ -55,11 +57,6 @@ def _coeff(v) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
-def _poly_scale(a: Poly, c) -> Poly:
-    c = _coeff(c)
-    return _clean({k: v * c for k, v in a.items()})
-
-
 def _merge_ab(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(x + y))
 
@@ -95,49 +92,42 @@ def _remainder(num: Poly, a: int, b: int) -> Poly:
     return _clean(out)
 
 
+def _times_geometric(poly: Poly, a: int, b: int, order: int) -> Poly:
+    """``poly / (1 - L^a T^b)`` up to ``T^order`` by doubling: ``poly (1 + L^a
+    T^b) (1 + L^{2a} T^{2b}) (1 + L^{4a} T^{4b}) ...``, ``log(order)`` passes."""
+    acc = {k: v for k, v in poly.items() if k[0] <= order}
+    span = order - min((k[0] for k in acc), default=order)
+    while b <= span:
+        for (n, l, ab), v in list(acc.items()):
+            if n + b <= order:
+                key = (n + b, l + a, ab)
+                acc[key] = acc[key] + v if key in acc else v
+        a, b = 2 * a, 2 * b
+    return _clean(acc)
+
+
 def _divide_by_factor(num: Poly, a: int, b: int) -> Poly | None:
-    """Exact quotient ``num / (1 - L^a T^b)`` or None if not divisible."""
-    if not num:
-        return {}
+    """Exact quotient ``num / (1 - L^a T^b)`` or None if not divisible.
+
+    A zero remainder means ``num = q (1 - L^a T^b)`` with ``deg_T q =
+    deg_T num - b``: ``q`` is the power series ``num / (1 - L^a T^b)`` cut
+    off there, whatever the lowest T-degree of ``num``."""
     if _remainder(num, a, b):
         return None
-    # divisible, so the recursion q_n = num_n + L^a q_{n-b} ends exactly
-    max_n = max(k[0] for k in num)
-    slices: dict[int, Poly] = {}
-    for (n, l, ab), v in num.items():
-        slices.setdefault(n, {})[(0, l, ab)] = v
-    q_slices: dict[int, Poly] = {}
-    for n in range(0, max_n + 1):
-        cur = dict(slices.get(n, {}))
-        prev = q_slices.get(n - b)
-        if prev:
-            for (z, l, ab), v in prev.items():
-                k = (z, l + a, ab)
-                cur[k] = cur.get(k, 0) + v
-        cur = _clean(cur)
-        if cur:
-            q_slices[n] = cur
-    quotient: Poly = {}
-    for n, sl in q_slices.items():
-        for (_, l, ab), v in sl.items():
-            quotient[(n, l, ab)] = v
-    return quotient
+    top = max((k[0] for k in num), default=0) - b
+    return _times_geometric(num, a, b, top)
 
 
 def _reduce(num: Poly, den: tuple[tuple[int, int], ...]):
-    changed = True
-    while changed and num:
-        changed = False
-        for f in sorted(set(den)):
-            q = _divide_by_factor(num, *f)
-            if q is not None:
-                num = q
-                rem = list(den)
-                rem.remove(f)
-                den = tuple(rem)
-                changed = True
-                break
-    return num, den
+    """Cancel each distinct factor of ``den`` while it divides ``num``: once
+    ``f`` fails it fails for good, as ``num / f' = f r`` gives ``num = f f' r``."""
+    left: list[tuple[int, int]] = []
+    for f in sorted(set(den)):
+        k = den.count(f)
+        while k and (q := _divide_by_factor(num, *f)) is not None:
+            num, k = q, k - 1
+        left += [f] * k
+    return num, tuple(left)
 
 
 class RationalSeries:
@@ -214,7 +204,8 @@ class RationalSeries:
         )
 
     def scale(self, c) -> "RationalSeries":
-        return RationalSeries(_poly_scale(self._num_dict(), c), self.den)
+        c = _coeff(c)
+        return RationalSeries({k: v * c for k, v in self.num}, self.den)
 
     def mul_monomial(self, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
         return self * RationalSeries.monomial(coeff, n, l, ab)
@@ -247,18 +238,7 @@ class RationalSeries:
         """Power series coefficients up to and including ``T^order``."""
         out = {k: v for k, v in self.num if k[0] <= order}
         for a, b in self.den:
-            # multiply by 1 + L^a T^b + L^{2a} T^{2b} + ...
-            acc: Poly = dict(out)
-            step = dict(out)
-            while step:
-                step = {
-                    (n + b, l + a, ab): v
-                    for (n, l, ab), v in step.items()
-                    if n + b <= order
-                }
-                for key, v in step.items():
-                    acc[key] = acc.get(key, 0) + v
-            out = _clean(acc)
+            out = _times_geometric(out, a, b, order)
         return out
 
     def coefficient(self, n: int) -> Poly:

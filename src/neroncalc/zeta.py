@@ -132,7 +132,7 @@ class ReductionProvider(Record):
                 continue
             if a < 1 or e % a or (p > 1 and gcd(a, p) != 1):
                 raise InconsistentData(
-                    "degree %d is not a prime-to-p divisor of e=%d" % (a, e)
+                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown(str(a)), e)
                 )
             if c.p != p:
                 raise InconsistentData("curve for degree %d has p=%d" % (a, c.p))
@@ -177,16 +177,16 @@ class ReductionProvider(Record):
 
 
 def _degree_blocks(provider: ReductionProvider):
-    """Yield ``(a, curve, c, degrees)`` per stable degree ``a``: the ``d`` in
-    ``1..lcm(e, p)`` with ``p`` not dividing ``d`` and ``gcd(d, e) = a``, and
-    the start ``c = |Phi_a| / a^t``, so ``|Phi(d)| = c d^t`` on their classes
-    modulo ``lcm(e, p)``.  The only walk over the tame residues."""
+    """Yield ``(curve, c, degrees)`` per stable degree ``a``: its curve, the
+    start ``c = |Phi_a| / a^t`` and the ``d`` in ``1..lcm(e, p)`` with ``p``
+    not dividing ``d`` and ``gcd(d, e) = a``, so ``|Phi(d)| = c d^t`` on their
+    classes modulo ``lcm(e, p)``.  The only walk over the tame residues."""
     e, p = provider.e, provider.p
     for a in provider._degrees:
         curve = provider.curves[a]
         c = Fraction(component_group(curve).order, a ** geometry(curve).b1)
         degrees = range(a, provider._period + 1, a)
-        yield a, curve, c, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
+        yield curve, c, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
 
 
 def component_series(provider: ReductionProvider) -> RationalSeries:
@@ -194,17 +194,19 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
 
     Each stable degree ``a`` contributes ``|Phi_a| (d/a)^{t_a} T^d`` over the
     degrees ``d`` prime to ``p`` with ``gcd(d, e) = a``: one progression
-    numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``.
+    numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``.  Its coefficients are
+    integers: the start degrees and the period are multiples of ``a``, so
+    each ``T d/dT`` step multiplies ``c = |Phi_a| / a^t`` by a multiple of ``a``.
     """
     provider.require_complete()
     blocks = [
         _progression_sum({(d, 0, ()): c for d in degrees}, provider._period,
                          geometry(curve).b1, 0)
-        for _, curve, c, degrees in _degree_blocks(provider)
+        for curve, c, degrees in _degree_blocks(provider)
     ]
     # Every block is one numerator over a power of one factor.  A reduced
     # num / f^k is unique, so the one-shot sum equals the pairwise fold.
-    return RationalSeries.sum(blocks).require_integral("component series")
+    return RationalSeries.sum(blocks)
 
 
 def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
@@ -214,14 +216,15 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     gcd(d, e)`` fiber with ``|Phi_a| (d/a)^t`` components, and ``ord(d)``
     grows by ``w = lcm(e, p) * c_tame`` per period: each block one
     progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}``, times that
-    degree's torus class.
+    degree's torus class.  As in :func:`component_series`, the ``t`` steps
+    ``T d/dT`` multiply ``|Phi_a| / a^t`` by a multiple of ``a^t``: an integer.
     """
     provider.require_complete()
     jumps = provider.require_jumps()
     period = provider._period
     w = int(period * jumps.c_tame)  # an integer: every jump is a multiple of 1/e
     blocks = []
-    for a, curve, c, degrees in _degree_blocks(provider):
+    for curve, c, degrees in _degree_blocks(provider):
         geo = geometry(curve)
         t, u = geo.b1, provider.genus - geo.b1 - geo.abelian_rank
         ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
@@ -229,9 +232,8 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = _progression_sum(start, period, t, w) * torus
-        blocks.append(block.require_integral("zeta block at degree %d" % a))
-    return RationalSeries.sum(blocks).require_integral("motivic zeta")
+        blocks.append(_progression_sum(start, period, t, w) * torus)
+    return RationalSeries.sum(blocks)
 
 
 def euler_specialize(provider: ReductionProvider) -> RationalSeries:
@@ -239,11 +241,11 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
     ``|Phi(d)|`` on degrees of additive reduction and 0 elsewhere."""
     provider.require_complete()
     num = {}
-    for _, curve, c, degrees in _degree_blocks(provider):
+    for curve, c, degrees in _degree_blocks(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
             num.update(((d, 0, ()), c) for d in degrees)
-    return RationalSeries(num, ((0, provider._period),)).require_integral("euler specialization")
+    return RationalSeries(num, ((0, provider._period),))
 
 
 def euler_characteristic_map(series: RationalSeries) -> RationalSeries:
@@ -300,6 +302,8 @@ def load_provider(path: str) -> ReductionProvider:
     curves = {}
     for a, name in raw_curves.items():
         degree = _parse_int(a, ParseError, "curve degree", "curve degree %s is not an integer")
+        if degree in curves:
+            raise ParseError("curve degree %s is given twice" % _shown(str(degree)))
         curves[degree] = load_curve(_resolve(name))
     jumps = None
     if "jumps" in doc:

@@ -1,4 +1,5 @@
-"""Per-residue assemblies of the three provider series, used only by the tests.
+"""Per-residue assemblies of the three provider series, and the slice
+division and restart reduction of numerators, used only by the tests.
 
 Each walks its own residues, independently of :mod:`neroncalc.zeta`: every
 residue is its own :func:`~neroncalc.ratseries.geometric_sum`, built and
@@ -8,6 +9,11 @@ are summed.  All three run over the residues prime to ``p`` modulo
 a^t``.  A reduced numerator over powers of one factor is unique, so the
 library's block-at-once assemblies must give the same ``to_dict()`` bit for
 bit.
+
+:func:`reduce_by_restart` cancels denominator factors by the slice division
+of :func:`divide_by_verified_quotient`, starting again from the smallest
+factor after every success; the library's one pass over the factors must
+leave the same numerator and denominator.
 """
 
 from fractions import Fraction
@@ -16,7 +22,13 @@ from math import comb, gcd, lcm
 from neroncalc.curves import geometry
 from neroncalc.errors import InconsistentData
 from neroncalc.invariants import component_group
-from neroncalc.ratseries import RationalSeries, geometric_sum
+from neroncalc.ratseries import (
+    RationalSeries,
+    _clean,
+    _factor_poly,
+    _poly_mul,
+    geometric_sum,
+)
 from neroncalc.zeta import ReductionProvider, ord_function
 
 
@@ -87,3 +99,43 @@ def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
             phi = component_group(curve).order
             terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, period),)))
     return RationalSeries.sum(terms).require_integral("euler specialization")
+
+
+def divide_by_verified_quotient(num, a, b):
+    """Quotient by ``1 - L^a T^b`` from the slice recursion, accepted only
+    when quotient times factor gives ``num`` back."""
+    if not num:
+        return {}
+    slices = {}
+    for (n, l, ab), v in num.items():
+        slices.setdefault(n, {})[(l, ab)] = v
+    quotient = {}
+    for n in range(min(slices), max(slices) + 1):
+        cur = dict(slices.get(n, {}))
+        for (l, ab), v in quotient.get(n - b, {}).items():
+            cur[(l + a, ab)] = cur.get((l + a, ab), Fraction(0)) + v
+        cur = {k: v for k, v in cur.items() if v}
+        if cur:
+            quotient[n] = cur
+    flat = {(n, l, ab): v for n, sl in quotient.items() for (l, ab), v in sl.items()}
+    if _poly_mul(flat, _factor_poly(a, b)) != _clean(dict(num)):
+        return None
+    return flat
+
+
+def reduce_by_restart(num, den):
+    """Cancel factors of ``den`` against ``num``, trying the distinct factors
+    in sorted order and starting again from the first after each success."""
+    changed = True
+    while changed and num:
+        changed = False
+        for f in sorted(set(den)):
+            q = divide_by_verified_quotient(num, *f)
+            if q is not None:
+                num = q
+                rem = list(den)
+                rem.remove(f)
+                den = tuple(rem)
+                changed = True
+                break
+    return num, den

@@ -384,7 +384,11 @@ HOSTILE_PROVIDERS = {
     "curves_degree_5000_digits": {"base": "II.json", "curves": {"1" + "0" * 4999: "IV.json"}},
     "curves_degree_5000_letters": {"base": "II.json", "curves": {"x" * 5000: "IV.json"}},
     "not_utf8": b'{"base": "II.json", "note": "\xff"}',
+    # parsed, then refused by the provider as no divisor of e
+    "curves_degree_3001_digits": {"base": "II.json", "curves": {"1" + "0" * 3000: "II.json"}},
 }
+# the error type of a hostile provider that is not a ParseError
+HOSTILE_PROVIDER_KINDS = {"curves_degree_3001_digits": "InconsistentData"}
 
 
 def _spy_on_curves(monkeypatch) -> list:
@@ -456,8 +460,8 @@ def _write(path, doc):
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
-def _assert_parse_error(path, *text_argv, json_argv):
-    """One ``error:`` line in text mode and a ``ParseError`` with ``--json``,
+def _assert_one_line_error(path, *text_argv, json_argv, kind="ParseError"):
+    """One ``error:`` line in text mode and a ``kind`` error with ``--json``,
     each from a fresh child, with no traceback and nothing on stdout."""
     code, out, err = run_child(*text_argv, str(path))
     assert (code, out) == (1, "") and "Traceback" not in err
@@ -467,22 +471,25 @@ def _assert_parse_error(path, *text_argv, json_argv):
     assert len(lines[0]) < 200, lines[0][:300]
     code, out, err = run_child(*json_argv, str(path), "--json")
     assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": lines[0][len("error: "):], "type": "ParseError"}
+    assert json.loads(err) == {"error": lines[0][len("error: "):], "type": kind}
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_CURVES))
 def test_hostile_curve_ends_in_parse_error(tmp_path, name):
     path = tmp_path / "curve.json"
     _write(path, HOSTILE_CURVES[name])
-    _assert_parse_error(path, "analyze", json_argv=["basechange", "-d", "5"])
+    _assert_one_line_error(path, "analyze", json_argv=["basechange", "-d", "5"])
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_PROVIDERS))
 def test_hostile_provider_ends_in_parse_error(tmp_path, name):
+    """A ParseError unless the provider's constructor refuses the parsed
+    document (:data:`HOSTILE_PROVIDER_KINDS`); one short line either way."""
     (tmp_path / "II.json").write_text(open(fx("II.json")).read())
     path = tmp_path / "provider.json"
     _write(path, HOSTILE_PROVIDERS[name])
-    _assert_parse_error(path, "series", json_argv=["zeta"])
+    _assert_one_line_error(path, "series", json_argv=["zeta"],
+                           kind=HOSTILE_PROVIDER_KINDS.get(name, "ParseError"))
 
 
 def test_non_integer_degree_wording_is_unchanged(tmp_path):

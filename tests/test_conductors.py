@@ -125,6 +125,18 @@ def test_artin_relation_examples():
         )
 
 
+@pytest.mark.parametrize("data", [standard_data(symbol) for symbol in TABLE] + [
+    EllipticData(KodairaType.parse("II"), 6, "good", p=2),
+    EllipticData(KodairaType("I", 5), 5, "multiplicative", v_j=-5),
+    EllipticData(KodairaType("I*", 4), 13, "multiplicative", v_j=-1, p=2),
+    EllipticData(KodairaType("I*", 6), 13, "multiplicative", v_j=-4, delta_wild=1, p=2),
+], ids=list(TABLE) + ["II_p2", "I5_multiplicative", "I4star_p2", "I6star_wild"])
+def test_artin_conductor_is_minus_v_delta(data):
+    """``-12 c - d_pot = -v(Delta)`` on both branches, so ``Art`` is an integer."""
+    art = artin_relation(data)[0]
+    assert art == -data.v_delta and type(art) is int
+
+
 def test_negative_discriminant_valuation_is_refused():
     for potential, v_j in (("good", None), ("multiplicative", -2)):
         with pytest.raises(InconsistentData, match=r"v\(Delta_min\) = -6 < 0"):

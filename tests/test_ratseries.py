@@ -72,6 +72,13 @@ def test_reduction_cancels_shared_factor():
     assert s == geometric_sum(1, 1, 0, 0)
 
 
+def test_reduction_keeps_negative_T_degrees():
+    """``(T^-1 - 1) / (1 - T)`` is ``T^-1``: the quotient starts below ``T^0``."""
+    s = RationalSeries({(-1, 0, ()): 1, (0, 0, ()): -1}, ((0, 1),))
+    assert str(s) == "T^-1" and s.den == ()
+    assert s.expand(3) == {(-1, 0, ()): 1}
+
+
 def test_pole_order_counts_net_vanishing():
     assert geometric_sum(1, 1, 1, 0).pole_order_at_one() == 2
     s = series_from({(1, 0, ()): 4, (2, 0, ()): 1}, [(0, 2)])

@@ -19,6 +19,7 @@ from neroncalc.ratseries import (
     _divide_by_factor,
     _factor_poly,
     _poly_mul,
+    _reduce,
     _remainder,
 )
 from neroncalc.zeta import (
@@ -32,14 +33,16 @@ from neroncalc.zeta import (
 )
 
 from cyclo_oracles import phi_basis_as_poly
-from provider_sweep import looped_provider, star_provider
+from provider_sweep import law_providers, looped_provider, star_provider
 from series_oracles import (
     component_series_per_residue,
+    divide_by_verified_quotient,
     euler_specialize_per_residue,
     motivic_zeta_per_residue,
+    reduce_by_restart,
 )
 
-# -- oracles: the pairwise sum and the verified division ------------------------
+# -- oracle: the pairwise sum ------------------------------------------------------
 
 
 def poly_add(a, b):
@@ -69,28 +72,6 @@ def pairwise_add(x: RationalSeries, y: RationalSeries) -> RationalSeries:
 
 def fold(terms) -> RationalSeries:
     return reduce(pairwise_add, terms, RationalSeries.zero())
-
-
-def divide_by_verified_quotient(num, a, b):
-    """Quotient by ``1 - L^a T^b`` from the slice recursion, accepted only
-    when quotient times factor gives ``num`` back."""
-    if not num:
-        return {}
-    slices = {}
-    for (n, l, ab), v in num.items():
-        slices.setdefault(n, {})[(l, ab)] = v
-    quotient = {}
-    for n in range(max(slices) + 1):
-        cur = dict(slices.get(n, {}))
-        for (l, ab), v in quotient.get(n - b, {}).items():
-            cur[(l + a, ab)] = cur.get((l + a, ab), Fraction(0)) + v
-        cur = {k: v for k, v in cur.items() if v}
-        if cur:
-            quotient[n] = cur
-    flat = {(n, l, ab): v for n, sl in quotient.items() for (l, ab), v in sl.items()}
-    if _poly_mul(flat, _factor_poly(a, b)) != _clean(dict(num)):
-        return None
-    return flat
 
 
 # -- strategies -------------------------------------------------------------------
@@ -246,10 +227,14 @@ SHIPPED_PROVIDERS = sorted(
 )
 
 
-@pytest.mark.parametrize("name", SHIPPED_PROVIDERS)
-def test_shipped_series_hold_plain_int_coefficients(name):
-    """Integral coefficients are stored as ``int``, never as ``Fraction``."""
-    provider = load_provider(os.path.join(FIXTURES, name))
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda name=name: load_provider(os.path.join(FIXTURES, name)), id=name)
+    for name in SHIPPED_PROVIDERS
+] + [pytest.param(make, id=name) for name, make in law_providers()])
+def test_shipped_series_hold_plain_int_coefficients(make):
+    """Integral coefficients are stored as ``int``, never as ``Fraction``:
+    the three series check no integrality themselves."""
+    provider = make()
     z = motivic_zeta(provider)
     values = []
     for series in (component_series(provider), z, euler_specialize(provider),
@@ -270,6 +255,21 @@ def test_remainder_agrees_with_verified_quotient(num, a, b, multiply):
     want = divide_by_verified_quotient(num, a, b)
     assert (not _remainder(num, a, b)) == (want is not None)
     assert _divide_by_factor(num, a, b) == want
+
+
+@given(
+    st.dictionaries(st.tuples(st.integers(-2, 5), st.integers(-3, 3), AB),
+                    st.integers(-5, 5).filter(bool), min_size=1, max_size=4),
+    st.lists(st.sampled_from(FACTORS), min_size=2, max_size=4),
+    st.lists(st.sampled_from(FACTORS), min_size=1, max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_one_pass_reduction_equals_the_restart_loop(base, divisors, den):
+    """A numerator that is a product of several factors, some of them in the
+    denominator, reduces as the restart loop reduces it."""
+    num = reduce(_poly_mul, (_factor_poly(*f) for f in divisors), base)
+    den = tuple(sorted(den + divisors[: len(divisors) // 2]))
+    assert _reduce(num, den) == reduce_by_restart(num, den)
 
 
 # -- direct expansion ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Component series, order function, motivic zeta and its specialization."""
 
+import json
+import os
 from fractions import Fraction
 from math import comb, floor, gcd, lcm
 
@@ -12,6 +14,7 @@ from neroncalc.curves import genus, geometry
 from neroncalc.errors import (
     InconsistentData,
     NotContained,
+    ParseError,
     PreconditionError,
     ProviderIncomplete,
 )
@@ -24,6 +27,7 @@ from neroncalc.zeta import (
     component_series,
     euler_characteristic_map,
     euler_specialize,
+    load_provider,
     motivic_zeta,
     ord_function,
     prym_jump_difference,
@@ -325,11 +329,34 @@ def test_provider_is_frozen():
     (2.5, "IV", "degree 2.5 is not an integer"),
     ("x", "IV", "degree 'x' is not an integer"),
     (True, "II", "degree True is not an integer"),
-], ids=["other_base", "float", "str", "bool"])
+    (10 ** 3000, "IV", "degree 10000000000000000000... (3001 characters) "
+     "is not a prime-to-p divisor of e=6"),
+], ids=["other_base", "float", "str", "bool", "3001_digits"])
 def test_provider_refuses_a_degree(degree, curve, message):
     with pytest.raises(InconsistentData) as info:
         ReductionProvider(fixture_curve("II"), {degree: fixture_curve(curve)})
     assert str(info.value) == message and len(message) < 200
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@pytest.mark.parametrize("first, second, shown", [
+    ("02", "2", "2"),
+    ("2", "02", "2"),
+    ("0" + "1" * 3000, "1" * 3000, "%s... (3000 characters)" % ("1" * 20)),
+], ids=["padded_first", "padded_second", "3000_digits"])
+def test_provider_refuses_a_degree_given_twice(tmp_path, first, second, shown):
+    """Two keys naming one degree are refused in either order: neither curve
+    may silently replace the other."""
+    curves = {first: "I0star.json", second: "IV.json", "3": "I0star.json", "6": "I0.json"}
+    doc = {"base": os.path.join(FIXTURES, "II.json"),
+           "curves": {a: os.path.join(FIXTURES, name) for a, name in curves.items()}}
+    path = tmp_path / "provider.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError) as info:
+        load_provider(str(path))
+    assert str(info.value) == "curve degree %s is given twice" % shown
 
 
 def test_zeta_requires_jumps():
