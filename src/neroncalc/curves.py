@@ -415,6 +415,19 @@ def _shown(text: str, show=str) -> str:
     return "%s... (%d characters)" % (show(text[:20]), len(text))
 
 
+def _shown_int(n: int) -> str:
+    """``_shown(str(n))``, past 40 digits without ``str``, which refuses an
+    integer beyond the interpreter's digit limit."""
+    m = abs(n)
+    if m < 10**40:
+        return _shown(str(n))
+    k = (m.bit_length() - 1) * 30102999 // 10**8  # 10^k <= m: 0.30102999 < log10(2)
+    while 10 ** (k + 1) <= m:
+        k += 1
+    sign = "-" if n < 0 else ""  # the first 20 characters, then the length
+    return "%s%d... (%d characters)" % (sign, m // 10 ** (k - 19 + len(sign)), len(sign) + k + 1)
+
+
 def _parse_int(text: str, error, noun: str, invalid: str) -> int:
     """``int(text)``, or ``error`` with a message of one short line.
 

@@ -164,7 +164,7 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     free = len(rows) - len(diag)
     if free != 1:
         raise MalformedFiber("intersection matrix has corank %d, expected 1" % free)
-    phi = FiniteAbelianGroup.from_factors(d for d in diag if d > 1)
+    phi = FiniteAbelianGroup(tuple(d for d in diag if d > 1))  # 1s, then a divisibility chain
     object.__setattr__(curve, "_phi", phi)
     return phi
 

@@ -8,8 +8,9 @@ the empty multiset is the unit).  Numerators are flat dictionaries
     (T-degree, L-exponent, genus multiset) -> int
 
 with no zero values; denominators are multisets of factors ``1 - L^a T^b``
-with ``b >= 1``.  A ``Fraction`` coefficient only appears transiently inside
-an assembly that divides (an integral one is stored as an ``int``).
+with ``b >= 1``.  Coefficients are integers: the constructor, the only
+judge of integrality, stores an integral ``Fraction`` as its numerator and
+refuses any other value with :class:`~neroncalc.errors.NonIntegralAssembly`.
 
 A sum is assembled once (:meth:`RationalSeries.sum`): one common
 denominator, one numerator, one reduction.  Reduction tries each distinct
@@ -18,11 +19,12 @@ linear in the numerator's terms, rejects it, and an exact quotient is the
 numerator times the factor's geometric series cut off at the quotient's
 T-degree, the product :meth:`RationalSeries.expand` takes too.
 
-A block of arithmetic progressions ``sum_q (q e + b)^t L^{q w} T^{q e + b}``
-over many residues ``b`` is one progression numerator over
-``(1 - L^w T^e)^{t+1}``: the ``T d/dT`` recursion that builds it is linear
-in its start, so all residues enter it at once and the block is built and
-reduced once, not once per residue.
+A block of arithmetic progressions ``sum_q ((q e + b)/a)^t L^{q w} T^{q e +
+b}`` over many residues ``b``, all multiples of a stride ``a`` dividing
+``e``, is one progression numerator over ``(1 - L^w T^e)^{t+1}``: the
+``(T/a) d/dT`` recursion that builds it is linear in its start, so all
+residues enter it at once and the block is built and reduced once, not once
+per residue.
 
 >>> s = geometric_sum(2, 1, 0, 0)   # T + T^3 + T^5 + ...
 >>> str(s)
@@ -39,7 +41,7 @@ from fractions import Fraction
 from .errors import NonIntegralAssembly, NonReducible, PreconditionError
 
 Key = tuple[int, int, tuple[int, ...]]
-Poly = dict[Key, int | Fraction]
+Poly = dict[Key, int]
 
 _HASH_ORDER = 8  # T-order of the expansion that __hash__ reads
 
@@ -48,13 +50,13 @@ def _clean(poly: Poly) -> Poly:
     return {k: v for k, v in poly.items() if v}
 
 
-def _coeff(v) -> int | Fraction:
-    """``v`` as an ``int`` when it is integral, else as a ``Fraction``."""
+def _coeff(v) -> int:
+    """``v`` as an ``int``: an integral ``Fraction`` gives its numerator."""
     if type(v) is int:
         return v
-    if type(v) is not Fraction:
-        v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    raise NonIntegralAssembly("series coefficient is not an integer: a %s" % type(v).__name__)
 
 
 def _merge_ab(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,7 +165,7 @@ class RationalSeries:
 
     @classmethod
     def monomial(cls, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
-        return cls({(n, l, tuple(sorted(ab))): _coeff(coeff)})
+        return cls({(n, l, tuple(sorted(ab))): coeff})
 
     # -- ring operations -------------------------------------------------------
 
@@ -204,7 +206,6 @@ class RationalSeries:
         )
 
     def scale(self, c) -> "RationalSeries":
-        c = _coeff(c)
         return RationalSeries({k: v * c for k, v in self.num}, self.den)
 
     def mul_monomial(self, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
@@ -247,23 +248,14 @@ class RationalSeries:
             (0, l, ab): v for (m, l, ab), v in self.expand(n).items() if m == n
         }
 
-    @property
-    def is_integral(self) -> bool:
-        return all(v.denominator == 1 for _, v in self.num)
-
-    def require_integral(self, what: str = "series") -> "RationalSeries":
-        if not self.is_integral:
-            raise NonIntegralAssembly("%s has non-integral coefficients" % what)
-        return self
-
     def degree(self) -> int:
         """``deg_T(num) - sum of denominator T-degrees``."""
         if not self.num:
             raise PreconditionError("degree of the zero series")
         return max(k[0] for k, _ in self.num) - sum(b for _, b in self.den)
 
-    def _plain_T_coeffs(self) -> dict[int, int | Fraction]:
-        out: dict[int, int | Fraction] = {}
+    def _plain_T_coeffs(self) -> dict[int, int]:
+        out: dict[int, int] = {}
         for (n, l, ab), v in self.num:
             if l != 0 or ab != ():
                 raise NonReducible("numerator carries L or abelian classes")
@@ -312,7 +304,7 @@ class RationalSeries:
                     "T": n,
                     "L": l,
                     "B": list(ab),
-                    "c": v.numerator if v.denominator == 1 else str(v),
+                    "c": v,
                 }
                 for (n, l, ab), v in self.num
             ],
@@ -321,7 +313,7 @@ class RationalSeries:
         }
 
 
-def _coeff_str(l: int, ab: tuple[int, ...], v: int | Fraction) -> str:
+def _coeff_str(l: int, ab: tuple[int, ...], v: int) -> str:
     symbols = []
     if l:
         symbols.append("L" if l == 1 else "L^%d" % l)
@@ -364,25 +356,29 @@ def _factor_str(a: int, b: int) -> str:
     return "(1 - %s %s)" % (lpart, tpart)
 
 
-def _progression_sum(start: Poly, e: int, t: int, w: int) -> RationalSeries:
-    """Closed form of ``sum_{q >= 0} (n + q e)^t c L^{l + q w} [B] T^{n + q e}``
+def _progression_sum(start: Poly, e: int, t: int, w: int, a: int = 1) -> RationalSeries:
+    """Closed form of ``sum_{q >= 0} ((n + q e)/a)^t c L^{l + q w} [B] T^{n + q e}``
     summed over the terms ``c L^l [B] T^n`` of ``start``: one progression
-    numerator over ``(1 - L^w T^e)^{t+1}``.
+    numerator over ``(1 - L^w T^e)^{t+1}``, with integer coefficients ``c``.
 
-    Built by applying ``T d/dT`` ``t`` times to ``start / (1 - L^w T^e)``,
-    which is linear in ``start``.  Integral start coefficients stay ``int``.
+    Built by applying ``(T/a) d/dT`` ``t`` times to ``start / (1 - L^w T^e)``,
+    which is linear in ``start``.  The stride ``a`` must divide ``e`` and
+    every T-degree of ``start``: then every T-degree of every step is a
+    multiple of ``a``, so each step is exact in integers.
     """
     if t < 0:
         raise PreconditionError("need t >= 0, got t = %d" % t)
-    num: Poly = {k: _coeff(v) for k, v in start.items()}
+    num, e_a = start, e // a
     for k in range(1, t + 1):
-        # T d/dT (num / f^k) = (theta num - L^w T^e theta num + k e L^w T^e num) / f^{k+1}
+        # theta = (T/a) d/dT:  theta (num / f^k)
+        #   = (theta num - L^w T^e theta num + k (e/a) L^w T^e num) / f^{k+1}
         out: Poly = {}
         for (n, l, ab), v in num.items():
+            m = n // a
             key = (n, l, ab)
-            out[key] = out[key] + n * v if key in out else n * v
+            out[key] = out[key] + m * v if key in out else m * v
             key = (n + e, l + w, ab)
-            c = (k * e - n) * v
+            c = (k * e_a - m) * v
             out[key] = out[key] + c if key in out else c
         num = out
     return RationalSeries(num, ((w, e),) * (t + 1))

@@ -21,6 +21,7 @@ from .curves import (
     _parse_json,
     _read_text,
     _shown,
+    _shown_int,
     genus,
     geometry,
     load_curve,
@@ -132,7 +133,7 @@ class ReductionProvider(Record):
                 continue
             if a < 1 or e % a or (p > 1 and gcd(a, p) != 1):
                 raise InconsistentData(
-                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown(str(a)), e)
+                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown_int(a), e)
                 )
             if c.p != p:
                 raise InconsistentData("curve for degree %d has p=%d" % (a, c.p))
@@ -177,16 +178,16 @@ class ReductionProvider(Record):
 
 
 def _degree_blocks(provider: ReductionProvider):
-    """Yield ``(curve, c, degrees)`` per stable degree ``a``: its curve, the
-    start ``c = |Phi_a| / a^t`` and the ``d`` in ``1..lcm(e, p)`` with ``p``
-    not dividing ``d`` and ``gcd(d, e) = a``, so ``|Phi(d)| = c d^t`` on their
-    classes modulo ``lcm(e, p)``.  The only walk over the tame residues."""
+    """Yield ``(curve, a, |Phi_a|, degrees)`` per stable degree ``a``: the
+    ``d`` in ``1..lcm(e, p)`` with ``p`` not dividing ``d`` and ``gcd(d, e) =
+    a``, so ``|Phi(d)| = |Phi_a| (d/a)^t`` on their classes modulo ``lcm(e,
+    p)``.  The only walk over the tame residues."""
     e, p = provider.e, provider.p
     for a in provider._degrees:
         curve = provider.curves[a]
-        c = Fraction(component_group(curve).order, a ** geometry(curve).b1)
+        phi = component_group(curve).order
         degrees = range(a, provider._period + 1, a)
-        yield curve, c, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
+        yield curve, a, phi, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
 
 
 def component_series(provider: ReductionProvider) -> RationalSeries:
@@ -194,15 +195,14 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
 
     Each stable degree ``a`` contributes ``|Phi_a| (d/a)^{t_a} T^d`` over the
     degrees ``d`` prime to ``p`` with ``gcd(d, e) = a``: one progression
-    numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``.  Its coefficients are
-    integers: the start degrees and the period are multiples of ``a``, so
-    each ``T d/dT`` step multiplies ``c = |Phi_a| / a^t`` by a multiple of ``a``.
+    numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``, built with stride ``a``
+    since the start degrees and the period are multiples of ``a``.
     """
     provider.require_complete()
     blocks = [
-        _progression_sum({(d, 0, ()): c for d in degrees}, provider._period,
-                         geometry(curve).b1, 0)
-        for curve, c, degrees in _degree_blocks(provider)
+        _progression_sum({(d, 0, ()): phi for d in degrees}, provider._period,
+                         geometry(curve).b1, 0, a)
+        for curve, a, phi, degrees in _degree_blocks(provider)
     ]
     # Every block is one numerator over a power of one factor.  A reduced
     # num / f^k is unique, so the one-shot sum equals the pairwise fold.
@@ -215,24 +215,23 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     At a degree ``d`` prime to ``p`` the class is that of the degree ``a =
     gcd(d, e)`` fiber with ``|Phi_a| (d/a)^t`` components, and ``ord(d)``
     grows by ``w = lcm(e, p) * c_tame`` per period: each block one
-    progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}``, times that
-    degree's torus class.  As in :func:`component_series`, the ``t`` steps
-    ``T d/dT`` multiply ``|Phi_a| / a^t`` by a multiple of ``a^t``: an integer.
+    progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}`` with stride
+    ``a``, times that degree's torus class.
     """
     provider.require_complete()
     jumps = provider.require_jumps()
     period = provider._period
     w = int(period * jumps.c_tame)  # an integer: every jump is a multiple of 1/e
     blocks = []
-    for curve, c, degrees in _degree_blocks(provider):
+    for curve, a, phi, degrees in _degree_blocks(provider):
         geo = geometry(curve)
         t, u = geo.b1, provider.genus - geo.b1 - geo.abelian_rank
         ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
-        start = {(d, u + o, ab): c for d, o in zip(degrees, _ord_values(jumps, degrees))}
+        start = {(d, u + o, ab): phi for d, o in zip(degrees, _ord_values(jumps, degrees))}
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        blocks.append(_progression_sum(start, period, t, w) * torus)
+        blocks.append(_progression_sum(start, period, t, w, a) * torus)
     return RationalSeries.sum(blocks)
 
 
@@ -241,10 +240,10 @@ def euler_specialize(provider: ReductionProvider) -> RationalSeries:
     ``|Phi(d)|`` on degrees of additive reduction and 0 elsewhere."""
     provider.require_complete()
     num = {}
-    for curve, c, degrees in _degree_blocks(provider):
+    for curve, _, phi, degrees in _degree_blocks(provider):
         geo = geometry(curve)
         if geo.b1 == 0 and geo.abelian_rank == 0:
-            num.update(((d, 0, ()), c) for d in degrees)
+            num.update(((d, 0, ()), phi) for d in degrees)
     return RationalSeries(num, ((0, provider._period),))
 
 

@@ -5,10 +5,11 @@ Each walks its own residues, independently of :mod:`neroncalc.zeta`: every
 residue is its own :func:`~neroncalc.ratseries.geometric_sum`, built and
 reduced on its own, then scaled, substituted or multiplied, and the residues
 are summed.  All three run over the residues prime to ``p`` modulo
-``lcm(e, p)``, and a residue of stable degree ``a`` starts at ``|Phi_a| /
-a^t``.  A reduced numerator over powers of one factor is unique, so the
-library's block-at-once assemblies must give the same ``to_dict()`` bit for
-bit.
+``lcm(e, p)``, and a residue of stable degree ``a`` scales its progression
+by ``|Phi_a| / a^t``, which the series constructor refuses unless every
+coefficient stays an integer.  A reduced numerator over powers of one factor
+is unique, so the library's block-at-once assemblies must give the same
+``to_dict()`` bit for bit.
 
 :func:`reduce_by_restart` cancels denominator factors by the slice division
 of :func:`divide_by_verified_quotient`, starting again from the smallest
@@ -48,7 +49,7 @@ def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
             if gcd(b, e_a) == 1 and (p == 1 or b % p)
         )
         blocks.append(block.scale(phi).subs_T_power(a))
-    return RationalSeries.sum(blocks).require_integral("component series")
+    return RationalSeries.sum(blocks)
 
 
 def _residues(provider: ReductionProvider):
@@ -85,8 +86,8 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
             shape.mul_monomial(phi, l=u + ord_function(jumps, alpha), ab=ab)
             * torus
         )
-        blocks.append(block.require_integral("zeta block at residue %d" % alpha))
-    return RationalSeries.sum(blocks).require_integral("motivic zeta")
+        blocks.append(block)
+    return RationalSeries.sum(blocks)
 
 
 def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
@@ -98,7 +99,7 @@ def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
         if geo.b1 == 0 and geo.abelian_rank == 0:
             phi = component_group(curve).order
             terms.append(RationalSeries({(alpha, 0, ()): phi}, ((0, period),)))
-    return RationalSeries.sum(terms).require_integral("euler specialization")
+    return RationalSeries.sum(terms)
 
 
 def divide_by_verified_quotient(num, a, b):
@@ -113,7 +114,7 @@ def divide_by_verified_quotient(num, a, b):
     for n in range(min(slices), max(slices) + 1):
         cur = dict(slices.get(n, {}))
         for (l, ab), v in quotient.get(n - b, {}).items():
-            cur[(l + a, ab)] = cur.get((l + a, ab), Fraction(0)) + v
+            cur[(l + a, ab)] = cur.get((l + a, ab), 0) + v
         cur = {k: v for k, v in cur.items() if v}
         if cur:
             quotient[n] = cur

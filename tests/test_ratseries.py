@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.errors import NonIntegralAssembly, NonReducible, PreconditionError
-from neroncalc.ratseries import RationalSeries, geometric_sum
+from neroncalc.ratseries import RationalSeries, _progression_sum, geometric_sum
 
 
 def series_from(num, den=()):
@@ -102,22 +102,52 @@ def test_degree():
     assert geometric_sum(1, 1, 0, 0).degree() == 0
 
 
-def test_integrality_guard():
-    s = geometric_sum(2, 2, 1, 0).scale(Fraction(1, 2))
-    assert s.is_integral  # numerator coefficients stay integral after theta
-    bad = geometric_sum(2, 1, 0, 0).scale(Fraction(1, 3))
-    with pytest.raises(NonIntegralAssembly):
-        bad.require_integral()
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(-7, 3), 0.5, 1.0, "1", True],
+                         ids=["half", "minus_7_thirds", "float", "integral_float", "str", "bool"])
+def test_constructor_refuses_a_non_integer_coefficient(coeff):
+    """The constructor is the only integrality judge: ``monomial`` and the
+    numerator dictionary reach it alike."""
+    for build in (lambda: RationalSeries({(1, 0, ()): 1, (2, 0, ()): coeff}, [(0, 1)]),
+                  lambda: RationalSeries.monomial(coeff, n=1)):
+        with pytest.raises(NonIntegralAssembly) as info:
+            build()
+        assert str(info.value) == ("series coefficient is not an integer: a %s"
+                                   % type(coeff).__name__)
 
 
-def test_non_integral_coefficient_stays_a_fraction():
-    half = RationalSeries.monomial(Fraction(1, 2), n=1)
-    assert half.num == (((1, 0, ()), Fraction(1, 2)),)
-    assert type(half.num[0][1]) is Fraction and not half.is_integral
+def test_scale_refuses_a_quotient_that_is_not_integral():
     with pytest.raises(NonIntegralAssembly):
-        half.require_integral()
-    whole = half.scale(2)
-    assert whole.num == (((1, 0, ()), 1),) and type(whole.num[0][1]) is int
+        geometric_sum(2, 1, 0, 0).scale(Fraction(1, 3))
+    with pytest.raises(NonIntegralAssembly):  # 2 T^2 / (1 - T^2)^2: over 2, not over 4
+        geometric_sum(2, 2, 1, 0).scale(Fraction(1, 4))
+
+
+@pytest.mark.parametrize("a, k, b, t", [(2, 1, 1, 1), (2, 3, 1, 3), (3, 2, 2, 2), (5, 1, 1, 4)])
+def test_scale_by_an_exact_divisor_stores_ints(a, k, b, t):
+    """``sum_q (q e + a b)^t T^{q e + a b}`` with ``a | e`` is divisible by
+    ``a^t``: its scale by ``1/a^t`` holds ``int`` coefficients and is the
+    strided progression."""
+    e = a * k
+    s = geometric_sum(e, a * b, t, 0).scale(Fraction(1, a**t))
+    assert s.num and all(type(v) is int for _, v in s.num)
+    assert s.to_dict() == _progression_sum({(a * b, 0, ()): 1}, e, t, 0, a).to_dict()
+
+
+starts = st.dictionaries(
+    st.tuples(st.integers(-2, 6), st.integers(-2, 2),
+              st.lists(st.integers(1, 3), max_size=2).map(lambda x: tuple(sorted(x)))),
+    st.integers(-10**6, 10**6), max_size=5)
+
+
+@given(starts, st.integers(1, 4), st.integers(1, 4), st.integers(0, 4), st.integers(-2, 2))
+@settings(max_examples=150, deadline=None)
+def test_strided_progression_is_the_substituted_one(start_k, a, k, t, w):
+    """Stride ``a`` over degrees ``a n`` and period ``e = a k`` is the
+    unstrided progression over ``n`` and ``k``, with ``T -> T^a``."""
+    start = {(n * a, l, ab): v for (n, l, ab), v in start_k.items()}
+    strided = _progression_sum(start, a * k, t, w, a)
+    assert strided.to_dict() == _progression_sum(start_k, k, t, w).subs_T_power(a).to_dict()
+    assert all(type(v) is int for _, v in strided.num)
 
 
 keys = st.tuples(st.integers(0, 6), st.integers(-2, 2),

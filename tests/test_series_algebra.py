@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neroncalc import zeta
 from neroncalc.cyclo import CycloProduct, _divisors
 from neroncalc.kodaira import kodaira_curve
 from neroncalc.ratseries import (
@@ -79,7 +80,7 @@ def fold(terms) -> RationalSeries:
 AB = st.sampled_from([(), (1,), (2,), (1, 2)])
 numerators = st.dictionaries(
     st.tuples(st.integers(0, 7), st.integers(-3, 3), AB),
-    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    st.integers(-5, 5),
     max_size=6,
 )
 FACTORS = [(0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (-1, 1)]
@@ -241,6 +242,33 @@ def test_shipped_series_hold_plain_int_coefficients(make):
                    euler_characteristic_map(z)):
         values += [v for _, v in series.num] + list(series.expand(24).values())
     assert values and all(type(v) is int for v in values), values
+
+
+@pytest.mark.parametrize("make", [pytest.param(make, id=name) for name, make in law_providers()])
+def test_progression_numerators_hold_ints(make, monkeypatch):
+    """No step of the three series holds a ``Fraction``: every start handed
+    to ``_progression_sum`` and every coefficient handed to a series
+    constructor on the way, the progressions' numerators included, is an
+    ``int``."""
+    provider = make()
+    starts, coefficients = [], []
+    real_progression, real_init = zeta._progression_sum, RationalSeries.__init__
+
+    def progression(start, *args):
+        starts.extend(start.values())
+        return real_progression(start, *args)
+
+    def init(self, num, den=()):
+        num = dict(num)
+        coefficients.extend(num.values())
+        real_init(self, num, den)
+
+    monkeypatch.setattr(zeta, "_progression_sum", progression)
+    monkeypatch.setattr(RationalSeries, "__init__", init)
+    for series in (component_series, motivic_zeta, euler_specialize):
+        series(provider)
+    assert starts and all(type(v) is int for v in starts), starts
+    assert coefficients and all(type(v) is int for v in coefficients), coefficients
 
 
 # -- remainder test for divisibility -------------------------------------------------

@@ -331,7 +331,12 @@ def test_provider_is_frozen():
     (True, "II", "degree True is not an integer"),
     (10 ** 3000, "IV", "degree 10000000000000000000... (3001 characters) "
      "is not a prime-to-p divisor of e=6"),
-], ids=["other_base", "float", "str", "bool", "3001_digits"])
+    # past the interpreter's 4300-digit limit, where ``str`` of the degree fails
+    (10 ** 5000, "IV", "degree 10000000000000000000... (5001 characters) "
+     "is not a prime-to-p divisor of e=6"),
+    (-10 ** 5000, "IV", "degree -1000000000000000000... (5002 characters) "
+     "is not a prime-to-p divisor of e=6"),
+], ids=["other_base", "float", "str", "bool", "3001_digits", "5001_digits", "minus_5001_digits"])
 def test_provider_refuses_a_degree(degree, curve, message):
     with pytest.raises(InconsistentData) as info:
         ReductionProvider(fixture_curve("II"), {degree: fixture_curve(curve)})
