@@ -25,7 +25,6 @@ from .linalg import FiniteAbelianGroup, smith_diagonal_sparse
 from .hj import HJChain, LocalPointData, hj_expand, hj_value, local_point_data, resolve_chain
 from .invariants import (
     InvariantReport,
-    TraceReport,
     char_poly,
     char_poly_prime,
     component_group,
@@ -34,7 +33,6 @@ from .invariants import (
     monodromy_zeta,
     stabilization_index,
     tame,
-    trace_identities,
 )
 from .basechange import BaseChangeLaws, BaseChangeTrace, base_change_laws, transform
 from .ratseries import RationalSeries, geometric_sum

@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=_int, required=True)
     p.add_argument("--m2", type=_int, required=True)
     p.add_argument("--d", type=_int, required=True)
-    p.add_argument("--p", type=_int, default=None)
+    p.add_argument("--p", type=_int, default=1)
     common(p)
     p.set_defaults(func=_cmd_resolve)
 

@@ -178,18 +178,25 @@ def _check_edge(i: int, e, pos: dict[str, int]) -> None:
 class CurveGeometry(Record):
     """What one walk of the graph says about the fiber relation.
 
-    The three maps run in vertex order.  ``self_int`` is exact only when
-    ``nondividing`` is empty, which :func:`geometry` checks.
+    ``degree`` and ``self_int`` map each vertex id to its value, in vertex
+    order; ``self_int`` is exact only when ``nondividing`` is empty, which
+    :func:`geometry` checks.  The open stratum ``E_v^o`` of a vertex has
+    Euler characteristic ``chi_v = 2 - 2 g_v - degree_v``: ``chi_factors``
+    maps each multiplicity ``N`` to ``-sum chi_v`` over the vertices of
+    multiplicity ``N`` with ``chi_v != 0``, the exponents of
+    ``prod (t^N - 1)^(-chi)``.  ``principal`` holds the multiplicities of
+    the principal vertices, those of positive genus or degree at least 3.
     """
 
     degree: dict[str, int]
-    chi_open: dict[str, int]     # Euler characteristic of the open stratum
     self_int: dict[str, int]
     b1: int
     abelian_rank: int
     connected: bool
     nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
     euler: int                                   # sum_v N_v chi(E_v^o)
+    chi_factors: dict[int, int]                  # N -> -sum chi(E_v^o) over N_v = N
+    principal: frozenset[int]                    # N_v over g_v > 0 or degree_v >= 3
 
 
 class ValidationReport(Record):
@@ -216,16 +223,21 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
         degree[j] += 1
         incident[i] += N[j]
         incident[j] += N[i]
-    chi_open, self_int, nondividing, euler = {}, {}, [], 0
+    self_int, nondividing, euler, chi_factors, principal = {}, [], 0, {}, set()
     for i, vid in enumerate(ids):
-        n, inc = N[i], incident[i]
-        chi_open[vid] = chi = 2 - 2 * g[i] - degree[i]
+        n, inc, d = N[i], incident[i], degree[i]
         self_int[vid] = -(inc // n)
         if inc % n:
             nondividing.append((curve.vertices[i], inc))
-        euler += n * chi
-    geo = CurveGeometry(dict(zip(ids, degree)), chi_open, self_int, curve.b1(), sum(g),
-                        curve.is_connected(), tuple(nondividing), euler)
+        chi = 2 - 2 * g[i] - d
+        if chi:
+            euler += n * chi
+            chi_factors[n] = chi_factors.get(n, 0) - chi
+        if g[i] or d >= 3:
+            principal.add(n)
+    geo = CurveGeometry(dict(zip(ids, degree)), self_int, curve.b1(), sum(g),
+                        curve.is_connected(), tuple(nondividing), euler, chi_factors,
+                        frozenset(principal))
     object.__setattr__(curve, "_geo", geo)
     return geo
 
@@ -266,12 +278,14 @@ def genus(curve: SncdCurve) -> int:
 def geometry(curve: SncdCurve) -> CurveGeometry:
     """The curve's one cached fiber pass, once it describes a fiber.
 
-    ``degree``, ``chi_open`` (the Euler characteristic of the open stratum)
-    and ``self_int`` map each vertex id, in vertex order, to its value; the
-    same object comes back on every call.  Raises :class:`MalformedFiber`
-    with :func:`validate`'s text when the graph is disconnected or, failing
-    that, at the first vertex whose self-intersection is not an integer; a
-    failing curve raises again on every call.
+    ``degree`` and ``self_int`` map each vertex id, in vertex order, to its
+    value; ``chi_factors`` and ``principal`` hold the exponents of
+    ``prod (t^N - 1)^(-chi)`` and the principal multiplicities (see
+    :class:`CurveGeometry`).  The same object comes back on every call.
+    Raises :class:`MalformedFiber` with :func:`validate`'s text when the
+    graph is disconnected or, failing that, at the first vertex whose
+    self-intersection is not an integer; a failing curve raises again on
+    every call.
     """
     geo = _fiber_pass(curve)
     if not geo.connected:

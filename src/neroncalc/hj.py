@@ -127,10 +127,11 @@ class LocalPointData(Record):
     chain: HJChain | None
 
 
-def local_point_data(m1: int, m2: int, d: int, p: int | None = None) -> LocalPointData:
+def local_point_data(m1: int, m2: int, d: int, p: int = 1) -> LocalPointData:
     """Decompose a degree-``d`` base change at a point of type ``(m1, m2)``.
 
-    With ``p`` given, ``d`` must be prime to ``p`` for the computation to
+    ``d`` must be prime to the characteristic exponent ``p`` (``p = 1``, the
+    default, meaning equal characteristic zero) for the computation to
     describe an actual tame cover.
 
     >>> local_point_data(6, 3, 5).chain.mu
@@ -140,9 +141,9 @@ def local_point_data(m1: int, m2: int, d: int, p: int | None = None) -> LocalPoi
     """
     if d < 1 or min(m1, m2) < 1:
         raise BadLocalData("need positive multiplicities and degree")
-    if p is not None and p < 1:
+    if p < 1:
         raise BadLocalData("characteristic exponent must be >= 1")
-    if p is not None and p > 1 and gcd(d, p) != 1:
+    if p > 1 and gcd(d, p) != 1:
         raise BadLocalData("degree d=%d is not prime to p=%d" % (d, p))
     c = gcd(d, m1, m2)
     d1, m1p, m2p = d // c, m1 // c, m2 // c

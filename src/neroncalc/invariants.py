@@ -3,13 +3,15 @@
 Everything here is a pure function of an :class:`~neroncalc.curves.SncdCurve`:
 the component group of the Jacobian, the toric/abelian/unipotent ranks, the
 characteristic polynomial and its prime-to-p companion, the monodromy zeta
-function, the stabilization index, and the trace identities tying them
-together on additively reducing fibers.
+function and the stabilization index.  The products and the index walk no
+vertex: they read the exponents ``chi_factors`` and the multiplicities
+``principal`` that the curve's one fiber pass
+(:func:`~neroncalc.curves.geometry`) collects.  :func:`lorenzini_form`
+regroups the vertices by valency as an independent second assembly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .curves import SncdCurve, genus, geometry, validate
@@ -171,13 +173,12 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
 
 def _chi_product(curve: SncdCurve, p: int) -> CycloProduct:
     """``prod_i (t^{N'_i}-1)^{-chi(E_i^o)}`` with ``N'_i`` the prime-to-``p``
-    part of ``N_i`` (``p = 1`` strips nothing)."""
-    chi_open = geometry(curve).chi_open  # in vertex order
+    part of ``N_i`` (``p = 1`` strips nothing): the cached exponents of
+    each distinct ``N``, gathered on ``N'``."""
     factors: dict[int, int] = {}
-    for n, chi in zip(curve.N, chi_open.values()):
-        if chi:
-            n = prime_to_part(n, p)
-            factors[n] = factors.get(n, 0) - chi
+    for n, e in geometry(curve).chi_factors.items():
+        n = prime_to_part(n, p)
+        factors[n] = factors.get(n, 0) + e
     return CycloProduct(factors)
 
 
@@ -232,9 +233,7 @@ def stabilization_index(curve: SncdCurve) -> int:
     """lcm of the multiplicities of the principal components (1 if none):
     those of positive genus or meeting the rest of the fiber in at least
     3 points (degree >= 3 in :func:`~neroncalc.curves.geometry`)."""
-    degree = geometry(curve).degree  # in vertex order
-    principal = [n for n, g, d in zip(curve.N, curve.g, degree.values()) if g > 0 or d >= 3]
-    return lcm(*principal) if principal else 1
+    return lcm(*geometry(curve).principal)
 
 
 def tame(curve: SncdCurve) -> bool:
@@ -244,34 +243,6 @@ def tame(curve: SncdCurve) -> bool:
     this function trusts the caller on minimality.
     """
     return gcd(stabilization_index(curve), curve.p) == 1
-
-
-class TraceReport(Record):
-    additive: bool
-    char_value_at_one: Fraction        # P'(1)
-    phi_prime_order: int               # prime-to-p part of |Phi|
-    valency_product: Fraction          # prod (N'_i)^{d_i - 2}
-    agree: bool
-
-
-def trace_identities(curve: SncdCurve) -> TraceReport:
-    """Check ``P'(1) = |Phi|' = prod (N'_i)^{d_i-2}`` on additive fibers.
-
-    For non-additive fibers (positive toric or abelian rank) the first
-    quantity vanishes and the report only records that fact.
-    """
-    geo = geometry(curve)
-    additive = geo.b1 == 0 and geo.abelian_rank == 0
-    value = char_poly_prime(curve).value_at_one()
-    phi_prime = component_group(curve).prime_to(curve.p).order
-    prod = Fraction(1)
-    for n, degree in zip(curve.N, geo.degree.values()):
-        prod *= Fraction(prime_to_part(n, curve.p)) ** (degree - 2)
-    if additive:
-        agree = value == phi_prime == prod
-    else:
-        agree = value == 0
-    return TraceReport(additive, value, phi_prime, prod, agree)
 
 
 class InvariantReport(Record):

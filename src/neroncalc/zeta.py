@@ -109,10 +109,10 @@ class ReductionProvider(Record):
     degree ``a``, for divisors ``a`` of the stabilization index ``e`` prime
     to ``p``: a read-only mapping in ascending order, ``1`` to ``base``.
     The constructor is the only judge of a provider.  It refuses a degree
-    that is not an ``int`` (``bool`` included) or not such a divisor, a
-    degree-1 curve other than the base, a curve of the wrong ``p``, index
-    (``e/a``) or genus, and jumps beyond the genus or not multiples of
-    ``1/e``.  ``p``, ``e``, ``genus``, the stable degrees and the period
+    that is not an ``int`` (``bool`` included), naming it by its type, or
+    not such a divisor, a degree-1 curve other than the base, a curve of
+    the wrong ``p``, index (``e/a``) or genus, and jumps beyond the genus
+    or not multiples of ``1/e``.  ``p``, ``e``, ``genus``, the stable degrees and the period
     ``lcm(e, p)`` are kept outside the fields, so ``ReductionProvider(**
     fields)`` rebuilds an equal provider.
     """
@@ -126,7 +126,7 @@ class ReductionProvider(Record):
         checked = {1: base}
         for a, c in (curves or {}).items():
             if type(a) is not int:
-                raise InconsistentData("degree %s is not an integer" % _shown(repr(a)))
+                raise InconsistentData("degree of type %s is not an integer" % type(a).__name__)
             if a == 1:
                 if c is not base and c != base:
                     raise InconsistentData("curve for degree 1 is not the base curve")

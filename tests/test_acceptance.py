@@ -20,12 +20,7 @@ from neroncalc.conductors import (
 )
 from neroncalc.curves import contract_minus_one, genus, geometry
 from neroncalc.hj import hj_value, resolve_chain
-from neroncalc.invariants import (
-    char_poly,
-    component_group,
-    stabilization_index,
-    trace_identities,
-)
+from neroncalc.invariants import char_poly, component_group, stabilization_index
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, good_elliptic, kodaira_curve
 from neroncalc.ratseries import RationalSeries
 from neroncalc.zeta import (
@@ -38,6 +33,7 @@ from neroncalc.zeta import (
 )
 
 from conftest import random_curve
+from invariant_oracles import trace_identities
 from linalg_oracles import intersection_matrix, smith_quotient
 from test_basechange import isomorphic
 

@@ -104,6 +104,8 @@ def test_hj_command(capsys):
 def test_resolve_command(capsys):
     code, out, _ = run(capsys, "resolve", "--m1", "6", "--m2", "3", "--d", "5")
     assert json.loads(out) == {"b": [2, 3], "mu": [3, 3, 3, 6], "c": 1}
+    # --p defaults to 1, equal characteristic zero
+    assert run(capsys, "resolve", "--m1", "6", "--m2", "3", "--d", "5", "--p", "1") == (0, out, "")
     code, out, _ = run(capsys, "resolve", "--m1", "2", "--m2", "2", "--d", "2")
     assert json.loads(out) == {"b": [], "mu": [], "c": 2}
 

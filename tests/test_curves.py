@@ -26,7 +26,7 @@ from neroncalc.curves import (
 )
 from neroncalc.errors import MalformedFiber, ParseError, PreconditionError
 from neroncalc.invariants import invariant_report, stabilization_index
-from neroncalc.kodaira import kodaira_curve, kodaira_In, kodaira_Instar
+from neroncalc.kodaira import good_elliptic, kodaira_curve, kodaira_In, kodaira_Instar
 from neroncalc.record import Record
 
 from conftest import curves
@@ -100,21 +100,35 @@ def test_genus_rejects_negative():
 
 
 def test_geometry_examples(all_fixture_curves):
-    ii = geometry(all_fixture_curves["II"])
-    assert (ii.degree["c"], ii.chi_open["c"], ii.self_int["c"]) == (3, -1, -1)
-    assert ii.b1 == 0
+    def row(name, vid):  # degree, chi of the open stratum, self-intersection
+        curve = all_fixture_curves[name]
+        geo = geometry(curve)
+        d = geo.degree[vid]
+        return d, 2 - 2 * curve.vertex(vid).g - d, geo.self_int[vid]
 
-    i2 = geometry(all_fixture_curves["I2"])
+    assert row("II", "c") == (3, -1, -1)
+    assert geometry(all_fixture_curves["II"]).b1 == 0
+
     for vid in all_fixture_curves["I2"].ids:
-        assert (i2.degree[vid], i2.chi_open[vid], i2.self_int[vid]) == (2, 0, -2)
-    assert i2.b1 == 1
+        assert row("I2", vid) == (2, 0, -2)
+    assert geometry(all_fixture_curves["I2"]).b1 == 1
 
+    assert row("I0*", "c") == (4, -2, -2)
     i0s = geometry(all_fixture_curves["I0*"])
-    assert (i0s.degree["c"], i0s.chi_open["c"], i0s.self_int["c"]) == (4, -2, -2)
     assert i0s.b1 == 0 and i0s.abelian_rank == 0
     # principal: II's centre (degree 3) and I0*'s (degree 4), none in I2
     e = [stabilization_index(all_fixture_curves[name]) for name in ("II", "I2", "I0*")]
     assert e == [6, 1, 2]
+
+
+def test_principal_multiplicities_include_a_lone_genus_one_vertex(all_fixture_curves):
+    """Principal means positive genus or degree >= 3, not ``chi < 0``: good
+    reduction has one vertex of genus 1 and ``chi = 0``, so no factor."""
+    geo = geometry(good_elliptic())
+    assert (geo.principal, geo.chi_factors) == ({1}, {})
+    assert geometry(all_fixture_curves["I2"]).principal == frozenset()
+    geo = geometry(all_fixture_curves["II"])
+    assert (geo.principal, geo.chi_factors) == ({6}, {1: -1, 2: -1, 3: -1, 6: 1})
 
 
 def test_contract_chain():
@@ -290,7 +304,7 @@ def test_weighted_euler_sum_is_even_and_bounded(curve):
     g = genus(curve)
     geo = geometry(curve)
     total = sum(
-        curve.multiplicity(vid) * chi for vid, chi in geo.chi_open.items()
+        v.N * (2 - 2 * v.g - geo.degree[v.id]) for v in curve.vertices
     )
     assert total == 2 - 2 * g
 
@@ -409,13 +423,19 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
     else:
         geo = geometry(curve)
         # dict equality ignores order, so the key order is checked on its own
-        assert [list(geo.degree), list(geo.chi_open), list(geo.self_int)] == [curve.ids] * 3
+        assert [list(geo.degree), list(geo.self_int)] == [curve.ids] * 2
         assert geo.degree == {v.id: rows[v.id][0] for v in vs}
-        assert geo.chi_open == {v.id: 2 - 2 * v.g - rows[v.id][0] for v in vs}
         assert geo.self_int == {v.id: -rows[v.id][1] // v.N for v in vs}
         assert (geo.b1, geo.abelian_rank) == (len(es) - len(vs) + 1, sum(v.g for v in vs))
+        chi_factors = {}
+        for v in vs:
+            chi = 2 - 2 * v.g - rows[v.id][0]
+            if chi:
+                chi_factors[v.N] = chi_factors.get(v.N, 0) - chi
+        assert geo.chi_factors == chi_factors
         # principal: positive genus, or meets the rest of the fiber in >= 3 points
         principal = [v.N for v in vs if v.g > 0 or rows[v.id][0] >= 3]
+        assert geo.principal == set(principal)
         assert stabilization_index(curve) == (lcm(*principal) if principal else 1)
 
 

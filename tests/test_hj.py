@@ -113,6 +113,10 @@ def test_local_point_characteristic_mode():
     with pytest.raises(BadLocalData):
         local_point_data(1, 1, 4, p=2)
     assert local_point_data(1, 1, 3, p=2).d2 == 3
+    # p = 1, equal characteristic zero, is the default and the least p
+    assert local_point_data(6, 3, 5) == local_point_data(6, 3, 5, p=1)
+    with pytest.raises(BadLocalData, match="^characteristic exponent must be >= 1$"):
+        local_point_data(6, 3, 5, p=0)
 
 
 def test_local_point_rejects_nonpositive():

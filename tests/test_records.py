@@ -23,7 +23,7 @@ from neroncalc.conductors import (
 )
 from neroncalc.cyclo import CycloProduct
 from neroncalc.curves import geometry, load_curve, validate
-from neroncalc.invariants import invariant_report, trace_identities
+from neroncalc.invariants import invariant_report
 from neroncalc.kodaira import kodaira_curve
 from neroncalc.record import Record
 from neroncalc.zeta import load_provider
@@ -34,8 +34,8 @@ RECORDS = {
     "BaseChangeLaws", "BaseChangeTrace", "CurveGeometry", "CycloProduct",
     "EdgeRecord", "EllipticData", "FiniteAbelianGroup", "HJChain",
     "InvariantReport", "JumpSet", "KodairaType", "LocalPointData",
-    "RamificationFiltration", "ReductionProvider", "SncdCurve", "TraceReport",
-    "ValidationReport", "Vertex", "WildDefectReport",
+    "RamificationFiltration", "ReductionProvider", "SncdCurve", "ValidationReport",
+    "Vertex", "WildDefectReport",
 }
 # The classes that check or normalize their input in their own ``__init__``;
 # every other record is built by ``Record.__init__`` alone.
@@ -78,7 +78,7 @@ def sample_records() -> list[Record]:
         curve = kodaira_curve(symbol)
         geo = geometry(curve)
         _, trace = transform(curve, 5)
-        out += [geo, trace_identities(curve), trace, base_change_laws(curve, 5)]
+        out += [geo, trace, base_change_laws(curve, 5)]
         for edge in trace.edge_records:
             out += [edge, edge.local] + ([edge.local.chain] if edge.local.chain else [])
     for data in (EllipticData(KodairaType.parse("II"), 6, "good", p=2),

@@ -31,12 +31,20 @@ from neroncalc.curves import (
 )
 import neroncalc.invariants
 from neroncalc.errors import MalformedFiber
-from neroncalc.invariants import component_group, stabilization_index
+from neroncalc.cyclo import CycloProduct
+from neroncalc.invariants import (
+    char_poly,
+    char_poly_prime,
+    component_group,
+    monodromy_zeta,
+    stabilization_index,
+)
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, kodaira_curve
 from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
 
 from linalg_oracles import intersection_matrix, smith_diagonal, smith_quotient
 from conftest import seed_curves
+from invariant_oracles import chi_product_per_vertex
 from test_linalg import determinantal_divisors
 
 
@@ -370,6 +378,19 @@ def test_cut_matches_oracle_and_minimal_model(curve):
     assert rank == 0
     assert component_group(curve) == group
     assert component_group(contract_minus_one(curve)) == group
+
+
+@given(deep_blowups(), st.sampled_from((1, 2, 3, 5)))
+@settings(max_examples=200, deadline=None)
+def test_chi_products_match_a_per_vertex_assembly(curve, p):
+    """The products gather the fiber pass's exponents of each distinct N on
+    its prime-to-p part N', where at p > 1 several N can meet."""
+    curve = SncdCurve(curve.vertices, curve.edges, p)
+    t_minus_one_squared = CycloProduct({1: 2})
+    zeta = chi_product_per_vertex(curve, p)
+    assert char_poly(curve) == t_minus_one_squared * chi_product_per_vertex(curve, 1)
+    assert char_poly_prime(curve) == t_minus_one_squared * zeta
+    assert monodromy_zeta(curve) == zeta
 
 
 def uncut_chains(curve: SncdCurve) -> list[tuple[int, int, int]]:

@@ -326,9 +326,11 @@ def test_provider_is_frozen():
 
 @pytest.mark.parametrize("degree, curve, message", [
     (1, "I0", "curve for degree 1 is not the base curve"),
-    (2.5, "IV", "degree 2.5 is not an integer"),
-    ("x", "IV", "degree 'x' is not an integer"),
-    (True, "II", "degree True is not an integer"),
+    (2.5, "IV", "degree of type float is not an integer"),
+    ("x", "IV", "degree of type str is not an integer"),
+    (True, "II", "degree of type bool is not an integer"),
+    # past the interpreter's 4300-digit limit, where ``repr`` of the degree fails
+    (Fraction(10 ** 5000), "IV", "degree of type Fraction is not an integer"),
     (10 ** 3000, "IV", "degree 10000000000000000000... (3001 characters) "
      "is not a prime-to-p divisor of e=6"),
     # past the interpreter's 4300-digit limit, where ``str`` of the degree fails
@@ -336,7 +338,7 @@ def test_provider_is_frozen():
      "is not a prime-to-p divisor of e=6"),
     (-10 ** 5000, "IV", "degree -1000000000000000000... (5002 characters) "
      "is not a prime-to-p divisor of e=6"),
-], ids=["other_base", "float", "str", "bool", "3001_digits", "5001_digits", "minus_5001_digits"])
+], ids=["other_base", "float", "str", "bool", "fraction_5001_digits", "3001_digits", "5001_digits", "minus_5001_digits"])
 def test_provider_refuses_a_degree(degree, curve, message):
     with pytest.raises(InconsistentData) as info:
         ReductionProvider(fixture_curve("II"), {degree: fixture_curve(curve)})
