@@ -299,63 +299,76 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
 def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     """Contract genus-0 exceptional vertices while staying normal crossings.
 
-    A vertex is contracted when it has genus 0, derived self-intersection
-    -1 and at most two edge endpoints; in the two-endpoint case its edges
-    must lead to two distinct vertices, which get joined by a new edge.
-    Repeats until no vertex qualifies.  Surviving labels are untouched.
-
-    Each step contracts the first vertex (in the input's vertex order) that
-    qualifies at that moment.  Contracting a vertex changes only its
-    neighbours, so they alone are re-examined: a heap of input positions
-    holds the candidates, and a popped entry is checked again before use.
-    Surviving edges keep their input order, followed by the new edges in
-    the order they were made, and one curve is built at the end, in
-    O((V + E) log V) overall.  A curve with nothing to contract is returned
-    as is.
+    A vertex is contracted when it has genus 0, self-intersection -1 and
+    one or two simple edges to distinct vertices; in the two-edge case its
+    two neighbours get joined by a new edge.  Repeats until no vertex
+    qualifies, in :func:`_blow_down`'s order.  Surviving labels are
+    untouched, surviving edges keep their input order, followed by the new
+    edges in the order they were made, and one curve is built at the end.
+    A curve with nothing to contract is returned as is.
     """
-    ids, pos = curve.ids, curve._pos
-    adj = curve.adjacency()
-    heap = [i for i, vid in enumerate(ids) if _contractible(curve, i, adj[vid])]
-    if not heap:
+    adj, _, _, new_edges = _blow_down(curve)
+    if len(adj) == len(curve.ids):
         return curve
-    adj = {vid: dict(nbrs) for vid, nbrs in adj.items()}  # edited below
-    removed: set[str] = set()
-    new_edges = []
-    while heap:
-        i = heapq.heappop(heap)
-        vid = ids[i]
-        if vid in removed or not _contractible(curve, i, adj[vid]):
-            continue
-        removed.add(vid)
-        nbrs = adj.pop(vid)
-        for w in nbrs:
-            del adj[w][vid]
-        if len(nbrs) == 2:
-            a, b = sorted(nbrs)
-            na, nb = adj[a], adj[b]
-            na[b] = na.get(b, 0) + 1
-            nb[a] = nb.get(a, 0) + 1
-            new_edges.append((a, b))
-        for w in nbrs:
-            if _contractible(curve, pos[w], adj[w]):
-                heapq.heappush(heap, pos[w])
     return SncdCurve(
-        [v for v in zip(ids, curve.N, curve.g) if v[0] not in removed],
-        [e for e in curve.edges + tuple(new_edges)
-         if e[0] not in removed and e[1] not in removed],
+        [v for v in zip(curve.ids, curve.N, curve.g) if v[0] in adj],
+        [e for e in curve.edges + tuple(new_edges) if e[0] in adj and e[1] in adj],
         curve.p,
     )
 
 
-def _contractible(curve: SncdCurve, i: int, nbrs: dict[str, int]) -> bool:
-    """Genus 0, one or two simple edges to distinct vertices (two edges to
-    one vertex would contract to a loop), and self-intersection exactly -1:
-    the multiplicities of the neighbours of the vertex at position ``i``
-    add up to its own."""
-    if curve.g[i] or not 0 < len(nbrs) <= 2 or sum(nbrs.values()) != len(nbrs):
-        return False
-    N, pos = curve.N, curve._pos
-    return sum(N[pos[w]] for w in nbrs) == N[i]
+def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
+    """The minimal model's ``(adj, degree, self_int, new_edges)``: the
+    adjacency, degrees and self-intersections of :func:`contract_minus_one`'s
+    curve, read off the cached fiber pass, without building it.
+
+    A vertex is a (-1)-curve when it has genus 0, self-intersection -1,
+    one or two simple edges to distinct vertices (two edges to one vertex
+    would contract to a loop), and a multiplicity that divides its
+    incident sum.  Each step contracts the first such vertex in the input's
+    vertex order.  Contracting it raises each neighbour's self-intersection
+    by 1 (its multiplicity is the sum of theirs) and changes no other
+    vertex, so its neighbours alone are examined again: a heap of input
+    positions holds the candidates, and a popped entry is checked again
+    before use, in O((V + E) log V).  The cached maps are never changed:
+    the first contraction copies the outer maps, and an adjacency row is
+    copied when it is first edited.
+    """
+    geo = _fiber_pass(curve)
+    ids, pos, g = curve.ids, curve._pos, curve.g
+    adj, degree, self_int = curve.adjacency(), geo.degree, geo.self_int
+    nondividing = {v.id for v, _ in geo.nondividing}
+
+    def exceptional(vid):  # reads the maps as rebound below
+        return (self_int[vid] == -1 and degree[vid] == len(adj[vid]) in (1, 2)
+                and not g[pos[vid]] and vid not in nondividing)
+
+    heap = [i for i, s in enumerate(self_int.values()) if s == -1 and exceptional(ids[i])]
+    new_edges = []
+    if heap:
+        cached, adj, degree, self_int = adj, dict(adj), dict(degree), dict(self_int)
+    while heap:
+        vid = ids[heapq.heappop(heap)]
+        if vid not in adj or not exceptional(vid):
+            continue
+        nbrs = adj.pop(vid)
+        del degree[vid], self_int[vid]
+        for w in nbrs:
+            if adj[w] is cached[w]:
+                adj[w] = dict(adj[w])
+            del adj[w][vid]
+            self_int[w] += 1
+        if len(nbrs) == 2:
+            a, b = sorted(nbrs)
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+            new_edges.append((a, b))
+        else:
+            degree[w] -= 1
+        for w in nbrs:
+            if exceptional(w):
+                heapq.heappush(heap, pos[w])
+    return adj, degree, self_int, new_edges
 
 
 def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> SncdCurve:

@@ -143,7 +143,7 @@ def local_point_data(m1: int, m2: int, d: int, p: int = 1) -> LocalPointData:
         raise BadLocalData("need positive multiplicities and degree")
     if p < 1:
         raise BadLocalData("characteristic exponent must be >= 1")
-    if p > 1 and gcd(d, p) != 1:
+    if gcd(d, p) != 1:
         raise BadLocalData("degree d=%d is not prime to p=%d" % (d, p))
     c = gcd(d, m1, m2)
     d1, m1p, m2p = d // c, m1 // c, m2 // c

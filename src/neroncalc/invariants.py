@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .curves import SncdCurve, genus, geometry, validate
+from .curves import SncdCurve, _blow_down, genus, geometry, validate
 from .cyclo import CycloProduct
 from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
@@ -32,90 +32,38 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     graph, this quotient is exactly the torsion of ``coker(alpha)``
     (``coker(alpha)`` splits as the quotient times one copy of Z).
 
-    ``alpha`` is built sparse from the adjacency and the self-intersections
-    of :func:`~neroncalc.curves.geometry`, which solves them from the fiber
-    relation, so the relation holds by construction.
-
-    Pendant chains are cut first.  A pendant chain is a leaf ``y = x_k``
-    and the run ``x_{k-1}..x_1`` behind it of vertices with two simple
-    edges to distinct neighbours; it hangs from the vertex ``P = x_0`` where
-    that run stops.  The relations of ``x_k..x_1`` say ``x_{i-1} = b_i x_i -
-    x_{i+1}`` (``x_{k+1} = 0``, ``b_i = -E_i^2``), so each ``x_i = c_i y``
-    with the integers ``c_k = 1``, ``c_{i-1} = b_i c_i - c_{i+1}``.  The
-    fiber relation gives the multiplicities the same recursion, so ``c_i =
-    N_i / N_y``.  When the leaf has ``P``'s multiplicity, ``c_0 = 1``: the
-    chain's ``k`` relations remove its ``k`` generators with unit
-    coefficients, and ``P``'s relation, where ``x_1 = c_1 P``, gains
-    ``N_{x_1} / N_P`` on ``E_P^2``, which is the fiber relation of the graph
-    without the chain.  So the chain is cut and the group is unchanged (a
-    point blow-up's (-1)-leaf is the case ``k = 1``).  One worklist over the
-    leaves cuts in O(V + E): a walk that stops uncut at ``P`` goes on once
-    cuts leave ``P`` two simple edges to distinct neighbours.  (A cut never
-    leaves ``P`` one edge: the edge it removes is simple, so ``P`` had one,
-    at the far end of a path, or at least three.)  The cached adjacency and
-    geometry are copied at the first cut, never changed.  A chain whose
-    walk stops uncut is not walked again: the relations of ``x_k..x_2``
-    remove ``x_{k-1}..x_1``, so its leaf ``y`` stays as one generator with
-    the relation of ``x_1``, ``P - (N_P / N_y) y``, and ``P``'s row takes
-    ``N_{x_1} / N_y`` on ``y`` in place of its 1 on ``x_1``.  Such a ``P``
-    is kept below: it has at least three edges, since integral
-    self-intersections give ``N_y | N_i`` along a chain, so the two ends of
-    a path have equal ``N`` and the whole path is cut.
+    The group is read off the minimal model, since blowing down a
+    (-1)-curve leaves it unchanged (Bosch-Lutkebohmert-Raynaud, *Neron
+    Models*, section 9.6).  :func:`~neroncalc.curves.geometry` refuses an
+    invalid curve, and ``alpha`` is built sparse from the adjacency and
+    self-intersections that :func:`~neroncalc.curves._blow_down` derives
+    from its fiber pass, so the fiber relation holds by construction and
+    no curve is built.
 
     The runs between kept vertices, and cycles, are then folded in closed
     form before elimination.  A vertex is foldable when it has one or two
     incident edges, simple and to distinct neighbours; every other vertex
-    is kept, and when all are foldable (a cycle) the first one is kept.
-    Each maximal run ``x_1..x_k`` of foldable vertices outside the pendant
-    chains is walked from a kept vertex ``P = x_0``.  The
-    relations of ``x_1..x_{k-1}`` say ``x_{i+1} = b_i x_i - x_{i-1}`` with
-    ``b_i = -E_i^2``, so ``x_i = A_i x_1 - B_i P`` with the continuants
-    ``A_0 = 0, B_0 = -1, A_1 = 1, B_1 = 0``.  Each such relation has a unit
-    coefficient on the generator it removes, so ``coker(alpha)`` keeps its
-    isomorphism type when only ``x_1`` and one relation stay per run:
-    ``Q - A_{k+1} x_1 + B_{k+1} P``, with ``Q`` the kept vertex that ends
-    the run, while ``Q``'s entry on ``x_k`` becomes ``A_k x_1 - B_k P``.
-    The kernel :func:`~neroncalc.linalg.smith_diagonal_sparse` gets the
-    square system left, one row per kept vertex, per uncut pendant chain
-    and per run (2 rows for any cycle ``I_n``), and the corank check reads
-    its row count.  Cached on the curve (failures are not).
+    is kept, and when all are foldable (a cycle or a path) the first one is
+    kept.  Each maximal run ``x_1..x_k`` of foldable vertices is walked
+    from a kept vertex ``P = x_0``.  The relations of ``x_1..x_{k-1}`` say
+    ``x_{i+1} = b_i x_i - x_{i-1}`` with ``b_i = -E_i^2``, so ``x_i = A_i
+    x_1 - B_i P`` with the continuants ``A_0 = 0, B_0 = -1, A_1 = 1, B_1 =
+    0``.  Each such relation has a unit coefficient on the generator it
+    removes, so ``coker(alpha)`` keeps its isomorphism type when only
+    ``x_1`` and one relation stay per run: ``Q - A_{k+1} x_1 + B_{k+1} P``,
+    with ``Q`` the kept vertex that ends the run, while ``Q``'s entry on
+    ``x_k`` becomes ``A_k x_1 - B_k P``.  A run that ends at a leaf has no
+    ``Q`` (``x_{k+1} = 0``), so its relation is ``-A_{k+1} x_1 + B_{k+1}
+    P``.  The kernel :func:`~neroncalc.linalg.smith_diagonal_sparse` gets
+    the square system left, one row per kept vertex and per run (2 rows
+    for any cycle ``I_n``), and the corank check reads its row count.
+    Cached on the curve (failures are not).
     """
     if curve._phi is not None:
         return curve._phi
-    geo, adj = geometry(curve), curve.adjacency()
-    N, pos = curve.N, curve._pos
-    degree, self_int = geo.degree, geo.self_int
-    # walks (leaf, prev, cur): cut pendant chains whose leaf has the N of their end
-    todo = [(v, v, next(iter(adj[v]))) for v, d in degree.items() if d == 1]
-    stops, own = {}, None  # end -> walks stopped there uncut; ids whose adj[id] is a copy
-    while todo:
-        leaf, prev, cur = todo.pop()
-        if degree.get(leaf) != 1:  # cut, or its edge cut, since the walk was queued
-            continue
-        while len(adj[cur]) == degree[cur] == 2:
-            u, w = adj[cur]
-            prev, cur = cur, w if u == prev else u
-        if N[pos[leaf]] != N[pos[cur]]:
-            stops.setdefault(cur, []).append((leaf, prev))
-            continue
-        if own is None:  # the first cut: copy the cached maps before editing
-            adj, degree, self_int, own = dict(adj), dict(degree), dict(self_int), set()
-        if cur not in own:
-            adj[cur] = dict(adj[cur])
-            own.add(cur)
-        del adj[cur][prev]
-        degree[cur] -= 1
-        self_int[cur] += N[pos[prev]] // N[pos[cur]]
-        x, y = None, leaf
-        while y != cur:  # drop leaf..prev
-            nbrs = adj.pop(y)
-            del degree[y], self_int[y]
-            for w in nbrs:
-                if w != x:
-                    break
-            x, y = y, w
-        if degree[cur] == len(adj[cur]) == 2:  # the walks that stopped at cur go on
-            todo += [(l, p, cur) for l, p in stops.pop(cur, ())]
+    geometry(curve)  # refuses an invalid curve with its own message
+    adj, degree, self_int, _ = _blow_down(curve)
+    pos = curve._pos
     # the foldable vertices: one or two edges, simple and to distinct neighbours
     unwalked = {vid for vid, nbrs in adj.items()
                 if len(nbrs) == degree[vid] in (1, 2)}
@@ -126,14 +74,6 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
         rows[pos[P]] = row = {pos[w]: k for w, k in adj[P].items()}
         if self_int[P]:
             row[pos[P]] = self_int[P]
-    for P, chains in stops.items():  # each uncut chain is its leaf y: x_i = (N_i/N_y) y
-        row, j = rows[pos[P]], pos[P]
-        for y, x1 in chains:
-            i, n = pos[y], N[pos[y]]
-            unwalked.discard(x1)
-            del row[pos[x1]]
-            row[i] = N[pos[x1]] // n
-            rows[i] = {i: -(N[j] // n), j: 1}
     for P in kept:
         for x1 in adj[P]:
             if x1 not in unwalked:
@@ -142,8 +82,11 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
             prev, cur = P, x1
             a0, b0, a1, b1 = 0, -1, 1, 0  # (A, B) of x_{i-1} and of cur = x_i
             while True:
-                u, w = adj[cur]
-                Q = w if u == prev else u
+                if len(adj[cur]) == 2:
+                    u, w = adj[cur]
+                    Q = w if u == prev else u
+                else:  # a leaf ends the run
+                    Q = None
                 b = -self_int[cur]
                 a0, b0, a1, b1 = a1, b1, b * a1 - a0, b * b1 - b0
                 if Q not in unwalked:
@@ -151,11 +94,14 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
                 unwalked.discard(Q)
                 prev, cur = cur, Q
             # cur = x_k; (a0, b0) = (A_k, B_k) and (a1, b1) = (A_{k+1}, B_{k+1})
-            i, j, q = pos[x1], pos[P], pos[Q]
+            i, j = pos[x1], pos[P]
             rows[i] = rel = {}
-            qrow = rows[q]
-            del qrow[pos[cur]]
-            edits = (rel, i, -a1), (rel, j, b1), (rel, q, 1), (qrow, i, a0), (qrow, j, -b0)
+            edits = [(rel, i, -a1), (rel, j, b1)]
+            if Q is not None:
+                q = pos[Q]
+                qrow = rows[q]
+                del qrow[pos[cur]]
+                edits += (rel, q, 1), (qrow, i, a0), (qrow, j, -b0)
             for row, col, v in edits:
                 v += row.get(col, 0)
                 if v:

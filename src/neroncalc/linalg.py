@@ -24,14 +24,13 @@ from .record import Record
 
 
 def prime_to_part(n: int, p: int) -> int:
-    """Largest divisor of ``n`` coprime to ``p`` (``p == 1`` strips nothing)."""
+    """Largest divisor of ``n`` coprime to ``p``: every prime of ``p`` is
+    stripped, so ``p == 1`` strips nothing and ``p = 4`` acts as ``p = 2``."""
     if n == 0:
         raise PreconditionError("prime_to_part of 0 is undefined")
     n = abs(n)
-    if p <= 1:
-        return n
-    while n % p == 0:
-        n //= p
+    while (k := gcd(n, p)) > 1:
+        n //= k
     return n
 
 

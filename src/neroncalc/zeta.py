@@ -131,7 +131,7 @@ class ReductionProvider(Record):
                 if c is not base and c != base:
                     raise InconsistentData("curve for degree 1 is not the base curve")
                 continue
-            if a < 1 or e % a or (p > 1 and gcd(a, p) != 1):
+            if a < 1 or e % a or gcd(a, p) != 1:
                 raise InconsistentData(
                     "degree %s is not a prime-to-p divisor of e=%d" % (_shown_int(a), e)
                 )
@@ -156,7 +156,7 @@ class ReductionProvider(Record):
                         "jump %s is not a multiple of 1/e with e=%d" % (_shown(str(j)), e)
                     )
         super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
-        degrees = tuple(a for a in _divisors(e) if p == 1 or gcd(a, p) == 1)
+        degrees = tuple(a for a in _divisors(e) if gcd(a, p) == 1)
         vars(self).update(p=p, e=e, genus=g, _degrees=degrees, _period=lcm(e, p))
 
     def stable_degrees(self) -> tuple[int, ...]:
@@ -179,7 +179,7 @@ class ReductionProvider(Record):
 
 def _degree_blocks(provider: ReductionProvider):
     """Yield ``(curve, a, |Phi_a|, degrees)`` per stable degree ``a``: the
-    ``d`` in ``1..lcm(e, p)`` with ``p`` not dividing ``d`` and ``gcd(d, e) =
+    ``d`` in ``1..lcm(e, p)`` prime to ``p`` with ``gcd(d, e) =
     a``, so ``|Phi(d)| = |Phi_a| (d/a)^t`` on their classes modulo ``lcm(e,
     p)``.  The only walk over the tame residues."""
     e, p = provider.e, provider.p
@@ -187,7 +187,7 @@ def _degree_blocks(provider: ReductionProvider):
         curve = provider.curves[a]
         phi = component_group(curve).order
         degrees = range(a, provider._period + 1, a)
-        yield curve, a, phi, [d for d in degrees if gcd(d, e) == a and (p == 1 or d % p)]
+        yield curve, a, phi, [d for d in degrees if gcd(d, e) == a and gcd(d, p) == 1]
 
 
 def component_series(provider: ReductionProvider) -> RationalSeries:

@@ -8,6 +8,7 @@ degrees are periodic modulo ``e p``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from neroncalc.curves import SncdCurve
 from neroncalc.kodaira import good_elliptic, kodaira_curve
@@ -18,7 +19,7 @@ P_VALUES = (1, 2, 3, 5, 7, 11, 13)
 
 def _tame(curves: dict, p: int) -> dict:
     """The curves at the degrees prime to ``p``: a provider takes no other."""
-    return {a: c for a, c in curves.items() if p == 1 or a % p}
+    return {a: c for a, c in curves.items() if gcd(a, p) == 1}
 
 
 def star(q: int, p: int = 1) -> SncdCurve:

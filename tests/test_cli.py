@@ -446,6 +446,22 @@ def test_p_flag_on_a_document_without_p_warns_nothing(tmp_path, command, code, e
         assert json.loads(child.stdout)["p"] == 5
 
 
+def test_composite_p_acts_as_its_primes(capsys):
+    """Prime to p means gcd(x, p) = 1, so p = 4 strips what p = 2 strips."""
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.startswith("provider"):
+            continue
+        docs = []
+        for p in ("2", "4"):
+            code, out, _ = run(capsys, "analyze", fx(name), "--p", p)
+            assert code == 0, name
+            docs.append(json.loads(out))
+        assert (docs[0].pop("p"), docs[1].pop("p")) == (2, 4)
+        assert docs[0] == docs[1], name
+    _, out, _ = run(capsys, "analyze", fx("I0star.json"), "--p", "4")
+    assert json.loads(out)["P_prime"] == "1"
+
+
 def test_p_flag_does_not_excuse_a_bad_p_in_the_document(tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(HOSTILE_CURVES["p_bool"])

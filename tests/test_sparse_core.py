@@ -22,6 +22,7 @@ from neroncalc.basechange import transform
 from neroncalc.cli import main
 from neroncalc.curves import (
     SncdCurve,
+    _blow_down,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,
@@ -103,11 +104,25 @@ def fixture_blowups(draw, max_vertices: int = 30):
     return curve
 
 
+def assert_blow_down_is_the_minimal_model(curve):
+    """``_blow_down``'s maps are the adjacency and fiber pass of
+    ``contract_minus_one``'s curve, and the input's caches stay as they were."""
+    geo, adj = geometry(curve), curve.adjacency()
+    before = (dict(geo.degree), dict(geo.self_int), {v: dict(n) for v, n in adj.items()})
+    minimal = contract_minus_one(curve)
+    got_adj, degree, self_int, _ = _blow_down(curve)
+    assert got_adj == minimal.adjacency()
+    assert (degree, self_int) == (geometry(minimal).degree, geometry(minimal).self_int)
+    assert list(degree) == list(self_int) == list(minimal.ids)
+    assert (geo.degree, geo.self_int, adj) == before
+
+
 @given(fixture_blowups())
 @settings(max_examples=200, deadline=None)
 def test_contraction_equals_rescan_on_blowups(curve):
     # == compares the vertex and edge tuples, order included
     assert contract_minus_one(curve) == rescan_contract_minus_one(curve)
+    assert_blow_down_is_the_minimal_model(curve)
 
 
 TREES = [name for name in ALL_FIXTURES if fixture_curve(name).b1() == 0]
@@ -121,6 +136,7 @@ def test_contraction_equals_rescan_on_transforms(name):
     for d in degrees:
         out, _ = transform(curve, d)
         assert contract_minus_one(out) == rescan_contract_minus_one(out)
+        assert_blow_down_is_the_minimal_model(out)
 
 
 def test_contraction_returns_input_when_nothing_qualifies():
@@ -313,7 +329,8 @@ def kernel_row_counts():
 def assert_fold_matches_oracles(curve):
     """``component_group`` against ``ker(beta)/im(alpha)`` computed densely
     and against the kernel run on every unfolded intersection row; the
-    folded system has at most one row per kept vertex and per run."""
+    folded system has at most one row per kept vertex and per run, of the
+    curve and of its minimal model."""
     alpha = intersection_matrix(curve)
     group, rank = smith_quotient([[v.N for v in curve.vertices]], alpha)
     diag = smith_diagonal(alpha)
@@ -322,6 +339,7 @@ def assert_fold_matches_oracles(curve):
     with kernel_row_counts() as seen:  # a fresh copy: the group is cached on a curve
         assert component_group(SncdCurve(curve.vertices, curve.edges, curve.p)) == group
     assert len(seen) == 1 and seen[0] <= kept_plus_runs(curve)
+    assert seen[0] <= kept_plus_runs(contract_minus_one(curve))
 
 
 @pytest.mark.parametrize("name", FOLD_SHAPES)
@@ -344,7 +362,7 @@ def test_cycles_reach_the_kernel_as_two_rows():
     assert seen == [2] * len(cycles)
 
 
-# -- pendant chain cut ---------------------------------------------------------
+# -- blow-down -----------------------------------------------------------------
 
 
 def star(q: int) -> SncdCurve:
@@ -376,8 +394,11 @@ def deep_blowups(draw, max_vertices: int = 16):
 def test_cut_matches_oracle_and_minimal_model(curve):
     group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
     assert rank == 0
-    assert component_group(curve) == group
+    with kernel_row_counts() as seen:
+        assert component_group(curve) == group
     assert component_group(contract_minus_one(curve)) == group
+    assert len(seen) == 1 and seen[0] <= kept_plus_runs(contract_minus_one(curve))
+    assert_blow_down_is_the_minimal_model(curve)
 
 
 @given(deep_blowups(), st.sampled_from((1, 2, 3, 5)))
@@ -409,9 +430,10 @@ def uncut_chains(curve: SncdCurve) -> list[tuple[int, int, int]]:
 
 
 def test_uncut_chains_match_the_oracle():
-    """A pendant chain that is not cut reaches the kernel as its leaf ``y``
-    alone, with ``N_{x_1}/N_y`` in its root's row: small-d transforms of
-    II*, I0* and IV*, several with such chains of two or more vertices."""
+    """A pendant chain whose leaf's multiplicity differs from its root's:
+    whatever the blow-down leaves of it is folded as a run that ends at a
+    leaf (``x_{k+1} = 0``): small-d transforms of II*, I0* and IV*, several
+    with such chains of two or more vertices."""
     long_chains = 0
     for name, e in (("II*", 6), ("I0*", 2), ("IV*", 3)):
         for d in (d for d in range(1, 12) if gcd(d, e) == 1):
@@ -420,6 +442,35 @@ def test_uncut_chains_match_the_oracle():
             group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
             assert rank == 0 and component_group(curve) == group, (name, d)
     assert long_chains >= 6
+
+
+# A core that no blow-down removes (two vertices joined twice, or a
+# triangle) with a pendant chain through or ending at a genus-1 vertex.
+LEAF_RUN_SHAPES = {
+    "genus-1 leaf": reduced("cdxyz", [("c", "d"), ("c", "d"), *chain("cxyz")], {"z": 1}),
+    "genus-1 vertex inside": reduced(
+        "cdxyzw", [("c", "d"), ("c", "d"), *chain("cxyzw")], {"y": 1}),
+    "genus-1 leaf, N = 2": SncdCurve(
+        [("c", 2, 0), ("d", 1, 0), ("e", 1, 0), ("x", 2, 0), ("y", 2, 1)],
+        [("c", "d"), ("c", "e"), ("d", "e"), ("c", "x"), ("x", "y")]),
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", LEAF_RUN_SHAPES)
+def test_leaf_ended_run_survives_the_blow_down(name, seed):
+    """The chain stays a run ending at a leaf after any blow-ups are
+    blown down again, and its relation ``-A_{k+1} x_1 + B_{k+1} P`` gives
+    the group of the dense oracle, in one row for the whole chain."""
+    base = LEAF_RUN_SHAPES[name]
+    curve = blowup(base, len(base.ids) + 3 * seed, seed) if seed else base
+    adj, degree, _, _ = _blow_down(curve)
+    assert any(d == 1 for d in degree.values())
+    group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
+    assert rank == 0
+    with kernel_row_counts() as seen:
+        assert component_group(curve) == group
+    assert seen == [kept_plus_runs(contract_minus_one(curve))]
 
 
 def blowup(curve: SncdCurve, target: int, seed: int) -> SncdCurve:

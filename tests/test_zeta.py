@@ -33,7 +33,13 @@ from neroncalc.zeta import (
     prym_jump_difference,
 )
 
-from provider_sweep import law_providers
+from provider_sweep import (
+    kodaira_II_provider,
+    kodaira_In_star_provider,
+    law_providers,
+    looped_provider,
+    star_provider,
+)
 
 JUMP_TABLE = {
     "I0": Fraction(0),
@@ -283,6 +289,21 @@ def test_prym_conductor_subtracts():
     a = JumpSet([(Fraction(1, 6), 1), (Fraction(1, 2), 1)])
     a1 = JumpSet([(Fraction(1, 2), 1)])
     assert prym_jump_difference(a, a1).c_tame == a.c_tame - a1.c_tame
+
+
+@pytest.mark.parametrize("make", [
+    kodaira_II_provider, looped_provider,
+    lambda p: kodaira_In_star_provider(1, p), lambda p: star_provider(3, p),
+], ids=["II", "looped", "I1star", "star3"])
+def test_composite_p_gives_the_series_of_its_prime(make):
+    """At p = 4 the tame degrees are those prime to 2, so each series is
+    the one at p = 2, whatever the period ``lcm(e, p)`` it is built over."""
+    two, four = make(2), make(4)
+    assert four.stable_degrees() == two.stable_degrees()
+    assert component_series(four) == component_series(two)
+    assert euler_specialize(four) == euler_specialize(two)
+    if two.jumps is not None:
+        assert motivic_zeta(four) == motivic_zeta(two)
 
 
 def test_provider_validation():
