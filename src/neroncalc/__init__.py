@@ -32,7 +32,6 @@ from .invariants import (
     lorenzini_form,
     monodromy_zeta,
     stabilization_index,
-    tame,
 )
 from .basechange import BaseChangeLaws, BaseChangeTrace, base_change_laws, transform
 from .ratseries import RationalSeries, geometric_sum
@@ -45,7 +44,6 @@ from .zeta import (
     load_provider,
     motivic_zeta,
     ord_function,
-    prym_jump_difference,
 )
 from .conductors import (
     EllipticData,
@@ -62,4 +60,4 @@ from .conductors import (
     torus_ctame,
     wild_defect,
 )
-from . import errors, kodaira
+from . import errors

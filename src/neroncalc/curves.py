@@ -193,10 +193,10 @@ class CurveGeometry(Record):
     b1: int
     abelian_rank: int
     connected: bool
-    nondividing: tuple[tuple[Vertex, int], ...]  # (v, sum_w N_w E_v.E_w), N_v not dividing
-    euler: int                                   # sum_v N_v chi(E_v^o)
-    chi_factors: dict[int, int]                  # N -> -sum chi(E_v^o) over N_v = N
-    principal: frozenset[int]                    # N_v over g_v > 0 or degree_v >= 3
+    nondividing: tuple[tuple[str, int, int], ...]  # (id, N_v, sum_w N_w E_v.E_w), N_v not dividing
+    euler: int                                     # sum_v N_v chi(E_v^o)
+    chi_factors: dict[int, int]                    # N -> -sum chi(E_v^o) over N_v = N
+    principal: frozenset[int]                      # N_v over g_v > 0 or degree_v >= 3
 
 
 class ValidationReport(Record):
@@ -228,7 +228,7 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
         n, inc, d = N[i], incident[i], degree[i]
         self_int[vid] = -(inc // n)
         if inc % n:
-            nondividing.append((curve.vertices[i], inc))
+            nondividing.append((vid, n, inc))
         chi = 2 - 2 * g[i] - d
         if chi:
             euler += n * chi
@@ -258,7 +258,7 @@ def validate(curve: SncdCurve) -> ValidationReport:
     """
     geo = _fiber_pass(curve)
     problems = [] if geo.connected else [_DISCONNECTED]
-    problems += [_NONDIVIDING % (v.N, v.id, incident) for v, incident in geo.nondividing]
+    problems += [_NONDIVIDING % (n, vid, incident) for vid, n, incident in geo.nondividing]
     index = curve.multiplicity_gcd()
     if index != 1:
         problems.append(_MULTIPLE % index)
@@ -291,8 +291,8 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
     if not geo.connected:
         raise MalformedFiber(_DISCONNECTED)
     if geo.nondividing:
-        v, incident = geo.nondividing[0]
-        raise MalformedFiber(_NONDIVIDING % (v.N, v.id, incident))
+        vid, n, incident = geo.nondividing[0]
+        raise MalformedFiber(_NONDIVIDING % (n, vid, incident))
     return geo
 
 
@@ -337,7 +337,7 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
     geo = _fiber_pass(curve)
     ids, pos, g = curve.ids, curve._pos, curve.g
     adj, degree, self_int = curve.adjacency(), geo.degree, geo.self_int
-    nondividing = {v.id for v, _ in geo.nondividing}
+    nondividing = {vid for vid, _, _ in geo.nondividing}
 
     def exceptional(vid):  # reads the maps as rebound below
         return (self_int[vid] == -1 and degree[vid] == len(adj[vid]) in (1, 2)
@@ -371,13 +371,13 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
     return adj, degree, self_int, new_edges
 
 
-def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> SncdCurve:
+def blow_up_point(curve: SncdCurve, vid: str) -> SncdCurve:
     """Blow up a smooth point of the component ``vid``.
 
     Adds an exceptional vertex with the same multiplicity and genus 0.
     """
     n = curve.multiplicity(vid)
-    nid = new_id or _fresh_id(curve, vid + "^")
+    nid = _fresh_id(curve, vid + "^")
     return SncdCurve(
         [*zip(curve.ids, curve.N, curve.g), (nid, n, 0)],
         curve.edges + ((vid, nid),),
@@ -385,16 +385,14 @@ def blow_up_point(curve: SncdCurve, vid: str, new_id: str | None = None) -> Sncd
     )
 
 
-def blow_up_intersection(
-    curve: SncdCurve, edge_index: int, new_id: str | None = None
-) -> SncdCurve:
+def blow_up_intersection(curve: SncdCurve, edge_index: int) -> SncdCurve:
     """Blow up the intersection point recorded by ``edges[edge_index]``.
 
     The edge is subdivided by an exceptional vertex of multiplicity
     ``N_a + N_b`` and genus 0.
     """
     a, b = curve.edges[edge_index]
-    nid = new_id or _fresh_id(curve, "%s*%s" % (a, b))
+    nid = _fresh_id(curve, "%s*%s" % (a, b))
     n = curve.multiplicity(a) + curve.multiplicity(b)
     edges = list(curve.edges)
     del edges[edge_index]

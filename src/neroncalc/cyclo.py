@@ -27,7 +27,7 @@ from .errors import PreconditionError
 from .record import Record
 
 
-def poly_str(c: list[int], var: str = "t") -> str:
+def poly_str(c: list[int]) -> str:
     """Human-readable form, highest degree first.
 
     >>> poly_str([1, -1, 1])
@@ -47,7 +47,7 @@ def poly_str(c: list[int], var: str = "t") -> str:
         if i == 0:
             body = str(mag)
         else:
-            tpow = var if i == 1 else "%s^%d" % (var, i)
+            tpow = "t" if i == 1 else "t^%d" % i
             body = tpow if mag == 1 else "%d*%s" % (mag, tpow)
         parts.append((sign, body))
     if not parts:
@@ -75,18 +75,6 @@ def _divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
-
-
-def cyclotomic_at_one(m: int) -> int:
-    """``Phi_m(1)``: 0 for m = 1, the prime p for m = p^k, else 1."""
-    if m < 1:
-        raise PreconditionError("m must be positive")
-    if m == 1:
-        return 0
-    p = _divisors(m)[1]  # least prime factor
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else 1
 
 
 # -- factored products of (t^a - 1) ------------------------------------------
@@ -117,13 +105,6 @@ class CycloProduct(Record):
 
     def __repr__(self):
         return "CycloProduct(%r)" % dict(self.factors)
-
-    @classmethod
-    def one(cls) -> "CycloProduct":
-        return cls()
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
     def __mul__(self, other: "CycloProduct") -> "CycloProduct":
         out = dict(self.factors)
@@ -191,17 +172,17 @@ class CycloProduct(Record):
         return CycloProduct(out)
 
     def value_at_one(self) -> Fraction:
-        """Exact value at ``t = 1`` (0 when ``Phi_1`` divides, else a ratio;
-        a pole there is a :class:`PreconditionError`)."""
-        phi = self.phi_exponents()
-        k1 = phi.pop(1, 0)
+        """Exact value at ``t = 1``: each ``t^a - 1`` is ``t - 1`` times a
+        factor that is ``a`` there, so 0 when ``sum e_a > 0``, ``prod a^{e_a}``
+        when ``sum e_a = 0``, and a pole (:class:`PreconditionError`) else."""
+        k1 = sum(e for _, e in self.factors)
         if k1 > 0:
             return Fraction(0)
         if k1 < 0:
             raise PreconditionError("pole at t = 1")
         out = Fraction(1)
-        for m, k in phi.items():
-            out *= Fraction(cyclotomic_at_one(m)) ** k
+        for a, e in self.factors:
+            out *= Fraction(a) ** e
         return out
 
     def root_order(self) -> int:

@@ -37,10 +37,6 @@ class NonIntegralAssembly(NeroncalcError):
     """A series coefficient failed to land in the integral coefficient ring."""
 
 
-class NotContained(NeroncalcError):
-    """Multiset subtraction with a subtrahend that is not contained."""
-
-
 class MissingField(NeroncalcError):
     """A conductor formula needs a field that was not supplied."""
 

@@ -182,22 +182,16 @@ def stabilization_index(curve: SncdCurve) -> int:
     return lcm(*geometry(curve).principal)
 
 
-def tame(curve: SncdCurve) -> bool:
-    """True when the stabilization index is prime to ``p``.
-
-    Exact as a ramification criterion only on relatively minimal models;
-    this function trusts the caller on minimality.
-    """
-    return gcd(stabilization_index(curve), curve.p) == 1
-
-
 class InvariantReport(Record):
+    """The invariants of one fiber, from :func:`invariant_report`.  ``tame``
+    (``e_model`` prime to ``p``) is exact as a ramification criterion only on
+    relatively minimal models: it reads the model as given."""
+
     genus: int
     toric_rank: int
     abelian_rank: int
     unipotent_rank: int
     phi: FiniteAbelianGroup
-    phi_rank: int
     char_poly: CycloProduct
     char_poly_prime: CycloProduct
     zeta: CycloProduct
@@ -214,7 +208,7 @@ class InvariantReport(Record):
             "u": self.unipotent_rank,
             "phi": list(self.phi.factors),
             "phi_order": self.phi.order,
-            "phi_rank": self.phi_rank,
+            "phi_rank": 0,  # Phi is finite
             "P": P,
             "P_factored": str(self.char_poly),
             "P_prime": (P if self.char_poly_prime == self.char_poly
@@ -251,7 +245,6 @@ def invariant_report(curve: SncdCurve) -> InvariantReport:
         abelian_rank=a,
         unipotent_rank=u,
         phi=component_group(curve),
-        phi_rank=0,
         char_poly=P,
         char_poly_prime=Pp,
         zeta=zeta,

@@ -84,10 +84,6 @@ class FiniteAbelianGroup(Record):
     def order(self) -> int:
         return prod(self.factors)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
     def prime_to(self, p: int) -> "FiniteAbelianGroup":
         """Prime-to-``p`` part: ``p``-power factors stripped from each ``di``."""
         return FiniteAbelianGroup.from_factors(

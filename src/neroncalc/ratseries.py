@@ -160,10 +160,6 @@ class RationalSeries:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RationalSeries":
-        return cls({})
-
-    @classmethod
     def monomial(cls, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
         return cls({(n, l, tuple(sorted(ab))): coeff})
 
@@ -207,9 +203,6 @@ class RationalSeries:
 
     def scale(self, c) -> "RationalSeries":
         return RationalSeries({k: v * c for k, v in self.num}, self.den)
-
-    def mul_monomial(self, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
-        return self * RationalSeries.monomial(coeff, n, l, ab)
 
     def subs_T_power(self, a: int) -> "RationalSeries":
         """Substitute ``T -> T^a``."""

@@ -29,7 +29,6 @@ from .curves import (
 from .cyclo import _divisors
 from .errors import (
     InconsistentData,
-    NotContained,
     ParseError,
     PreconditionError,
     ProviderIncomplete,
@@ -83,23 +82,6 @@ def _ord_values(jumps: JumpSet, degrees) -> list[int]:
     """:func:`ord_function` at each of ``degrees``, reading each jump once."""
     terms = [(j.numerator, j.denominator, m) for j, m in jumps.jumps]
     return [sum(m * (d * n // den) for n, den, m in terms) for d in degrees]
-
-
-def prym_jump_difference(jumps_a: JumpSet, jumps_a1: JumpSet) -> JumpSet:
-    """Multiset difference of jump sets; the subtrahend must be contained."""
-    have = dict(jumps_a.jumps)
-    missing = [
-        (j, m) for j, m in jumps_a1.jumps if have.get(j, 0) < m
-    ]
-    if missing:
-        raise NotContained(
-            "jumps not contained: %s"
-            % ", ".join("%s x%d" % (j, m) for j, m in missing)
-        )
-    out = dict(have)
-    for j, m in jumps_a1.jumps:
-        out[j] -= m
-    return JumpSet((j, m) for j, m in out.items() if m)
 
 
 class ReductionProvider(Record):

@@ -82,10 +82,8 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = (
-            shape.mul_monomial(phi, l=u + ord_function(jumps, alpha), ab=ab)
-            * torus
-        )
+        block = shape * RationalSeries.monomial(
+            phi, l=u + ord_function(jumps, alpha), ab=ab) * torus
         blocks.append(block)
     return RationalSeries.sum(blocks)
 

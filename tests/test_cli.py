@@ -283,6 +283,19 @@ def test_no_subcommand_loads_the_introspection_modules(tmp_path):
     assert json.loads(child.stdout.splitlines()[-1]) == []
 
 
+def test_cli_import_leaves_the_fixture_library_unloaded():
+    """``neroncalc.kodaira`` is the fixture library, which no command runs:
+    importing the CLI does not load it, and importing it by name works."""
+    code = (
+        "import sys, neroncalc.cli\n"
+        "assert 'neroncalc.kodaira' not in sys.modules\n"
+        "from neroncalc.kodaira import fixture_curve\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+
+
 def test_reused_parser_matches_a_fresh_process_per_call(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     target = str(tmp_path / "out.json")

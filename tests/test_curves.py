@@ -504,6 +504,31 @@ def test_hot_path_builds_no_record_per_vertex(monkeypatch, transformed_document)
     assert all(n <= 2 for n in counts.values()), counts
 
 
+def test_nondividing_vertex_builds_no_record(monkeypatch):
+    """A cycle with one multiplicity that does not divide its incident sum:
+    :func:`validate` and :func:`geometry` name that vertex, with their usual
+    text, and build no :class:`Vertex` record."""
+    n = 2000
+    ids = ["v%d" % i for i in range(n)]
+
+    def bad_cycle():
+        return SncdCurve([(vid, 3 if vid == "v7" else 1, 0) for vid in ids],
+                         [(ids[i], ids[(i + 1) % n]) for i in range(n)])
+
+    text = "multiplicity 3 of 'v7' does not divide the incident sum 2"
+    problems = []
+
+    def check_geometry():
+        with pytest.raises(MalformedFiber) as exc:
+            geometry(bad_cycle())
+        problems.append(str(exc.value))
+
+    counts = [_vertex_records(monkeypatch, lambda: problems.extend(validate(bad_cycle()).problems)),
+              _vertex_records(monkeypatch, check_geometry)]
+    assert counts == [0, 0]
+    assert problems == [text, text]
+
+
 def test_parse_stays_near_json_loads(transformed_document):
     """Best of 7: the parse costs at most a few json.loads of its text.
 

@@ -1,5 +1,6 @@
 """Factored cyclotomic arithmetic against expansion and resultant oracles."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neroncalc.cyclo import CycloProduct, cyclotomic_at_one, poly_str
+from neroncalc.cyclo import CycloProduct, poly_str
 from neroncalc.errors import PreconditionError
 
 from cyclo_oracles import cyclotomic, poly_divexact, poly_eval, poly_mul
@@ -44,8 +45,8 @@ def test_power_d_examples():
 
 def test_multiplication_and_cancellation():
     assert CycloProduct({2: 1}) * CycloProduct({2: -1, 3: 2}) == CycloProduct({3: 2})
-    assert (CycloProduct({4: 2}) ** 3).as_dict() == {4: 6}
-    assert CycloProduct() * CycloProduct() == CycloProduct.one()
+    assert dict((CycloProduct({4: 2}) ** 3).factors) == {4: 6}
+    assert CycloProduct() * CycloProduct() == CycloProduct()
 
 
 def test_cyclotomic_against_sympy():
@@ -53,14 +54,6 @@ def test_cyclotomic_against_sympy():
         ours = list(cyclotomic(m))
         theirs = sympy.Poly(sympy.cyclotomic_poly(m, t), t).all_coeffs()[::-1]
         assert ours == [int(c) for c in theirs]
-
-
-def test_cyclotomic_at_one_divides_m():
-    for m in range(2, 80):
-        v = cyclotomic_at_one(m)
-        assert v > 0 and m % v == 0
-        assert v == poly_eval(list(cyclotomic(m)), 1)
-    assert cyclotomic_at_one(1) == 0
 
 
 factored = st.dictionaries(
@@ -103,8 +96,33 @@ def test_value_at_one_matches_expansion():
         P = CycloProduct(factors)
         assert P.value_at_one() == poly_eval(P.as_poly(), 1)
     assert CycloProduct({1: 1}).value_at_one() == 0
+    # not polynomials, but the exponents of t - 1 cancel: prod a^{e_a}
+    assert CycloProduct({4: -1, 2: 1}).value_at_one() == Fraction(1, 2)
+    assert CycloProduct({3: -2, 5: 1, 1: 1}).value_at_one() == Fraction(5, 9)
     with pytest.raises(PreconditionError, match=r"^pole at t = 1$"):
         CycloProduct({1: -1}).value_at_one()
+
+
+@given(factored, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_value_at_one_matches_sympy(factors, cancel):
+    """Against ``cancel(prod (t^a - 1)^e)`` at ``t = 1``, on products that
+    need not be polynomials; with ``cancel`` the exponent of ``t - 1`` is
+    chosen so that ``sum e_a = 0``, the case with a nonzero value."""
+    if cancel:
+        factors = {**factors, 1: factors.get(1, 0) - sum(factors.values())}
+    P = CycloProduct(factors)
+    total = sum(e for _, e in P.factors)
+    f = sympy.cancel(sympy.Mul(*[(t**a - 1) ** e for a, e in P.factors]))
+    num, den = sympy.fraction(f)
+    if den.subs(t, 1) == 0:
+        assert total < 0
+        with pytest.raises(PreconditionError, match=r"^pole at t = 1$"):
+            P.value_at_one()
+    else:
+        value = sympy.Rational(num.subs(t, 1), den.subs(t, 1))
+        assert P.value_at_one() == Fraction(int(value.p), int(value.q))
+        assert (value == 0) == (total > 0)
 
 
 def test_root_order():

@@ -72,7 +72,7 @@ def pairwise_add(x: RationalSeries, y: RationalSeries) -> RationalSeries:
 
 
 def fold(terms) -> RationalSeries:
-    return reduce(pairwise_add, terms, RationalSeries.zero())
+    return reduce(pairwise_add, terms, RationalSeries({}))
 
 
 # -- strategies -------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_sum_is_identical_to_fold_over_one_factor(terms):
 
 
 def test_sum_of_nothing_is_zero():
-    assert RationalSeries.sum([]).to_dict() == RationalSeries.zero().to_dict()
+    assert RationalSeries.sum([]).to_dict() == RationalSeries({}).to_dict()
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
