@@ -22,7 +22,7 @@ from .curves import (
 )
 from .cyclo import CycloProduct
 from .linalg import FiniteAbelianGroup, smith_diagonal_sparse
-from .hj import HJChain, LocalPointData, hj_expand, hj_value, local_point_data, resolve_chain
+from .hj import HJChain, LocalPointData, hj_expand, local_point_data, resolve_chain
 from .invariants import (
     InvariantReport,
     char_poly,

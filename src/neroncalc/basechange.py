@@ -21,16 +21,15 @@ from .record import Record
 
 
 class EdgeRecord(Record):
-    endpoints: tuple[str, str]
-    old_multiplicities: tuple[int, int]
     local: LocalPointData
     inserted: tuple[str, ...]
 
 
 class BaseChangeTrace(Record):
+    """One :class:`EdgeRecord` per edge of ``input_curve``, in its edge order."""
+
     input_curve: SncdCurve
     d: int
-    vertex_records: tuple[tuple[str, int, int, int], ...]  # id, old N, gcd, new N
     edge_records: tuple[EdgeRecord, ...]
 
     @property
@@ -41,22 +40,23 @@ class BaseChangeTrace(Record):
         return hashlib.sha256(serialize_curve(self.input_curve).encode()).hexdigest()
 
     def to_dict(self) -> dict:
+        curve, d = self.input_curve, self.d
         return {
             "input_sha256": self.input_digest,
-            "d": self.d,
+            "d": d,
             "vertices": [
-                {"id": i, "N": n, "gcd": g, "N_new": m}
-                for i, n, g, m in self.vertex_records
+                {"id": i, "N": n, "gcd": gcd(n, d), "N_new": n // gcd(n, d)}
+                for i, n in zip(curve.ids, curve.N)
             ],
             "edges": [
                 {
-                    "endpoints": list(r.endpoints),
-                    "N": list(r.old_multiplicities),
+                    "endpoints": list(edge),
+                    "N": [r.local.m1, r.local.m2],
                     "points_above": r.local.num_points,
                     "quotient_order": r.local.d2,
                     "inserted": list(r.inserted),
                 }
-                for r in self.edge_records
+                for edge, r in zip(curve.edges, self.edge_records)
             ],
         }
 
@@ -86,37 +86,26 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     adjacent to the second endpoint carries ``mu_1``.
     """
     _check_preconditions(curve, d)
-    new_vertices = []  # (id, N, g) triples
-    vrecords = []
-    for vid, n, g in zip(curve.ids, curve.N, curve.g):
-        k = gcd(n, d)
-        new_vertices.append((vid, n // k, g))
-        vrecords.append((vid, n, k, n // k))
+    new_vertices = [(vid, n // gcd(n, d), g) for vid, n, g in zip(curve.ids, curve.N, curve.g)]
     new_edges: list[tuple[str, str]] = []
     erecords = []
     for idx, (a, b) in enumerate(curve.edges):
-        na, nb = curve.multiplicity(a), curve.multiplicity(b)
-        local = local_point_data(na, nb, d)  # gcd(d, p) = 1 was checked above
+        # gcd(d, p) = 1 was checked above
+        local = local_point_data(curve.multiplicity(a), curve.multiplicity(b), d)
         if local.num_points != 1:
             raise InternalError(
                 "edge (%s, %s) splits into %d points under d=%d"
                 % (a, b, local.num_points, d)
             )
-        if local.chain is None:
-            new_edges.append((a, b))
-            erecords.append(EdgeRecord((a, b), (na, nb), local, ()))
-            continue
-        interior = local.chain.mu[1:-1]
+        interior = local.chain.mu[1:-1] if local.chain else ()
         ids = ["%s|%s|%d|%d" % (a, b, idx, k + 1) for k in range(len(interior))]
-        for vid, mult in zip(ids, interior):
-            new_vertices.append((vid, mult, 0))
-        # chain ends: mu[0] sits on b's side, mu[-1] on a's side
+        new_vertices += [(vid, mult, 0) for vid, mult in zip(ids, interior)]
+        # mu[0] sits on b's side, mu[-1] on a's side; a chainless (b, a) is stored as (a, b)
         path = [b] + ids + [a]
-        for u, w in zip(path, path[1:]):
-            new_edges.append((u, w))
-        erecords.append(EdgeRecord((a, b), (na, nb), local, tuple(ids)))
+        new_edges += zip(path, path[1:])
+        erecords.append(EdgeRecord(local, tuple(ids)))
     out = SncdCurve(new_vertices, new_edges, curve.p)
-    return out, BaseChangeTrace(curve, d, tuple(vrecords), tuple(erecords))
+    return out, BaseChangeTrace(curve, d, tuple(erecords))
 
 
 class BaseChangeLaws(Record):

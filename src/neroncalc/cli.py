@@ -20,8 +20,6 @@ from .conductors import (
     EllipticData,
     KodairaType,
     artin_relation,
-    c_elliptic,
-    ctame_elliptic,
     d_pot,
     genus2_c,
     wild_defect,
@@ -150,7 +148,7 @@ def _cmd_elliptic(args) -> int:
     doc = {
         "type": str(data.kodaira),
         "c": str(c),
-        "c_tame": str(ctame_elliptic(data.kodaira)),
+        "c_tame": str(defect.c_tame),
         "d_pot": d_pot(data),
         "art": art,
         "wild_defect": str(defect.defect),

@@ -115,13 +115,12 @@ class EllipticData(Record):
     v_j: int | None
     delta_wild: int
     p: int
-    art: int | None
 
     def __init__(
         self, kodaira: KodairaType, v_delta: int, potential: str,
-        v_j: int | None = None, delta_wild: int = 0, p: int = 1, art: int | None = None,
+        v_j: int | None = None, delta_wild: int = 0, p: int = 1,
     ):
-        super().__init__(kodaira, v_delta, potential, v_j, delta_wild, p, art)
+        super().__init__(kodaira, v_delta, potential, v_j, delta_wild, p)
         if not isinstance(kodaira, KodairaType):
             raise PreconditionError("kodaira must be a KodairaType, not %s" % type(kodaira).__name__)
         if potential not in (GOOD, MULTIPLICATIVE):
@@ -184,16 +183,11 @@ def d_pot(data: EllipticData) -> int:
 def artin_relation(data: EllipticData) -> tuple[int, Fraction]:
     """Recover the Artin conductor from ``c = -(Art + d_pot)/12``.
 
-    Returns ``(Art, c)`` and cross-checks a user-supplied value.  ``Art =
-    -v(Delta)``: ``-(v(Delta) + v(j)) + v(j)`` when multiplicative.
+    Returns ``(Art, c)``.  ``Art = -v(Delta)``: ``-(v(Delta) + v(j)) +
+    v(j)`` when multiplicative.
     """
     c = c_elliptic(data)
-    art = int(-12 * c) - d_pot(data)
-    if data.art is not None and data.art != art:
-        raise InconsistentData(
-            "supplied Art = %d contradicts derived Art = %d" % (data.art, art)
-        )
-    return art, c
+    return int(-12 * c) - d_pot(data), c
 
 
 class WildDefectReport(Record):

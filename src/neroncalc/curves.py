@@ -440,17 +440,21 @@ def _shown(text: str, show=str) -> str:
     return "%s... (%d characters)" % (show(text[:20]), len(text))
 
 
-def _shown_int(n: int) -> str:
-    """``_shown(str(n))``, past 40 digits without ``str``, which refuses an
-    integer beyond the interpreter's digit limit."""
-    m = abs(n)
-    if m < 10**40:
-        return _shown(str(n))
-    k = (m.bit_length() - 1) * 30102999 // 10**8  # 10^k <= m: 0.30102999 < log10(2)
-    while 10 ** (k + 1) <= m:
-        k += 1
-    sign = "-" if n < 0 else ""  # the first 20 characters, then the length
-    return "%s%d... (%d characters)" % (sign, m // 10 ** (k - 19 + len(sign)), len(sign) + k + 1)
+def _shown_number(x) -> str:
+    """``_shown(str(x))`` for an ``int`` or a ``Fraction``, past 40 digits in a
+    part without ``str``, which refuses one beyond the interpreter's limit."""
+    parts = (x.numerator,) if x.denominator == 1 else (x.numerator, x.denominator)
+    if all(abs(n) < 10**40 for n in parts):
+        return _shown(str(x))
+    heads, length = [], len(parts) - 1  # each part's first 20 characters; the "/"
+    for n in parts:
+        m, sign = abs(n), "-" if n < 0 else ""
+        k = (m.bit_length() - 1) * 30102999 // 10**8  # 10^k <= m: 0.30102999 < log10(2)
+        while 10 ** (k + 1) <= m:
+            k += 1
+        heads.append(sign + str(m // 10 ** max(k - 19, 0)))
+        length += len(sign) + k + 1
+    return "%s... (%d characters)" % ("/".join(heads)[:20], length)
 
 
 def _parse_int(text: str, error, noun: str, invalid: str) -> int:

@@ -214,6 +214,7 @@ class CycloProduct(Record):
 
     def poly_str(self) -> str:
         """Expanded polynomial string; falls back to factored form."""
-        if self.is_polynomial:
+        try:
             return poly_str(self.as_poly())
-        return str(self)
+        except PreconditionError:  # not a polynomial
+            return str(self)

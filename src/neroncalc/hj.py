@@ -12,7 +12,6 @@ cover of the base.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import BadFraction, BadLocalData
@@ -37,18 +36,6 @@ def hj_expand(n: int, r: int) -> list[int]:
         digits.append(b)
         n, r = r, b * r - n
     return digits
-
-
-def hj_value(digits) -> Fraction:
-    """Evaluate ``[b1, ..., bL]`` back to the fraction it expands.
-
-    >>> hj_value([3, 2])
-    Fraction(5, 2)
-    """
-    value = Fraction(digits[-1])
-    for b in reversed(digits[:-1]):
-        value = b - 1 / value
-    return value
 
 
 class HJChain(Record):
@@ -123,7 +110,6 @@ class LocalPointData(Record):
     d2: int                      # d'' = d' / (e1 e2)
     m1_red: int                  # m1'' = m1 / (c e1)
     m2_red: int                  # m2'' = m2 / (c e2)
-    r: int | None
     chain: HJChain | None
 
 
@@ -151,7 +137,7 @@ def local_point_data(m1: int, m2: int, d: int, p: int = 1) -> LocalPointData:
     # gcd(e1, e2) divides gcd(d1, m1p, m2p) = 1, so e1*e2 divides d1
     d2, m1r, m2r = d1 // (e1 * e2), m1p // e1, m2p // e2
     if d2 == 1:
-        return LocalPointData(m1, m2, d, c, d1, e1, e2, 1, m1r, m2r, None, None)
+        return LocalPointData(m1, m2, d, c, d1, e1, e2, 1, m1r, m2r, None)
     r = (-m1r * pow(m2r, -1, d2)) % d2
     chain = resolve_chain(m1r, m2r, d2, r)
-    return LocalPointData(m1, m2, d, c, d1, e1, e2, d2, m1r, m2r, r, chain)
+    return LocalPointData(m1, m2, d, c, d1, e1, e2, d2, m1r, m2r, chain)

@@ -165,9 +165,6 @@ class RationalSeries:
 
     # -- ring operations -------------------------------------------------------
 
-    def _num_dict(self) -> Poly:
-        return dict(self.num)
-
     @classmethod
     def sum(cls, terms) -> "RationalSeries":
         """Sum over the common denominator (each factor at its largest
@@ -179,7 +176,7 @@ class RationalSeries:
         terms = list(terms)
         if len(terms) == 1:  # a series is stored reduced
             return terms[0]
-        terms = [(s._num_dict(), Counter(s.den)) for s in terms]
+        terms = [(dict(s.num), Counter(s.den)) for s in terms]
         common: Counter = Counter()
         for _, den in terms:
             common |= den
@@ -197,7 +194,7 @@ class RationalSeries:
 
     def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries(
-            _poly_mul(self._num_dict(), other._num_dict()),
+            _poly_mul(dict(self.num), dict(other.num)),
             self.den + other.den,
         )
 
@@ -215,8 +212,8 @@ class RationalSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        lhs = _poly_mul(self._num_dict(), _den_poly(other.den))
-        rhs = _poly_mul(other._num_dict(), _den_poly(self.den))
+        lhs = _poly_mul(dict(self.num), _den_poly(other.den))
+        rhs = _poly_mul(dict(other.num), _den_poly(self.den))
         return lhs == rhs
 
     def __hash__(self):
@@ -234,12 +231,6 @@ class RationalSeries:
         for a, b in self.den:
             out = _times_geometric(out, a, b, order)
         return out
-
-    def coefficient(self, n: int) -> Poly:
-        """Coefficient of ``T^n`` as an L/AB polynomial keyed ``(0, l, ab)``."""
-        return {
-            (0, l, ab): v for (m, l, ab), v in self.expand(n).items() if m == n
-        }
 
     def degree(self) -> int:
         """``deg_T(num) - sum of denominator T-degrees``."""
@@ -284,7 +275,7 @@ class RationalSeries:
     # -- presentation ---------------------------------------------------------------
 
     def __str__(self):
-        num = _poly_str(self._num_dict())
+        num = _poly_str(dict(self.num))
         if not self.den:
             return num
         den = " ".join(_factor_str(a, b) for a, b in self.den)

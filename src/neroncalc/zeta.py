@@ -21,7 +21,7 @@ from .curves import (
     _parse_json,
     _read_text,
     _shown,
-    _shown_int,
+    _shown_number,
     genus,
     geometry,
     load_curve,
@@ -39,16 +39,22 @@ from .record import Record
 
 
 class JumpSet(Record):
-    """Filtration jumps ``j`` in ``[0, 1)`` with multiplicities ``m >= 1``."""
+    """Filtration jumps ``j`` in ``[0, 1)``, each an ``int`` or a ``Fraction``,
+    with ``int`` multiplicities ``m >= 1``: other types are refused by name."""
 
     jumps: tuple[tuple[Fraction, int], ...]
 
     def __init__(self, jumps=()):
         merged: dict[Fraction, int] = {}
         for j, m in jumps:
+            if type(j) not in (int, Fraction):
+                raise InconsistentData("jump of type %s is not a fraction" % type(j).__name__)
+            if type(m) is not int:
+                raise InconsistentData(
+                    "jump multiplicity of type %s is not an integer" % type(m).__name__)
             j = Fraction(j)
             if not 0 <= j < 1:
-                raise InconsistentData("jump %s outside [0, 1)" % _shown(str(j)))
+                raise InconsistentData("jump %s outside [0, 1)" % _shown_number(j))
             if m < 1:
                 raise InconsistentData("jump multiplicity must be >= 1")
             merged[j] = merged.get(j, 0) + m
@@ -115,7 +121,7 @@ class ReductionProvider(Record):
                 continue
             if a < 1 or e % a or gcd(a, p) != 1:
                 raise InconsistentData(
-                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown_int(a), e)
+                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown_number(a), e)
                 )
             if c.p != p:
                 raise InconsistentData("curve for degree %d has p=%d" % (a, c.p))
@@ -135,7 +141,7 @@ class ReductionProvider(Record):
             for j, _ in jumps.jumps:
                 if (e * j).denominator != 1:
                     raise InconsistentData(
-                        "jump %s is not a multiple of 1/e with e=%d" % (_shown(str(j)), e)
+                        "jump %s is not a multiple of 1/e with e=%d" % (_shown_number(j), e)
                     )
         super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
         degrees = tuple(a for a in _divisors(e) if gcd(a, p) == 1)
@@ -198,7 +204,7 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     gcd(d, e)`` fiber with ``|Phi_a| (d/a)^t`` components, and ``ord(d)``
     grows by ``w = lcm(e, p) * c_tame`` per period: each block one
     progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}`` with stride
-    ``a``, times that degree's torus class.
+    ``a``, whose start holds the torus class ``(L - 1)^t``: only in ``L``.
     """
     provider.require_complete()
     jumps = provider.require_jumps()
@@ -209,11 +215,10 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
         geo = geometry(curve)
         t, u = geo.b1, provider.genus - geo.b1 - geo.abelian_rank
         ab = tuple(sorted(filter(None, curve.g)))  # the positive genera
-        start = {(d, u + o, ab): phi for d, o in zip(degrees, _ord_values(jumps, degrees))}
-        torus = RationalSeries(
-            {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
-        )
-        blocks.append(_progression_sum(start, period, t, w, a) * torus)
+        torus = [(k, comb(t, k) * (-1) ** (t - k)) for k in range(t + 1)]
+        start = {(d, u + o + k, ab): phi * c
+                 for d, o in zip(degrees, _ord_values(jumps, degrees)) for k, c in torus}
+        blocks.append(_progression_sum(start, period, t, w, a))
     return RationalSeries.sum(blocks)
 
 

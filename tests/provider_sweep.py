@@ -1,10 +1,10 @@
 """Reduction providers for the tests of the three provider series.
 
 :func:`law_providers` runs over cycles, ``I_n*`` with ``I_2n`` at degree 2,
-stars, ``II`` with its reduction curves and an ``e = 3`` base with a loop,
-at each residue characteristic ``p`` in :data:`P_VALUES` (1 stands for
-characteristic 0).  Most of them have ``p`` prime to ``e``, where the tame
-degrees are periodic modulo ``e p``.
+stars, ``II`` with its reduction curves, an ``e = 3`` base with a loop and
+bananas of toric rank 2 and 3, at each residue characteristic ``p`` in
+:data:`P_VALUES` (1 stands for characteristic 0).  Most of them have ``p``
+prime to ``e``, where the tame degrees are periodic modulo ``e p``.
 """
 
 from fractions import Fraction
@@ -63,6 +63,18 @@ def kodaira_In_star_provider(n: int, p: int = 1) -> ReductionProvider:
         JumpSet([(Fraction(1, 2), 1)]))
 
 
+def banana(t: int, p: int = 1) -> SncdCurve:
+    """Two reduced rational components joined by ``t + 1`` edges: genus and
+    toric rank ``t``, ``e = 1``."""
+    return SncdCurve([("u", 1, 0), ("v", 1, 0)], [("u", "v")] * (t + 1), p)
+
+
+def banana_provider(t: int, p: int = 1) -> ReductionProvider:
+    """The banana with the jump 0 of multiplicity ``t``: its torus class
+    ``(L - 1)^t`` has ``t + 1`` terms."""
+    return ReductionProvider(banana(t, p), {}, JumpSet([(Fraction(0), t)]))
+
+
 def law_providers() -> list[tuple[str, object]]:
     """``(name, make)`` pairs over the families above at every ``p``."""
     out = []
@@ -80,4 +92,6 @@ def law_providers() -> list[tuple[str, object]]:
                             lambda q=q, p=p, jumps=jumps: star_provider(q, p, jumps)))
         out.append(("II_p%d" % p, lambda p=p: kodaira_II_provider(p)))
         out.append(("looped_p%d" % p, lambda p=p: looped_provider(p)))
+        for t in (2, 3):
+            out.append(("banana%d_p%d" % (t, p), lambda t=t, p=p: banana_provider(t, p)))
     return out

@@ -19,7 +19,7 @@ from neroncalc.conductors import (
     wild_defect,
 )
 from neroncalc.curves import contract_minus_one, genus, geometry
-from neroncalc.hj import hj_value, resolve_chain
+from neroncalc.hj import resolve_chain
 from neroncalc.invariants import char_poly, component_group, stabilization_index
 from neroncalc.kodaira import ALL_FIXTURES, fixture_curve, good_elliptic, kodaira_curve
 from neroncalc.ratseries import RationalSeries
@@ -36,6 +36,7 @@ from conftest import random_curve
 from invariant_oracles import trace_identities
 from linalg_oracles import intersection_matrix, smith_quotient
 from test_basechange import isomorphic
+from test_hj import hj_value
 
 ELLIPTIC_TABLE = {
     "I0": Fraction(0), "I5": Fraction(0), "II": Fraction(1, 6),

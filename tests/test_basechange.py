@@ -72,9 +72,11 @@ def test_degree_one_is_identity(all_fixture_curves):
 def test_trace_records(all_fixture_curves):
     out, trace = transform(all_fixture_curves["I2"], 3)
     assert trace.d == 3
-    assert all(old == new for _, old, g, new in trace.vertex_records if g == 1)
     doc = trace.to_dict()
     assert doc["d"] == 3 and len(doc["edges"]) == 2
+    assert all(v["N"] == v["N_new"] for v in doc["vertices"] if v["gcd"] == 1)
+    assert [e["endpoints"] for e in doc["edges"]] == [list(e) for e in trace.input_curve.edges]
+    assert all(e["N"] == [r.local.m1, r.local.m2] for e, r in zip(doc["edges"], trace.edge_records))
     assert len(trace.input_digest) == 64
     assert doc["input_sha256"] == hashlib.sha256(
         serialize_curve(all_fixture_curves["I2"]).encode()).hexdigest()
@@ -185,11 +187,11 @@ def test_output_validates_and_preserves_shape(all_fixture_curves):
             assert out.b1() == curve.b1()
             assert genus(out) == genus(curve)
             assert stabilization_index(out) == e
-            for record in trace.edge_records:
+            assert len(trace.edge_records) == len(curve.edges)
+            for (a, b), record in zip(curve.edges, trace.edge_records):
                 for vid in record.inserted:
                     assert out.vertex(vid).g == 0
                 if record.local.chain is not None:
-                    a, b = record.endpoints
                     chain = record.local.chain
                     assert chain.mu[0] == out.multiplicity(b)
                     assert chain.mu[-1] == out.multiplicity(a)

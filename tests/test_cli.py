@@ -90,6 +90,16 @@ def test_basechange_command(capsys, tmp_path):
     assert os.path.exists(str(target) + ".trace.json")
 
 
+@pytest.mark.parametrize("name, d", [("II.json", "5"), ("I5.json", "7")])
+def test_basechange_trace_file_is_the_printed_trace(capsys, tmp_path, name, d):
+    target = str(tmp_path / "out.json")
+    assert run(capsys, "basechange", fx(name), "-d", d, "-o", target)[0] == 0
+    code, out, _ = run(capsys, "basechange", fx(name), "-d", d)
+    assert code == 0
+    with open(target + ".trace.json", encoding="utf-8") as fh:
+        assert json.load(fh) == json.loads(out)["trace"]
+
+
 def test_basechange_precondition_failure(capsys):
     code, _, err = run(capsys, "basechange", fx("II.json"), "-d", "2")
     assert code == 1 and "gcd" in err

@@ -119,10 +119,6 @@ def test_artin_relation_examples():
     mult = EllipticData(KodairaType("I", 5), 5, "multiplicative", v_j=-5)
     assert d_pot(mult) == 5
     assert artin_relation(mult) == (-5, Fraction(0))
-    with pytest.raises(InconsistentData):
-        artin_relation(
-            EllipticData(KodairaType.parse("II"), 6, "good", p=2, art=-7)
-        )
 
 
 @pytest.mark.parametrize("data", [standard_data(symbol) for symbol in TABLE] + [

@@ -11,10 +11,22 @@ from neroncalc.errors import BadFraction, BadLocalData
 from neroncalc.hj import (
     HJChain,
     hj_expand,
-    hj_value,
     local_point_data,
     resolve_chain,
 )
+
+
+def hj_value(digits) -> Fraction:
+    """Evaluate ``[b1, ..., bL]`` back to the fraction it expands: the
+    recomposition oracle for :func:`hj_expand`.
+
+    >>> hj_value([3, 2])
+    Fraction(5, 2)
+    """
+    value = Fraction(digits[-1])
+    for b in reversed(digits[:-1]):
+        value = b - 1 / value
+    return value
 
 
 def test_expand_examples():
@@ -96,11 +108,11 @@ def test_interior_fiber_relation_enforced():
 
 def test_local_point_examples():
     d3 = local_point_data(1, 1, 3)
-    assert (d3.num_points, d3.d2, d3.r) == (1, 3, 2)
+    assert (d3.num_points, d3.d2, d3.chain.r) == (1, 3, 2)
     assert d3.chain.mu == (1, 1, 1, 1)
 
     d5 = local_point_data(6, 3, 5)
-    assert (d5.num_points, d5.e1, d5.e2, d5.d2, d5.r) == (1, 1, 1, 5, 3)
+    assert (d5.num_points, d5.e1, d5.e2, d5.d2, d5.chain.r) == (1, 1, 1, 5, 3)
     assert d5.chain.b == (2, 3)
     assert d5.chain.mu == (3, 3, 3, 6)
 

@@ -34,7 +34,7 @@ from neroncalc.zeta import (
 )
 
 from cyclo_oracles import phi_basis_as_poly
-from provider_sweep import law_providers, looped_provider, star_provider
+from provider_sweep import banana_provider, law_providers, looped_provider, star_provider
 from series_oracles import (
     component_series_per_residue,
     divide_by_verified_quotient,
@@ -129,6 +129,10 @@ def _providers():
     # and t = 1; at d = 2 mod 3 the zeta counts |Phi_1| d^t components, as
     # the component series does
     yield looped_provider()
+    # toric rank t = 2 and 3: a torus class (L - 1)^t of t + 1 terms
+    for t in (2, 3):
+        for p in (1, 5, 7):
+            yield banana_provider(t, p)
 
 
 ASSEMBLIES = [
@@ -156,6 +160,14 @@ def test_callers_assemble_as_the_pairwise_fold(provider, monkeypatch):
     one_shot = [library(provider).to_dict() for library, _ in _assemblies(provider)]
     monkeypatch.setattr(RationalSeries, "sum", classmethod(lambda cls, ts: fold(ts)))
     assert [oracle(provider).to_dict() for _, oracle in _assemblies(provider)] == one_shot
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("p", [1, 5, 7])
+def test_banana_zeta_has_a_pole_of_order_t_plus_one(t, p):
+    """Toric rank ``t`` and ``e = 1``: one pole of slope 0 and order ``t + 1``
+    (the per-residue oracle check runs over ``_providers``)."""
+    assert motivic_zeta(banana_provider(t, p)).unique_pole_slope() == (0, t + 1)
 
 
 @given(st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 7, 11, 13]))

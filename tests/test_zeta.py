@@ -83,7 +83,7 @@ def provider_good():
     return ReductionProvider(good_elliptic(), {}, JumpSet([(Fraction(0), 1)]))
 
 
-# cycles, I_n*, stars, II and a looped e = 3 base at p in {1, 2, 3, 5, 7, 11, 13}
+# cycles, I_n*, stars, II, a looped e = 3 base and bananas at p in {1, 2, 3, 5, 7, 11, 13}
 LAW_PROVIDERS = [pytest.param(make, id=name) for name, make in law_providers()]
 
 
@@ -232,7 +232,7 @@ def test_motivic_zeta_closed_forms():
     assert zg == RationalSeries({(1, 0, (1,)): Fraction(1)}, [(0, 1)])
 
     zii = motivic_zeta(provider_II())
-    assert zii.coefficient(1) == {(0, 1, ()): Fraction(1)}  # one copy of L
+    assert zii.expand(1) == {(1, 1, ()): 1}  # one copy of L at T^1
     slope, order = zii.unique_pole_slope()
     assert (slope, order) == (Fraction(1, 6), 1)
     assert zii.degree() == 0
@@ -380,3 +380,27 @@ def test_jumpset_guards():
         JumpSet([(Fraction(1, 2), 0)])
     merged = JumpSet([(Fraction(1, 2), 1), (Fraction(1, 2), 2)])
     assert merged.jumps == ((Fraction(1, 2), 3),)
+
+
+@pytest.mark.parametrize("jump, m, message", [
+    ("x", 1, "jump of type str is not a fraction"),
+    (None, 1, "jump of type NoneType is not a fraction"),
+    (Fraction(1, 3), "2", "jump multiplicity of type str is not an integer"),
+    (Fraction(1, 3), True, "jump multiplicity of type bool is not an integer"),
+    (Fraction(1, 3), 1.5, "jump multiplicity of type float is not an integer"),
+    # past the interpreter's 4300-digit limit, where ``str`` of the jump fails
+    (Fraction(10 ** 5000), 1, "jump 10000000000000000000... (5001 characters) outside [0, 1)"),
+], ids=["str", "none", "str_multiplicity", "bool_multiplicity", "float_multiplicity",
+        "5001_digits"])
+def test_jumpset_refuses_by_type_and_names_a_long_jump(jump, m, message):
+    with pytest.raises(InconsistentData) as info:
+        JumpSet([(jump, m)])
+    assert str(info.value) == message
+
+
+def test_provider_names_a_jump_past_the_digit_limit():
+    with pytest.raises(InconsistentData) as info:
+        ReductionProvider(fixture_curve("II"), provider_II().curves,
+                          JumpSet([(Fraction(1, 10 ** 5000), 1)]))
+    assert str(info.value) == ("jump 1/100000000000000000... (5003 characters) "
+                               "is not a multiple of 1/e with e=6")
