@@ -34,7 +34,7 @@ from .invariants import (
     stabilization_index,
 )
 from .basechange import BaseChangeLaws, BaseChangeTrace, base_change_laws, transform
-from .ratseries import RationalSeries, geometric_sum
+from .ratseries import RationalSeries
 from .zeta import (
     JumpSet,
     ReductionProvider,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .curves import _MULTIPLE, SncdCurve, serialize_curve
+from .curves import _MULTIPLE, SncdCurve, _shown_number, serialize_curve
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
@@ -71,11 +71,11 @@ def _check_preconditions(curve: SncdCurve, d: int) -> None:
     e = stabilization_index(curve)
     if gcd(d, e) != 1:
         raise PreconditionError(
-            "gcd(d, e) = %d != 1 with e = %d" % (gcd(d, e), e)
+            "gcd(d, e) = %s != 1 with e = %s" % (_shown_number(gcd(d, e)), _shown_number(e))
         )
     index = curve.multiplicity_gcd()
     if index != 1:
-        raise PreconditionError(_MULTIPLE % index)
+        raise PreconditionError(_MULTIPLE % _shown_number(index))
 
 
 def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:

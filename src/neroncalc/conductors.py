@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .curves import _parse_int
+from .curves import _parse_int, _shown
 from .errors import (
     BadFiltration,
     InconsistentData,
@@ -35,7 +35,7 @@ class KodairaType(Record):
     def __init__(self, kind: str, n: int | None = None):
         super().__init__(kind, n)
         if kind not in self._KINDS:
-            raise PreconditionError("unknown reduction type %r" % kind)
+            raise PreconditionError("unknown reduction type %s" % _shown(str(kind), repr))
         if kind in ("I", "I*"):
             if n is None or n < 0:
                 raise PreconditionError("type %s needs an index n >= 0" % kind)

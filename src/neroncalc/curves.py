@@ -93,9 +93,9 @@ class SncdCurve(Record):
                 if not vid:
                     raise MalformedFiber("empty vertex id")
                 if n < 1:
-                    raise MalformedFiber("multiplicity of %r must be >= 1" % vid)
+                    raise MalformedFiber("multiplicity of %s must be >= 1" % _shown(vid, repr))
                 if gi < 0:
-                    raise MalformedFiber("genus of %r must be >= 0" % vid)
+                    raise MalformedFiber("genus of %s must be >= 0" % _shown(vid, repr))
         norm = []
         for i, e in enumerate(edges):
             try:
@@ -170,9 +170,10 @@ def _check_edge(i: int, e, pos: dict[str, int]) -> None:
     if not isinstance(a, str) or not isinstance(b, str):
         raise MalformedFiber("edge %d must join two vertex ids" % i)
     if a not in pos or b not in pos:
-        raise MalformedFiber("edge %r references unknown vertex" % (tuple(e),))
+        raise MalformedFiber("edge (%s, %s) references unknown vertex"
+                             % (_shown(a, repr), _shown(b, repr)))
     if a == b:
-        raise MalformedFiber("loop edge at %r (components are smooth)" % a)
+        raise MalformedFiber("loop edge at %s (components are smooth)" % _shown(a, repr))
 
 
 class CurveGeometry(Record):
@@ -201,7 +202,6 @@ class CurveGeometry(Record):
 
 class ValidationReport(Record):
     problems: tuple[str, ...]
-    index_one: bool
 
     @property
     def ok(self) -> bool:
@@ -243,11 +243,16 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
 
 
 # Each fiber condition worded once: validate reports them all, and geometry,
-# genus and basechange's preconditions raise the ones they check.
+# genus and basechange's preconditions raise the ones they check.  Ids and
+# numbers are shown by _shown and _shown_number, so a line stays short.
 _DISCONNECTED = "graph is not connected"
-_NONDIVIDING = "multiplicity %d of %r does not divide the incident sum %d"
-_MULTIPLE = "index-one flag fails: gcd of multiplicities is %d"
-_EULER = "weighted Euler sum %d is not of the form 2 - 2g"
+_MULTIPLE = "index-one flag fails: gcd of multiplicities is %s"
+_EULER = "weighted Euler sum %s is not of the form 2 - 2g"
+
+
+def _nondividing(vid: str, n: int, incident: int) -> str:
+    return "multiplicity %s of %s does not divide the incident sum %s" % (
+        _shown_number(n), _shown(vid, repr), _shown_number(incident))
 
 
 def validate(curve: SncdCurve) -> ValidationReport:
@@ -258,20 +263,20 @@ def validate(curve: SncdCurve) -> ValidationReport:
     """
     geo = _fiber_pass(curve)
     problems = [] if geo.connected else [_DISCONNECTED]
-    problems += [_NONDIVIDING % (n, vid, incident) for vid, n, incident in geo.nondividing]
+    problems += [_nondividing(*v) for v in geo.nondividing]
     index = curve.multiplicity_gcd()
     if index != 1:
-        problems.append(_MULTIPLE % index)
+        problems.append(_MULTIPLE % _shown_number(index))
     if geo.euler % 2 or geo.euler > 2:
-        problems.append(_EULER % geo.euler)
-    return ValidationReport(tuple(problems), index == 1)
+        problems.append(_EULER % _shown_number(geo.euler))
+    return ValidationReport(tuple(problems))
 
 
 def genus(curve: SncdCurve) -> int:
     """Arithmetic genus recovered from ``sum N_i chi(E_i^o) = 2 - 2g``."""
     euler = _fiber_pass(curve).euler
     if euler % 2 or euler > 2:
-        raise MalformedFiber(_EULER % euler)
+        raise MalformedFiber(_EULER % _shown_number(euler))
     return (2 - euler) // 2
 
 
@@ -291,8 +296,7 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
     if not geo.connected:
         raise MalformedFiber(_DISCONNECTED)
     if geo.nondividing:
-        vid, n, incident = geo.nondividing[0]
-        raise MalformedFiber(_NONDIVIDING % (n, vid, incident))
+        raise MalformedFiber(_nondividing(*geo.nondividing[0]))
     return geo
 
 

@@ -71,7 +71,8 @@ def resolve_chain(m1: int, m2: int, n: int, r: int) -> HJChain:
     """Multiplicity chain of the minimal resolution above a cyclic point.
 
     Starts with ``mu0 = m2`` and ``mu1 = (m1 + r m2)/n`` and follows the
-    recursion ``mu_{i+1} = b_i mu_i - mu_{i-1}``; ends at ``m1``.
+    recursion ``mu_{i+1} = b_i mu_i - mu_{i-1}``; it ends at ``n mu1 - r mu0
+    = m1``, since the digits recompose ``n/r``.
 
     >>> resolve_chain(6, 1, 5, 4).mu
     (1, 2, 3, 4, 5, 6)
@@ -86,8 +87,6 @@ def resolve_chain(m1: int, m2: int, n: int, r: int) -> HJChain:
     mu = [m2, (m1 + r * m2) // n]
     for bi in b:  # one step per digit leaves L + 2 entries
         mu.append(bi * mu[-1] - mu[-2])
-    if mu[-1] != m1:
-        raise BadLocalData("chain does not terminate at m1")
     return HJChain(n, r, tuple(b), tuple(mu))
 
 

@@ -26,7 +26,7 @@ b}`` over many residues ``b``, all multiples of a stride ``a`` dividing
 residues enter it at once and the block is built and reduced once, not once
 per residue.
 
->>> s = geometric_sum(2, 1, 0, 0)   # T + T^3 + T^5 + ...
+>>> s = RationalSeries({(1, 0, ()): 1}, [(0, 2)])   # T + T^3 + T^5 + ...
 >>> str(s)
 '(T) / (1 - T^2)'
 >>> s.expand(5)[(5, 0, ())]
@@ -157,20 +157,15 @@ class RationalSeries:
     def __setattr__(self, *args):
         raise AttributeError("RationalSeries is immutable")
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def monomial(cls, coeff=1, n: int = 0, l: int = 0, ab=()) -> "RationalSeries":
-        return cls({(n, l, tuple(sorted(ab))): coeff})
-
-    # -- ring operations -------------------------------------------------------
+    # -- sum and comparison ----------------------------------------------------
 
     @classmethod
     def sum(cls, terms) -> "RationalSeries":
         """Sum over the common denominator (each factor at its largest
         multiplicity among the terms), reduced once.
 
-        >>> str(RationalSeries.sum(geometric_sum(2, b, 0, 0) for b in (1, 2)))
+        >>> odd = RationalSeries({(1, 0, ()): 1}, [(0, 2)])
+        >>> str(RationalSeries.sum((odd, RationalSeries({(2, 0, ()): 1}, [(0, 2)]))))
         '(T + T^2) / (1 - T^2)'
         """
         terms = list(terms)
@@ -188,26 +183,6 @@ class RationalSeries:
             for k, v in part.items():
                 num[k] = num[k] + v if k in num else v
         return cls(num, common.elements())
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        return RationalSeries.sum((self, other))
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        return RationalSeries(
-            _poly_mul(dict(self.num), dict(other.num)),
-            self.den + other.den,
-        )
-
-    def scale(self, c) -> "RationalSeries":
-        return RationalSeries({k: v * c for k, v in self.num}, self.den)
-
-    def subs_T_power(self, a: int) -> "RationalSeries":
-        """Substitute ``T -> T^a``."""
-        if a < 1:
-            raise PreconditionError("substitution degree must be >= 1")
-        num = {(n * a, l, ab): v for (n, l, ab), v in self.num}
-        den = tuple((w, b * a) for w, b in self.den)
-        return RationalSeries(num, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
@@ -340,7 +315,7 @@ def _factor_str(a: int, b: int) -> str:
     return "(1 - %s %s)" % (lpart, tpart)
 
 
-def _progression_sum(start: Poly, e: int, t: int, w: int, a: int = 1) -> RationalSeries:
+def _progression_sum(start: Poly, e: int, t: int, w: int, a: int) -> RationalSeries:
     """Closed form of ``sum_{q >= 0} ((n + q e)/a)^t c L^{l + q w} [B] T^{n + q e}``
     summed over the terms ``c L^l [B] T^n`` of ``start``: one progression
     numerator over ``(1 - L^w T^e)^{t+1}``, with integer coefficients ``c``.
@@ -367,16 +342,3 @@ def _progression_sum(start: Poly, e: int, t: int, w: int, a: int = 1) -> Rationa
         num = out
     return RationalSeries(num, ((w, e),) * (t + 1))
 
-
-def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
-    """Closed form of ``sum_{q >= 0} (q e + b)^t L^{q w} T^{q e + b}``.
-
-    Built by applying ``T d/dT`` ``t`` times to ``T^b / (1 - L^w T^e)``;
-    the result has denominator ``(1 - L^w T^e)^{t+1}``.
-
-    >>> str(geometric_sum(1, 1, 1, 0))
-    '(T) / (1 - T) (1 - T)'
-    """
-    if e < 1 or b < 1:
-        raise PreconditionError("need e >= 1 and b >= 1")
-    return _progression_sum({(b, 0, ()): 1}, e, t, w)

@@ -1,13 +1,19 @@
-"""Per-residue assemblies of the three provider series, and the slice
-division and restart reduction of numerators, used only by the tests.
+"""Per-residue assemblies of the three provider series, the series
+operations they use, and the slice division and restart reduction of
+numerators, used only by the tests.
 
-Each walks its own residues, independently of :mod:`neroncalc.zeta`: every
-residue is its own :func:`~neroncalc.ratseries.geometric_sum`, built and
-reduced on its own, then scaled, substituted or multiplied, and the residues
-are summed.  All three run over the residues prime to ``p`` modulo
-``lcm(e, p)``, and a residue of stable degree ``a`` scales its progression
-by ``|Phi_a| / a^t``, which the series constructor refuses unless every
-coefficient stays an integer.  A reduced numerator over powers of one factor
+The operations act on a series' ``num`` and ``den``: :func:`series_product`,
+:func:`scale`, :func:`subs_T_power` and :func:`geometric_sum`, each built
+through the :class:`~neroncalc.ratseries.RationalSeries` constructor, so
+each result is reduced and integral.
+
+Each assembly walks its own residues, independently of :mod:`neroncalc.zeta`:
+every residue is its own :func:`geometric_sum`, built and reduced on its own,
+then scaled, substituted or multiplied, and the residues are summed.  All
+three run over the residues prime to ``p`` modulo ``lcm(e, p)``, and a
+residue of stable degree ``a`` scales its progression by ``|Phi_a| / a^t``,
+which the series constructor refuses unless every coefficient stays an
+integer.  A reduced numerator over powers of one factor
 is unique, so the library's block-at-once assemblies must give the same
 ``to_dict()`` bit for bit.
 
@@ -28,9 +34,31 @@ from neroncalc.ratseries import (
     _clean,
     _factor_poly,
     _poly_mul,
-    geometric_sum,
+    _progression_sum,
 )
 from neroncalc.zeta import ReductionProvider, ord_function
+
+
+def series_product(x: RationalSeries, y: RationalSeries) -> RationalSeries:
+    """``x y``: the product of the numerators over both denominators."""
+    return RationalSeries(_poly_mul(dict(x.num), dict(y.num)), x.den + y.den)
+
+
+def scale(s: RationalSeries, c) -> RationalSeries:
+    """``c s``, refused unless every coefficient stays an integer."""
+    return RationalSeries({k: v * c for k, v in s.num}, s.den)
+
+
+def subs_T_power(s: RationalSeries, a: int) -> RationalSeries:
+    """``s`` with ``T -> T^a``."""
+    return RationalSeries({(n * a, l, ab): v for (n, l, ab), v in s.num},
+                          [(w, b * a) for w, b in s.den])
+
+
+def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
+    """Closed form of ``sum_{q >= 0} (q e + b)^t L^{q w} T^{q e + b}``, over
+    ``(1 - L^w T^e)^{t+1}``."""
+    return _progression_sum({(b, 0, ()): 1}, e, t, w, 1)
 
 
 def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
@@ -48,7 +76,7 @@ def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
             for b in range(1, m + 1)
             if gcd(b, e_a) == 1 and (p == 1 or b % p)
         )
-        blocks.append(block.scale(phi).subs_T_power(a))
+        blocks.append(subs_T_power(scale(block, phi), a))
     return RationalSeries.sum(blocks)
 
 
@@ -78,13 +106,12 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
         u = g - t - a_rank
         ab = tuple(sorted(filter(None, curve.g)))
         phi = component_group(curve).order
-        shape = geometric_sum(period, alpha, t, w).scale(Fraction(1, aprime**t))
+        shape = scale(geometric_sum(period, alpha, t, w), Fraction(1, aprime**t))
         torus = RationalSeries(
             {(0, k, ()): comb(t, k) * (-1) ** (t - k) for k in range(t + 1)}
         )
-        block = shape * RationalSeries.monomial(
-            phi, l=u + ord_function(jumps, alpha), ab=ab) * torus
-        blocks.append(block)
+        klass = RationalSeries({(0, u + ord_function(jumps, alpha), ab): phi})
+        blocks.append(series_product(series_product(shape, klass), torus))
     return RationalSeries.sum(blocks)
 
 

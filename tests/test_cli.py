@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from neroncalc import cli
+from neroncalc import cli, errors
 from neroncalc.cli import main
 from neroncalc.curves import SncdCurve, load_curve
 from neroncalc.invariants import stabilization_index
@@ -731,3 +731,39 @@ def test_json_errors_name_their_type(tmp_path, capsys):
         doc = json.loads(err)
         assert list(doc) == ["error", "type"] and doc["type"] == kind
         assert run(capsys, *argv) == (1, "", "error: %s\n" % doc["error"])
+
+
+LONG_ID = "x" * 5000
+BIG_N = 9 * 10**4299  # 4300 digits, the most a JSON integer may have
+LONG_NAMES = {
+    "multiplicity_of_long_id": (["analyze"], [(LONG_ID, 0, 0)], []),
+    "genus_of_long_id": (["analyze"], [(LONG_ID, 1, -1)], []),
+    "edge_to_long_unknown_id": (["analyze"], [("a", 1, 0)], [["a", LONG_ID]]),
+    "loop_at_long_id": (["analyze"], [(LONG_ID, 1, 0)], [[LONG_ID, LONG_ID]]),
+    "nondividing_long_id": (["analyze"], [("a", 1, 0), (LONG_ID, 3, 0)], [["a", LONG_ID]]),
+    "incident_sum_4301_digits": (["analyze"], [("a", 7, 0), ("b", BIG_N, 0), ("c", BIG_N, 0)],
+                                 [["a", "b"], ["a", "c"]]),
+    "euler_sum_4302_digits": (["analyze"], [("a", 1, 0), ("b", BIG_N, 5)], [["a", "b"]]),
+    "gcd_4300_digits": (["analyze"], [("a", BIG_N, 1)], []),
+    "basechange_gcd_4300_digits": (["basechange", "-d", "7"], [("a", BIG_N, 1)], []),
+    "basechange_e_4300_digits": (["basechange", "-d", "5"], [("a", BIG_N, 1)], []),
+    "long_reduction_type": (["elliptic", "--type", "X" * 5000, "--vdelta", "1",
+                             "--potential", "good"], None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NAMES))
+def test_long_ids_symbols_and_numbers_are_shortened(capsys, tmp_path, name):
+    """A vertex id, a reduction symbol or a fiber number too long to print is
+    named by its first 20 characters and its length, in a NeroncalcError."""
+    argv, vertices, edges = LONG_NAMES[name]
+    if vertices is not None:
+        path = tmp_path / "curve.json"
+        _write(path, {"p": 1, "vertices": [{"id": v, "N": n, "g": g} for v, n, g in vertices],
+                      "edges": edges})
+        argv = argv + [str(path)]
+    code, out, err = run(capsys, *argv, "--json")
+    found = json.loads(err)
+    assert (code, out) == (1, "")
+    assert issubclass(getattr(errors, found["type"]), errors.NeroncalcError)
+    assert all(len(problem) < 200 for problem in found["error"].split("; ")), found

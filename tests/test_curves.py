@@ -35,7 +35,7 @@ from curve_oracles import parse_curve_shape_first, parse_curve_two_stage
 
 def test_validate_star_fiber(all_fixture_curves):
     report = validate(all_fixture_curves["I0*"])
-    assert report.ok and report.index_one
+    assert report.ok and report.problems == ()
 
 
 def test_validate_isolated_genus_one_vertex():
@@ -46,7 +46,7 @@ def test_validate_isolated_genus_one_vertex():
 def test_validate_flags_index(all_fixture_curves):
     curve = SncdCurve([("a", 2, 0), ("b", 2, 0)], [("a", "b")])
     report = validate(curve)
-    assert not report.index_one
+    assert "index-one flag fails: gcd of multiplicities is 2" in report.problems
     assert any("gcd" in p for p in report.problems)
 
 
@@ -402,7 +402,8 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
         problems.append("weighted Euler sum %d is not of the form 2 - 2g" % euler)
     report = validate(curve)
     assert report.problems == tuple(problems)
-    assert report.index_one == (index == 1)
+    assert (("index-one flag fails: gcd of multiplicities is %d" % index)
+            in report.problems) == (index != 1)
 
     if euler % 2 or euler > 2:
         with pytest.raises(MalformedFiber) as exc:

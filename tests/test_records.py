@@ -137,7 +137,7 @@ def test_record_matches_its_dataclass_twin(cls):
 def test_records_compare_unequal_across_classes():
     a = neroncalc.FiniteAbelianGroup((2,))
     assert a != CycloProduct({2: 1}) and a != twin_of(type(a))((2,))
-    assert neroncalc.ValidationReport("I", 2) != KodairaType("I", 2)  # equal field tuples
+    assert neroncalc.ValidationReport((2,)) != a  # equal field tuples
     assert len({neroncalc.Vertex("a", 1, 0), neroncalc.Vertex("a", 1, 0)}) == 1
 
 

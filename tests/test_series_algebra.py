@@ -41,6 +41,7 @@ from series_oracles import (
     euler_specialize_per_residue,
     motivic_zeta_per_residue,
     reduce_by_restart,
+    scale,
 )
 
 # -- oracle: the pairwise sum ------------------------------------------------------
@@ -103,7 +104,7 @@ def series(draw, factors=st.sampled_from(FACTORS)):
 @settings(max_examples=100, deadline=None)
 def test_sum_equals_pairwise_fold_on_mixed_denominators(terms):
     assert RationalSeries.sum(terms) == fold(terms)
-    assert RationalSeries.sum(terms) == reduce(lambda x, y: x + y, terms)
+    assert RationalSeries.sum(terms) == reduce(lambda x, y: RationalSeries.sum((x, y)), terms)
 
 
 @given(st.sampled_from(FACTORS).flatmap(
@@ -346,4 +347,4 @@ def test_component_series_at_period_near_2310():
     # |Phi(d)| = 3 d for p not dividing d, 0 otherwise
     all_d = RationalSeries({(1, 0, ()): 3}, [(0, 1), (0, 1)])
     multiples = RationalSeries({(p, 0, ()): 3 * p}, [(0, p), (0, p)])
-    assert s == all_d + multiples.scale(-1)
+    assert s == RationalSeries.sum((all_d, scale(multiples, -1)))
