@@ -20,6 +20,9 @@ def test_geometric_sum_examples():
     assert geometric_sum(2, 1, 0, 0) == series_from({(1, 0, ()): 1}, [(0, 2)])
     assert geometric_sum(1, 1, 1, 0) == series_from({(1, 0, ()): 1}, [(0, 1), (0, 1)])
     assert geometric_sum(2, 1, 0, 1) == series_from({(1, 0, ()): 1}, [(1, 2)])
+
+
+def test_geometric_sum_prints_its_repeated_factor():
     assert str(geometric_sum(1, 1, 1, 0)) == "(T) / (1 - T) (1 - T)"
 
 
