@@ -5,9 +5,9 @@ term, so ``[ -1, 0, 1 ]`` is ``t^2 - 1``.  :class:`CycloProduct` represents
 an expression ``prod_a (t^a - 1)^{e_a}`` with integer (possibly negative)
 exponents without expanding it.  Exponents in the basis of cyclotomic
 polynomials, from ``t^a - 1 = prod_{m | a} Phi_m(t)`` over the divisors of
-each ``a``, are bookkeeping only.  Expansion is direct: multiply by each
-``(t^a - 1)`` with positive exponent, then divide exactly by the others,
-each step linear in the degree.
+each ``a``, are bookkeeping only.  Expansion reads half the coefficients:
+a polynomial product is its own reversal up to sign, so its power series
+below half the degree, where each ``1 - t^a`` is a unit, gives the rest.
 
 >>> P = CycloProduct({6: 1, 3: -1, 2: -1, 1: 1})
 >>> P.phi_exponents()
@@ -21,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import itemgetter, neg, sub
 
 from .errors import PreconditionError
 from .record import Record
@@ -35,28 +36,21 @@ def poly_str(c: list[int]) -> str:
     >>> poly_str([])
     '0'
     """
-    if not c:
-        return "0"
-    parts = []
+    terms = []  # " + body" or " - body", one per nonzero coefficient
     for i in range(len(c) - 1, -1, -1):
         v = c[i]
-        if not v:
-            continue
-        sign = "-" if v < 0 else "+"
-        mag = abs(v)
-        if i == 0:
-            body = str(mag)
-        else:
-            tpow = "t" if i == 1 else "t^%d" % i
-            body = tpow if mag == 1 else "%d*%s" % (mag, tpow)
-        parts.append((sign, body))
-    if not parts:
+        if v:
+            sign, mag = (" - ", -v) if v < 0 else (" + ", v)
+            if i > 1:
+                terms.append(sign + "t^%d" % i if mag == 1 else "%s%d*t^%d" % (sign, mag, i))
+            elif i:
+                terms.append(sign + "t" if mag == 1 else "%s%d*t" % (sign, mag))
+            else:
+                terms.append("%s%d" % (sign, mag))
+    if not terms:
         return "0"
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+    terms[0] = ("-" if terms[0][1] == "-" else "") + terms[0][3:]
+    return "".join(terms)
 
 
 @lru_cache(maxsize=None)
@@ -135,6 +129,12 @@ class CycloProduct(Record):
     def as_poly(self) -> list[int]:
         """Expand to coefficients; requires :attr:`is_polynomial`.
 
+        With ``n = sum a e_a`` and ``s = sum e_a``, ``Q = prod (1 - t^a)^{e_a}``
+        is both ``(-1)^s P`` and ``t^n P(1/t)``, so ``c_{n-i} = (-1)^s c_i``:
+        ``Q`` below degree ``h = n//2 + 1`` gives every coefficient.  There
+        each ``1 - t^a`` is a unit of the power series ring, so products and
+        quotients by it are exact in any order, and one with ``a >= h`` is 1.
+
         >>> CycloProduct({2: 1}).as_poly()
         [-1, 0, 1]
         >>> CycloProduct({2: -1}).as_poly()
@@ -144,18 +144,20 @@ class CycloProduct(Record):
         """
         if not self.is_polynomial:
             raise PreconditionError("not a polynomial")
-        out = [1]
-        for a, e in self.factors:
-            for _ in range(e):  # times (t^a - 1)
-                out = [x - y for x, y in zip([0] * a + out, out + [0] * a)]
-        for a, e in self.factors:
-            for _ in range(-e):  # exactly divided by (t^a - 1)
-                # q_i = q_{i-a} - c_i: running sums per residue mod a
-                q = [0] * (len(out) - a)
-                for r in range(min(a, len(q))):
-                    q[r::a] = [-s for s in accumulate(out[r : len(q) : a])]
-                out = q
-        return out
+        n, s = self.degree, sum(e for _, e in self.factors)
+        h = n // 2 + 1
+        low = [(a, e) for a, e in self.factors if a < h]
+        # seed with the binomial expansion of the largest positive power, saving most passes
+        a0, e0 = max(low + [(1, 0)], key=itemgetter(1))
+        q = [0] * h
+        q[::a0] = [-comb(e0, k) if k & 1 else comb(e0, k) for k in range((h - 1) // a0 + 1)]
+        for a, e in low:
+            for _ in range(e - e0 if a == a0 else e):  # times (1 - t^a)
+                q = list(map(sub, q, [0] * a + q[: h - a]))
+            for _ in range(-e):  # over (1 - t^a): running sums per residue mod a
+                for r in range(a):
+                    q[r::a] = accumulate(q[r::a])
+        return (list(map(neg, q)) if s & 1 else q) + q[: n + 1 - h][::-1]
 
     def power_d(self, d: int) -> "CycloProduct":
         """Image under the map sending every root ``z`` to ``z^d``.

@@ -223,10 +223,12 @@ class InvariantReport(Record):
 def invariant_report(curve: SncdCurve) -> InvariantReport:
     """Assemble every invariant of the fiber in one pass, once
     :func:`~neroncalc.curves.validate` finds no problem; otherwise raises
-    :class:`MalformedFiber` with all of its problems, joined by ``"; "``."""
+    :class:`MalformedFiber` with its problems joined by ``"; "``, past three
+    the first three and their count."""
     problems = validate(curve).problems
     if problems:
-        raise MalformedFiber("; ".join(problems))
+        more = "; ... (%d problems)" % len(problems) if len(problems) > 3 else ""
+        raise MalformedFiber("; ".join(problems[:3]) + more)
     geo = geometry(curve)
     g = genus(curve)
     t, a = geo.b1, geo.abelian_rank

@@ -8,7 +8,7 @@ central multiplicity 6.
 
 from __future__ import annotations
 
-from .curves import SncdCurve, Vertex
+from .curves import SncdCurve, Vertex, _shown
 from .errors import PreconditionError
 
 
@@ -90,7 +90,7 @@ def kodaira_curve(name: str, p: int = 1) -> SncdCurve:
         return kodaira_Instar(int(name[1:-1]), p)
     if name.startswith("I") and name[1:].isdigit():
         return kodaira_In(int(name[1:]), p)
-    raise PreconditionError("unknown Kodaira symbol %r" % name)
+    raise PreconditionError("unknown Kodaira symbol %s" % _shown(name, repr))
 
 
 def genus2_additive(p: int = 1) -> SncdCurve:

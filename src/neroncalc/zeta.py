@@ -40,13 +40,19 @@ from .record import Record
 
 class JumpSet(Record):
     """Filtration jumps ``j`` in ``[0, 1)``, each an ``int`` or a ``Fraction``,
-    with ``int`` multiplicities ``m >= 1``: other types are refused by name."""
+    with ``int`` multiplicities ``m >= 1``, given as ``(j, m)`` pairs: other
+    types, and entries that are not pairs, are refused by name."""
 
     jumps: tuple[tuple[Fraction, int], ...]
 
     def __init__(self, jumps=()):
         merged: dict[Fraction, int] = {}
-        for j, m in jumps:
+        for entry in jumps:
+            try:
+                j, m = entry
+            except (TypeError, ValueError):
+                raise InconsistentData("jump entry of type %s is not a (jump, multiplicity) pair"
+                                       % type(entry).__name__) from None
             if type(j) not in (int, Fraction):
                 raise InconsistentData("jump of type %s is not a fraction" % type(j).__name__)
             if type(m) is not int:

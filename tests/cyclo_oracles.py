@@ -4,8 +4,9 @@ by the tests.
 ``phi_basis_as_poly`` expands a :class:`~neroncalc.cyclo.CycloProduct`
 through its exponents in the basis of cyclotomic polynomials, each
 ``Phi_m`` built by recursive exact division and multiplied out with
-schoolbook products: a route independent of the library's direct
-multiply-and-divide by ``t^a - 1``.
+schoolbook products: a route independent of the library's power series
+below half the degree.  ``concat_poly_str`` is the printer the library
+had before it joined its terms once, kept as a reference for ``poly_str``.
 """
 
 from functools import lru_cache
@@ -101,3 +102,31 @@ def phi_basis_as_poly(P: CycloProduct) -> list[int]:
         for _ in range(k):
             out = poly_mul(out, phim)
     return out
+
+
+def concat_poly_str(c: list[int]) -> str:
+    """``poly_str`` by appending each term to the text so far.
+
+    >>> concat_poly_str([-1, 0, 2])
+    '2*t^2 - 1'
+    """
+    parts = []
+    for i in range(len(c) - 1, -1, -1):
+        v = c[i]
+        if not v:
+            continue
+        sign = "-" if v < 0 else "+"
+        mag = abs(v)
+        if i == 0:
+            body = str(mag)
+        else:
+            tpow = "t" if i == 1 else "t^%d" % i
+            body = tpow if mag == 1 else "%d*%s" % (mag, tpow)
+        parts.append((sign, body))
+    if not parts:
+        return "0"
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += " %s %s" % (sign, body)
+    return text

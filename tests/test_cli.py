@@ -767,3 +767,20 @@ def test_long_ids_symbols_and_numbers_are_shortened(capsys, tmp_path, name):
     assert (code, out) == (1, "")
     assert issubclass(getattr(errors, found["type"]), errors.NeroncalcError)
     assert all(len(problem) < 200 for problem in found["error"].split("; ")), found
+
+
+def test_a_fiber_with_many_problems_names_three_and_the_count(capsys, tmp_path):
+    """1,000 leaves of multiplicity 2 on a reduced centre: 1,001 problems
+    (each leaf, then the Euler sum) on one error line of under 400 bytes."""
+    path = tmp_path / "star.json"
+    leaves = ["x%d" % i for i in range(1000)]
+    _write(path, {"p": 1, "vertices": [{"id": "c", "N": 1, "g": 0}]
+                  + [{"id": v, "N": 2, "g": 0} for v in leaves],
+                  "edges": [["c", v] for v in leaves]})
+    code, out, err = run(capsys, "analyze", str(path), "--json")
+    assert (code, out) == (1, "")
+    assert len(err.encode()) < 400
+    assert json.loads(err) == {"type": "MalformedFiber", "error": (
+        "multiplicity 2 of 'x0' does not divide the incident sum 1; "
+        "multiplicity 2 of 'x1' does not divide the incident sum 1; "
+        "multiplicity 2 of 'x2' does not divide the incident sum 1; ... (1001 problems)")}

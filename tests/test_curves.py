@@ -149,6 +149,12 @@ def test_kodaira_constructors_refuse_bad_input():
         kodaira_curve(" V ")
 
 
+def test_kodaira_curve_shortens_a_long_unknown_symbol():
+    with pytest.raises(PreconditionError) as info:
+        kodaira_curve("V" * 5000)
+    assert str(info.value) == "unknown Kodaira symbol 'VVVVVVVVVVVVVVVVVVVV'... (5000 characters)"
+
+
 def test_contract_fixed_points(all_fixture_curves):
     for name in ("II", "I2"):
         curve = all_fixture_curves[name]

@@ -1,17 +1,25 @@
 """Factored cyclotomic arithmetic against expansion and resultant oracles."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neroncalc.cyclo import CycloProduct, poly_str
 from neroncalc.errors import PreconditionError
 
-from cyclo_oracles import cyclotomic, poly_divexact, poly_eval, poly_mul
+from cyclo_oracles import (
+    concat_poly_str,
+    cyclotomic,
+    phi_basis_as_poly,
+    poly_divexact,
+    poly_eval,
+    poly_mul,
+)
 
 t, x = sympy.symbols("t x")
 
@@ -158,3 +166,51 @@ def test_pretty_factored_form():
     P = CycloProduct({6: 1, 1: -2})
     assert str(P) == "(t-1)^-2(t^6-1)"
     assert str(CycloProduct()) == "1"
+
+
+PRIMES_TO_41 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def star(q):
+    """A'Campo's product for the ``y^q`` star: centre ``N = q`` and ``q``
+    reduced arms, ``(t-1)^(2-q) (t^q-1)^(q-2)``, of degree ``(q-1)(q-2)``."""
+    return CycloProduct({1: -(q - 2), q: q - 2})
+
+
+@pytest.mark.parametrize("factors", [star(q).factors for q in PRIMES_TO_41] + [
+    {}, {1: 1}, {1: 2}, {2: 1}, {6: 1, 3: -1, 2: -1, 1: 1},  # degrees 0-3, both signs
+    {1260: 1, 1: -1},  # 1260 lies above half the degree; t^30030 - 1 is in test_series_algebra
+], ids=["star%d" % q for q in PRIMES_TO_41] + [
+    "empty", "t-1", "(t-1)^2", "t^2-1", "phi6", "ones1260"])
+def test_half_degree_expansion_equals_phi_basis_expansion(factors):
+    P = CycloProduct(dict(factors))
+    assert P.as_poly() == phi_basis_as_poly(P)
+
+
+coefficients = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-100, 100),
+    st.integers(10**30, 10**40),
+    st.integers(-(10**40), -(10**30)),
+)
+
+
+@given(st.lists(coefficients, max_size=12))
+@example([])
+@example([0])
+@example([-1])
+@example([0, 0])
+@example([1, -1])
+@example([-(10**31), 0, 1])
+@settings(max_examples=300)
+def test_poly_str_equals_the_concatenating_printer(c):
+    assert poly_str(c) == concat_poly_str(c)
+
+
+def test_the_y199_star_expands_and_prints_within_budget():
+    P = star(199)
+    start = time.perf_counter()
+    text = P.poly_str()
+    assert time.perf_counter() - start < 1.5
+    assert text.startswith("t^39006 + 197*t^39005 + ")
+    assert text.endswith(" + 197*t + 1")

@@ -257,3 +257,13 @@ def test_lorenzini_order_identity_on_trees(curve):
     for vid, degree in geo.degree.items():
         prod *= Fraction(curve.multiplicity(vid)) ** (degree - 2)
     assert component_group(curve).order == prod
+
+
+def test_report_names_the_first_three_problems_and_their_count():
+    leaves = ["x", "y", "z"]
+    curve = SncdCurve([("c", 1, 0)] + [(v, 2, 0) for v in leaves], [("c", v) for v in leaves])
+    problems = validate(curve).problems
+    assert len(problems) == 4  # three leaves, then the Euler sum
+    with pytest.raises(MalformedFiber) as exc:
+        invariant_report(curve)
+    assert str(exc.value) == "; ".join(problems[:3]) + "; ... (4 problems)"

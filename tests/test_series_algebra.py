@@ -321,7 +321,7 @@ def test_divisors():
         assert list(_divisors(n)) == [d for d in range(1, n + 1) if n % d == 0]
 
 
-@given(st.dictionaries(st.integers(1, 24), st.integers(-3, 3), max_size=5))
+@given(st.dictionaries(st.integers(1, 24), st.integers(-9, 9), max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_as_poly_equals_phi_basis_expansion(factors):
     P = CycloProduct(factors)

@@ -398,6 +398,19 @@ def test_jumpset_refuses_by_type_and_names_a_long_jump(jump, m, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("jumps, kind", [
+    ({Fraction(1, 6): 1}, "Fraction"),  # a mapping iterates over its keys
+    ([Fraction(1, 6)], "Fraction"),
+    ([(Fraction(1, 6), 1, 2)], "tuple"),
+    ([(Fraction(1, 6),)], "tuple"),
+    ([None], "NoneType"),
+], ids=["mapping", "bare_jump", "triple", "single", "none"])
+def test_jumpset_refuses_an_entry_that_is_not_a_pair(jumps, kind):
+    with pytest.raises(InconsistentData) as info:
+        JumpSet(jumps)
+    assert str(info.value) == "jump entry of type %s is not a (jump, multiplicity) pair" % kind
+
+
 def test_provider_names_a_jump_past_the_digit_limit():
     with pytest.raises(InconsistentData) as info:
         ReductionProvider(fixture_curve("II"), provider_II().curves,
