@@ -9,7 +9,6 @@ from .curves import (
     CurveGeometry,
     SncdCurve,
     ValidationReport,
-    Vertex,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,

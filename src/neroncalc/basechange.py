@@ -86,7 +86,7 @@ def transform(curve: SncdCurve, d: int) -> tuple[SncdCurve, BaseChangeTrace]:
     adjacent to the second endpoint carries ``mu_1``.
     """
     _check_preconditions(curve, d)
-    new_vertices = [(vid, n // gcd(n, d), g) for vid, n, g in zip(curve.ids, curve.N, curve.g)]
+    new_vertices = [(vid, n // gcd(n, d), g) for vid, n, g in curve.vertices]
     new_edges: list[tuple[str, str]] = []
     erecords = []
     for idx, (a, b) in enumerate(curve.edges):

@@ -27,35 +27,24 @@ class CurveWarning(UserWarning):
     """Non-fatal irregularities found while reading curve documents."""
 
 
-class Vertex(Record):
-    id: str
-    N: int
-    g: int
-
-
 class SncdCurve(Record):
     """Immutable dual graph with multiplicities and genera.
 
     The constructor is the one checker of curve data, for library callers
-    and :func:`parse_curve` alike.  ``vertices`` are :class:`Vertex`
-    records or ``(id, N, g)`` triples; ``edges`` are unordered pairs of
-    vertex ids, each normalized to lexicographic order, in list order.  It
-    refuses, in this order: a vertex that is not three items or has a
-    non-``str`` id or a non-``int`` ``N`` or ``g`` (``bool`` included),
-    duplicate ids, a ``p`` that is not an ``int >= 1``
-    (:class:`PreconditionError`), an empty id, ``N < 1``, ``g < 0``, and an
-    edge that is not a tuple or list of two known ids or is a loop
-    (:class:`MalformedFiber`).
+    and :func:`parse_curve` alike.  ``vertices`` are ``(id, N, g)`` triples;
+    ``edges`` are unordered pairs of vertex ids, each normalized to
+    lexicographic order, in list order.  It refuses, in this order: a vertex
+    that is not three items or has a non-``str`` id or a non-``int`` ``N`` or
+    ``g`` (``bool`` included), duplicate ids, a ``p`` that is not an
+    ``int >= 1`` (:class:`PreconditionError`), an empty id, ``N < 1``,
+    ``g < 0``, and an edge that is not a tuple or list of two known ids or is
+    a loop (:class:`MalformedFiber`).
 
-    The curve is stored by columns: ``ids``, ``N`` and ``g`` are parallel
+    The field ``vertices`` holds the checked triples, each a plain
+    ``tuple``, so ``SncdCurve(c.vertices, c.edges, c.p) == c``.  The passes
+    read the same data by columns: ``ids``, ``N`` and ``g`` are parallel
     lists in vertex order, and an id's position in them comes from one
-    dict.  Callers must not mutate them.  The field ``vertices``, the tuple
-    of :class:`Vertex` records, is built on first use and then kept; a
-    record the caller passed in is that same object in it.  Until then its
-    slot in ``__dict__``, first as for every record, holds the caller's
-    records by position.  So code that reads the columns builds no record
-    per vertex, while equality, hashing and the repr, which read the fields,
-    are those of the record-built curve.
+    dict.  Callers must not mutate them.
 
     Derived data (the adjacency, the one fiber pass that :func:`validate`,
     :func:`geometry` and :func:`genus` read, and
@@ -64,22 +53,20 @@ class SncdCurve(Record):
     equality and hashing see only ``vertices``, ``edges`` and ``p``.
     """
 
-    vertices: tuple[Vertex, ...]
+    vertices: tuple[tuple[str, int, int], ...]
     edges: tuple[tuple[str, str], ...]
     p: int = 1
 
     def __init__(self, vertices, edges, p: int = 1):
-        ids, N, g, kept = [], [], [], {}
+        triples, ids, N, g = [], [], [], []
         for i, v in enumerate(vertices):
             try:
-                if type(v) is not tuple and isinstance(v, Vertex):
-                    kept[i] = v
-                    v = v.id, v.N, v.g
                 vid, n, gi = v
                 if type(n) is not int or type(gi) is not int or not isinstance(vid, str):
                     raise TypeError
             except (TypeError, ValueError):  # or not an iterable of three items
                 raise MalformedFiber("vertex %d has wrongly typed fields" % i) from None
+            triples.append(v if type(v) is tuple else (vid, n, gi))
             ids.append(vid)
             N.append(n)
             g.append(gi)
@@ -106,21 +93,8 @@ class SncdCurve(Record):
                     or a not in pos or b not in pos or type(e) not in (tuple, list)):
                 _check_edge(i, e, pos)  # raises, unless subclasses of str, tuple or list
             norm.append((a, b) if a <= b else (b, a))
-        vars(self).update(vertices=kept, edges=tuple(norm), p=p, ids=ids, N=N, g=g,
+        vars(self).update(vertices=tuple(triples), edges=tuple(norm), p=p, ids=ids, N=N, g=g,
                           _pos=pos, _adj=None, _geo=None, _phi=None)
-
-    @property
-    def vertices(self) -> tuple[Vertex, ...]:
-        """The :class:`Vertex` records in vertex order, built on first use."""
-        vs = vars(self)["vertices"]
-        if type(vs) is dict:  # not built yet: the caller's records by position
-            vs = tuple(vs.get(i) or Vertex(*v)
-                       for i, v in enumerate(zip(self.ids, self.N, self.g)))
-            vars(self)["vertices"] = vs
-        return vs
-
-    def vertex(self, vid: str) -> Vertex:
-        return self.vertices[self._pos[vid]]
 
     def multiplicity(self, vid: str) -> int:
         return self.N[self._pos[vid]]
@@ -315,7 +289,7 @@ def contract_minus_one(curve: SncdCurve) -> SncdCurve:
     if len(adj) == len(curve.ids):
         return curve
     return SncdCurve(
-        [v for v in zip(curve.ids, curve.N, curve.g) if v[0] in adj],
+        [v for v in curve.vertices if v[0] in adj],
         [e for e in curve.edges + tuple(new_edges) if e[0] in adj and e[1] in adj],
         curve.p,
     )
@@ -378,40 +352,39 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
 def blow_up_point(curve: SncdCurve, vid: str) -> SncdCurve:
     """Blow up a smooth point of the component ``vid``.
 
-    Adds an exceptional vertex with the same multiplicity and genus 0.
+    Adds an exceptional vertex, named by :func:`_fresh_id`, with the same
+    multiplicity and genus 0.
     """
-    n = curve.multiplicity(vid)
-    nid = _fresh_id(curve, vid + "^")
-    return SncdCurve(
-        [*zip(curve.ids, curve.N, curve.g), (nid, n, 0)],
-        curve.edges + ((vid, nid),),
-        curve.p,
-    )
+    nid = _fresh_id(curve)
+    return SncdCurve([*curve.vertices, (nid, curve.multiplicity(vid), 0)],
+                     curve.edges + ((vid, nid),), curve.p)
 
 
 def blow_up_intersection(curve: SncdCurve, edge_index: int) -> SncdCurve:
     """Blow up the intersection point recorded by ``edges[edge_index]``.
 
-    The edge is subdivided by an exceptional vertex of multiplicity
-    ``N_a + N_b`` and genus 0.
+    The edge is subdivided by an exceptional vertex, named by
+    :func:`_fresh_id`, of multiplicity ``N_a + N_b`` and genus 0.
     """
     a, b = curve.edges[edge_index]
-    nid = _fresh_id(curve, "%s*%s" % (a, b))
+    nid = _fresh_id(curve)
     n = curve.multiplicity(a) + curve.multiplicity(b)
     edges = list(curve.edges)
     del edges[edge_index]
     edges += [(a, nid), (b, nid)]
-    return SncdCurve([*zip(curve.ids, curve.N, curve.g), (nid, n, 0)], edges, curve.p)
+    return SncdCurve([*curve.vertices, (nid, n, 0)], edges, curve.p)
 
 
-def _fresh_id(curve: SncdCurve, base: str) -> str:
-    taken = curve._pos
-    if base not in taken:
-        return base
-    k = 2
-    while "%s%d" % (base, k) in taken:
-        k += 1
-    return "%s%d" % (base, k)
+def _fresh_id(curve: SncdCurve) -> str:
+    """``"E<k>"`` for a curve of ``k`` vertices, or if that is taken the
+    first free ``"E<k>_<j>"``: an id that stays short however many blow-ups
+    came before."""
+    taken, base = curve._pos, "E%d" % len(curve.ids)
+    nid, j = base, 1
+    while nid in taken:
+        j += 1
+        nid = "%s_%d" % (base, j)
+    return nid
 
 
 # -- JSON interchange ---------------------------------------------------------
@@ -532,8 +505,7 @@ def _curve_doc(curve: SncdCurve) -> dict:
     """The curve document as plain JSON values, in :func:`serialize_curve`'s key order."""
     return {
         "p": curve.p,
-        "vertices": [{"id": vid, "N": n, "g": gi}
-                     for vid, n, gi in zip(curve.ids, curve.N, curve.g)],
+        "vertices": [{"id": vid, "N": n, "g": gi} for vid, n, gi in curve.vertices],
         "edges": [list(e) for e in curve.edges],
     }
 

@@ -8,13 +8,13 @@ central multiplicity 6.
 
 from __future__ import annotations
 
-from .curves import SncdCurve, Vertex, _shown
+from .curves import SncdCurve, _shown
 from .errors import PreconditionError
 
 
 def good_elliptic(p: int = 1) -> SncdCurve:
     """Smooth genus-1 fiber (type I0)."""
-    return SncdCurve([Vertex("o", 1, 1)], [], p)
+    return SncdCurve([("o", 1, 1)], [], p)
 
 
 def kodaira_In(n: int, p: int = 1) -> SncdCurve:
@@ -28,12 +28,8 @@ def kodaira_In(n: int, p: int = 1) -> SncdCurve:
     if n == 0:
         return good_elliptic(p)
     if n == 1:
-        return SncdCurve(
-            [Vertex("c", 1, 0), Vertex("e", 2, 0)],
-            [("c", "e"), ("c", "e")],
-            p,
-        )
-    vs = [Vertex("v%d" % i, 1, 0) for i in range(n)]
+        return SncdCurve([("c", 1, 0), ("e", 2, 0)], [("c", "e"), ("c", "e")], p)
+    vs = [("v%d" % i, 1, 0) for i in range(n)]
     es = [("v%d" % i, "v%d" % ((i + 1) % n)) for i in range(n)]
     return SncdCurve(vs, es, p)
 
@@ -43,10 +39,10 @@ def kodaira_Instar(n: int, p: int = 1) -> SncdCurve:
     if n < 0:
         raise PreconditionError("n must be >= 0")
     if n == 0:
-        vs = [Vertex("c", 2, 0)] + [Vertex("l%d" % i, 1, 0) for i in range(4)]
+        vs = [("c", 2, 0)] + [("l%d" % i, 1, 0) for i in range(4)]
         return SncdCurve(vs, [("c", "l%d" % i) for i in range(4)], p)
-    vs = [Vertex("c%d" % i, 2, 0) for i in range(n + 1)]
-    vs += [Vertex(l, 1, 0) for l in ("l1", "l2", "l3", "l4")]
+    vs = [("c%d" % i, 2, 0) for i in range(n + 1)]
+    vs += [(l, 1, 0) for l in ("l1", "l2", "l3", "l4")]
     es = [("c%d" % i, "c%d" % (i + 1)) for i in range(n)]
     es += [("c0", "l1"), ("c0", "l2"), ("c%d" % n, "l3"), ("c%d" % n, "l4")]
     return SncdCurve(vs, es, p)
@@ -54,13 +50,13 @@ def kodaira_Instar(n: int, p: int = 1) -> SncdCurve:
 
 def _star(center: tuple[int, str], arms: list[list[int]], p: int) -> SncdCurve:
     n, cid = center
-    vs = [Vertex(cid, n, 0)]
+    vs = [(cid, n, 0)]
     es = []
     for i, arm in enumerate(arms):
         prev = cid
         for j, mult in enumerate(arm):
             vid = "a%d_%d" % (i, j)
-            vs.append(Vertex(vid, mult, 0))
+            vs.append((vid, mult, 0))
             es.append((prev, vid))
             prev = vid
     return SncdCurve(vs, es, p)
@@ -98,11 +94,8 @@ def genus2_additive(p: int = 1) -> SncdCurve:
 
     Additive: the graph is a tree and every component is rational.
     """
-    vs = [
-        Vertex("c1", 6, 0), Vertex("a1", 3, 0), Vertex("b1", 2, 0),
-        Vertex("c2", 6, 0), Vertex("a2", 3, 0), Vertex("b2", 2, 0),
-        Vertex("m", 1, 0),
-    ]
+    vs = [("c1", 6, 0), ("a1", 3, 0), ("b1", 2, 0),
+          ("c2", 6, 0), ("a2", 3, 0), ("b2", 2, 0), ("m", 1, 0)]
     es = [("c1", "a1"), ("c1", "b1"), ("c1", "m"),
           ("c2", "a2"), ("c2", "b2"), ("c2", "m")]
     return SncdCurve(vs, es, p)
@@ -110,7 +103,7 @@ def genus2_additive(p: int = 1) -> SncdCurve:
 
 def genus2_semistable(p: int = 1) -> SncdCurve:
     """Two genus-1 components of multiplicity one crossing in a point."""
-    return SncdCurve([Vertex("u", 1, 1), Vertex("v", 1, 1)], [("u", "v")], p)
+    return SncdCurve([("u", 1, 1), ("v", 1, 1)], [("u", "v")], p)
 
 
 #: Names shipped in the on-disk fixture library.

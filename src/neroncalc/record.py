@@ -5,21 +5,21 @@ A subclass lists its fields as class annotations, in order.
 keywords, and stores them in field order, so the instances of a class share
 their ``__dict__`` keys.  A subclass writes its own ``__init__`` only to
 check or normalize its input, and stores the fields with one
-``super().__init__`` call; :class:`~neroncalc.curves.SncdCurve`, whose
-``vertices`` field is built on first use, fills its ``__dict__`` in the
-same order itself.  :class:`Record` adds what a frozen dataclass
+``super().__init__`` call; :class:`~neroncalc.curves.SncdCurve`, which
+also stores its vertex columns, fills its ``__dict__`` in the same order
+itself.  :class:`Record` adds what a frozen dataclass
 would: equality of the field tuples within one class, a hash of the field
 tuple, a ``Name(field=value)`` repr, and refusal to set or delete an
 attribute.  Importing it costs nothing: no :mod:`dataclasses`, no methods
 compiled per class.
 
->>> from neroncalc.curves import Vertex
->>> Vertex("E", 2, g=0)
-Vertex(id='E', N=2, g=0)
->>> Vertex("E", 2)
+>>> from neroncalc.basechange import EdgeRecord
+>>> EdgeRecord(None, inserted=("a|b|0|1",))
+EdgeRecord(local=None, inserted=('a|b|0|1',))
+>>> EdgeRecord(None)
 Traceback (most recent call last):
     ...
-TypeError: Vertex() takes each of ('id', 'N', 'g') once; got 2 positional, keywords ()
+TypeError: EdgeRecord() takes each of ('local', 'inserted') once; got 1 positional, keywords ()
 """
 
 from operator import attrgetter

@@ -127,18 +127,21 @@ class ReductionProvider(Record):
                 continue
             if a < 1 or e % a or gcd(a, p) != 1:
                 raise InconsistentData(
-                    "degree %s is not a prime-to-p divisor of e=%d" % (_shown_number(a), e)
+                    "degree %s is not a prime-to-p divisor of e=%s"
+                    % (_shown_number(a), _shown_number(e))
                 )
             if c.p != p:
-                raise InconsistentData("curve for degree %d has p=%d" % (a, c.p))
+                raise InconsistentData("curve for degree %s has p=%s"
+                                       % (_shown_number(a), _shown_number(c.p)))
             if stabilization_index(c) != e // a:
                 raise InconsistentData(
-                    "curve for degree %d has index %d, expected %d"
-                    % (a, stabilization_index(c), e // a)
+                    "curve for degree %s has index %s, expected %s" % tuple(
+                        map(_shown_number, (a, stabilization_index(c), e // a)))
                 )
             if genus(c) != g:
                 raise InconsistentData(
-                    "curve for degree %d has genus %d, expected %d" % (a, genus(c), g)
+                    "curve for degree %s has genus %s, expected %s"
+                    % tuple(map(_shown_number, (a, genus(c), g)))
                 )
             checked[a] = c
         if jumps is not None:
@@ -147,7 +150,8 @@ class ReductionProvider(Record):
             for j, _ in jumps.jumps:
                 if (e * j).denominator != 1:
                     raise InconsistentData(
-                        "jump %s is not a multiple of 1/e with e=%d" % (_shown_number(j), e)
+                        "jump %s is not a multiple of 1/e with e=%s"
+                        % (_shown_number(j), _shown_number(e))
                     )
         super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
         degrees = tuple(a for a in _divisors(e) if gcd(a, p) == 1)
@@ -289,7 +293,8 @@ def load_provider(path: str) -> ReductionProvider:
     base = load_curve(_resolve(doc["base"]))
     if "p" in doc and (type(doc["p"]) is not int or doc["p"] != base.p):
         raise ParseError(
-            "provider p=%r contradicts base curve p=%d" % (doc["p"], base.p)
+            "provider p=%s contradicts base curve p=%s"
+            % (_shown(repr(doc["p"])), _shown_number(base.p))
         )
     curves = {}
     for a, name in raw_curves.items():

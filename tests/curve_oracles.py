@@ -3,7 +3,7 @@
 :func:`parse_curve_two_stage` is the reader the library had before the
 :class:`~neroncalc.curves.SncdCurve` constructor became the one checker of
 vertices and edges: it checks the type of every vertex field and every edge
-itself, refuses loops in its own words, builds the :class:`Vertex` records
+itself, refuses loops in its own words, builds the ``(id, N, g)`` triples
 and only then calls the constructor.  Its first stage refuses every
 wrongly typed document, so the constructor it calls sees the data the old
 constructor saw and checks it the same way.
@@ -15,7 +15,7 @@ any, so a fault of shape is the one reported wherever it stands.
 
 import warnings
 
-from neroncalc.curves import CurveWarning, SncdCurve, Vertex, _parse_json
+from neroncalc.curves import CurveWarning, SncdCurve, _parse_json
 from neroncalc.errors import MalformedFiber, ParseError
 
 
@@ -47,7 +47,7 @@ def parse_curve_two_stage(text: str) -> SncdCurve:
             raise ParseError("vertex %d misses field %s" % (i, exc)) from exc
         if not isinstance(vid, str) or type(n) is not int or type(g) is not int:
             raise ParseError("vertex %d has wrongly typed fields" % i)
-        vertices.append(Vertex(vid, n, g))
+        vertices.append((vid, n, g))
     edges = []
     for i, re_ in enumerate(raw_edges):
         if not isinstance(re_, list) or len(re_) != 2:

@@ -26,9 +26,9 @@ def chi_product_per_vertex(curve: SncdCurve, p: int) -> CycloProduct:
         degree[a] += 1
         degree[b] += 1
     factors: dict[int, int] = {}
-    for v in curve.vertices:
-        n = prime_to_part(v.N, p)
-        factors[n] = factors.get(n, 0) - (2 - 2 * v.g - degree[v.id])
+    for vid, n, g in curve.vertices:
+        n = prime_to_part(n, p)
+        factors[n] = factors.get(n, 0) - (2 - 2 * g - degree[vid])
     return CycloProduct(factors)
 
 

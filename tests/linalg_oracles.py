@@ -41,16 +41,16 @@ def intersection_matrix(curve) -> list[list[int]]:
     Off the diagonal it counts edges; each diagonal entry is solved from the
     fiber relation ``N_v E_v^2 + sum_w N_w (E_v . E_w) = 0``.
     """
-    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    pos = {vid: i for i, (vid, _, _) in enumerate(curve.vertices)}
     M = [[0] * len(pos) for _ in pos]
     for a, b in curve.edges:
         M[pos[a]][pos[b]] += 1
         M[pos[b]][pos[a]] += 1
-    for i, v in enumerate(curve.vertices):
-        incident = sum(w.N * k for w, k in zip(curve.vertices, M[i]))
-        self_int, r = divmod(-incident, v.N)
+    for i, (vid, n, _) in enumerate(curve.vertices):
+        incident = sum(m * k for (_, m, _), k in zip(curve.vertices, M[i]))
+        self_int, r = divmod(-incident, n)
         if r:
-            raise ValueError("N=%d of %r does not divide %d" % (v.N, v.id, incident))
+            raise ValueError("N=%d of %r does not divide %d" % (n, vid, incident))
         M[i][i] = self_int
     return M
 

@@ -80,7 +80,7 @@ def test_criterion_01_component_group_fixtures():
             phi = component_group(curve)
             assert phi.order == n
             # independent route through the kernel-basis quotient
-            beta = [[v.N for v in curve.vertices]]
+            beta = [[n for _, n, _ in curve.vertices]]
             oracle, rank = smith_quotient(beta, intersection_matrix(curve))
             assert rank == 0 and oracle == phi
 
@@ -90,7 +90,7 @@ def test_criterion_02_degree_law_on_random_graphs():
         rng = random.Random(20260811)
         for _ in range(200):
             curve = random_curve(rng, max_vertices=8, max_mult=12)
-            assert all(v.N <= 12 for v in curve.vertices)
+            assert all(n <= 12 for _, n, _ in curve.vertices)
             assert len(curve.vertices) <= 8
             assert char_poly(curve).degree == 2 * genus(curve)
 
@@ -115,7 +115,7 @@ def test_criterion_04_type_II_to_II_star():
     with budget("4 II -> II*", 1.0):
         out, _ = transform(fixture_curve("II"), 5)
         minimal = contract_minus_one(out)
-        assert sorted(v.N for v in minimal.vertices) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+        assert sorted(n for _, n, _ in minimal.vertices) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
         assert isomorphic(minimal, fixture_curve("II*"))
 
 

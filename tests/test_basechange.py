@@ -34,8 +34,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def as_multigraph(curve: SncdCurve) -> nx.MultiGraph:
     g = nx.MultiGraph()
-    for v in curve.vertices:
-        g.add_node(v.id, N=v.N, g=v.g)
+    for vid, n, genus in curve.vertices:
+        g.add_node(vid, N=n, g=genus)
     for a, b in curve.edges:
         g.add_edge(a, b)
     return g
@@ -58,7 +58,7 @@ def test_cycle_gets_subdivided(all_fixture_curves):
 def test_type_II_becomes_II_star(all_fixture_curves):
     out, _ = transform(all_fixture_curves["II"], 5)
     minimal = contract_minus_one(out)
-    assert sorted(v.N for v in minimal.vertices) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
+    assert sorted(n for _, n, _ in minimal.vertices) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
     assert isomorphic(minimal, all_fixture_curves["II*"])
 
 
@@ -190,7 +190,7 @@ def test_output_validates_and_preserves_shape(all_fixture_curves):
             assert len(trace.edge_records) == len(curve.edges)
             for (a, b), record in zip(curve.edges, trace.edge_records):
                 for vid in record.inserted:
-                    assert out.vertex(vid).g == 0
+                    assert out.g[out._pos[vid]] == 0
                 if record.local.chain is not None:
                     chain = record.local.chain
                     assert chain.mu[0] == out.multiplicity(b)
@@ -204,9 +204,9 @@ def test_principal_multiplicities_unchanged(all_fixture_curves):
         curve = all_fixture_curves[name]
         degree = geometry(curve).degree
         out, _ = transform(curve, 5)
-        for v in curve.vertices:
-            if v.g > 0 or degree[v.id] >= 3:  # principal N divides e, prime to d
-                assert out.multiplicity(v.id) == v.N
+        for vid, n, g in curve.vertices:
+            if g > 0 or degree[vid] >= 3:  # principal N divides e, prime to d
+                assert out.multiplicity(vid) == n
 
 
 @pytest.mark.parametrize("name", ["I2", "II", "I0*", "g2_additive"])

@@ -533,6 +533,19 @@ def test_hostile_provider_ends_in_parse_error(tmp_path, name):
                            kind=HOSTILE_PROVIDER_KINDS.get(name, "ParseError"))
 
 
+@pytest.mark.parametrize("provider_p, base_p", [("x" * 5000, 1), (2, 10**4299)],
+                         ids=["5000_letters", "base_4300_digits"])
+def test_provider_p_contradicting_the_base_is_shortened(tmp_path, provider_p, base_p):
+    """Both values of the ``p`` mismatch are named by at most 20 characters
+    and their length: a long string in the document, a 4300-digit ``p`` of
+    the base curve."""
+    _write(tmp_path / "I0.json", {"p": base_p, "vertices": [{"id": "o", "N": 1, "g": 1}],
+                                  "edges": []})
+    path = tmp_path / "provider.json"
+    _write(path, {"p": provider_p, "base": "I0.json"})
+    _assert_one_line_error(path, "series", json_argv=["series"])
+
+
 def test_non_integer_degree_wording_is_unchanged(tmp_path):
     (tmp_path / "II.json").write_text(open(fx("II.json")).read())
     path = tmp_path / "provider.json"

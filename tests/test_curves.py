@@ -14,7 +14,6 @@ from neroncalc.basechange import base_change_laws, transform
 from neroncalc.curves import (
     CurveWarning,
     SncdCurve,
-    Vertex,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,
@@ -104,7 +103,7 @@ def test_geometry_examples(all_fixture_curves):
         curve = all_fixture_curves[name]
         geo = geometry(curve)
         d = geo.degree[vid]
-        return d, 2 - 2 * curve.vertex(vid).g - d, geo.self_int[vid]
+        return d, 2 - 2 * curve.g[curve._pos[vid]] - d, geo.self_int[vid]
 
     assert row("II", "c") == (3, -1, -1)
     assert geometry(all_fixture_curves["II"]).b1 == 0
@@ -137,7 +136,7 @@ def test_contract_chain():
         [("a", "b"), ("b", "c"), ("c", "d")],
     )
     out = contract_minus_one(chain)
-    assert sorted(v.id for v in out.vertices) == ["a", "b"]
+    assert sorted(vid for vid, _, _ in out.vertices) == ["a", "b"]
     assert out.edges == (("a", "b"),)
 
 
@@ -247,7 +246,7 @@ AB = [("a", 1, 0), ("b", 1, 0)]
     ([("a", 1, 0), ("b", True, 0)], [], 1, MalformedFiber, "vertex 1 has wrongly typed fields"),
     ([("a", 1, 0.5)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
     ([(5, 1, 0)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
-    ([Vertex("a", 1, False)], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
+    ([["a", 1, False]], [], 1, MalformedFiber, "vertex 0 has wrongly typed fields"),
     ([("a", 1, 0)], [], 1.5, PreconditionError, "characteristic exponent must be >= 1"),
     ([("a", 1, 0)], [], True, PreconditionError, "characteristic exponent must be >= 1"),
     (AB, [("a", "b", "a")], 1, MalformedFiber, "edge 0 must be a pair"),
@@ -275,33 +274,26 @@ def test_constructor_checks_types_before_values():
         SncdCurve([("", 1, 0)], ["ab"])
 
 
-def test_constructor_keeps_vertex_records_and_builds_the_rest():
-    o = Vertex("o", 1, 1)
+def test_vertices_are_the_checked_triples(all_fixture_curves):
+    """``vertices`` holds each vertex as a plain tuple: a given tuple as is, a
+    list as its tuple.  Every curve rebuilds from its fields, and equality,
+    hashing and the repr follow the triples."""
+    o = ("o", 1, 1)
     curve = SncdCurve([o, ["b", 1, 0]], [["o", "b"]])
-    assert curve.vertices[0] is o and curve.vertices[1] == Vertex("b", 1, 0)
-    assert curve.edges == (("b", "o"),)
-
-
-@given(curves(), st.integers(0, 2 ** 8))
-@settings(max_examples=120, deadline=None)
-def test_columnar_curve_matches_the_record_built_curve(curve, mask):
-    triples = list(zip(curve.ids, curve.N, curve.g))
-    records = [Vertex(*t) for t in triples]
-    mixed = [v if mask >> i & 1 else t for i, (t, v) in enumerate(zip(triples, records))]
-    built = [SncdCurve(vs, curve.edges, curve.p) for vs in (triples, records, mixed)]
-    for c in built:  # the fields lead, before the records are built and after
-        assert list(vars(c))[:3] == ["vertices", "edges", "p"]
-        assert list(zip(c.ids, c.N, c.g)) == triples
-    columnar, by_record, half = built
-    assert columnar == by_record == half == curve
-    assert hash(columnar) == hash(by_record) == hash(half)
-    assert repr(columnar) == repr(by_record) == repr(half)
-    assert columnar.vertices == by_record.vertices == half.vertices == tuple(records)
-    assert all(v is r for v, r in zip(by_record.vertices, records))
-    assert all(v is r for v, r, m in zip(half.vertices, records, mixed) if m is r)
-    assert half.vertices is half.vertices
-    for c in built:
-        assert list(vars(c))[:3] == ["vertices", "edges", "p"]
+    assert curve.vertices == (o, ("b", 1, 0)) and curve.vertices[0] is o
+    assert repr(curve) == ("SncdCurve(vertices=(('o', 1, 1), ('b', 1, 0)), "
+                           "edges=(('b', 'o'),), p=1)")
+    assert curve != SncdCurve([o, ("b", 2, 0)], [("o", "b")])
+    for c in all_fixture_curves.values():
+        assert list(c.vertices) == list(zip(c.ids, c.N, c.g))
+        rebuilt = [SncdCurve(c.vertices, c.edges, c.p),
+                   SncdCurve([list(v) for v in c.vertices], c.edges, c.p),
+                   SncdCurve(**{f: getattr(c, f) for f in SncdCurve._fields})]
+        for same in rebuilt:
+            assert same == c and hash(same) == hash(c) and repr(same) == repr(c)
+            assert list(vars(same))[:3] == ["vertices", "edges", "p"]
+            assert type(same.vertices) is tuple
+            assert all(type(v) is tuple for v in same.vertices)
 
 
 @given(curves())
@@ -310,7 +302,7 @@ def test_weighted_euler_sum_is_even_and_bounded(curve):
     g = genus(curve)
     geo = geometry(curve)
     total = sum(
-        v.N * (2 - 2 * v.g - geo.degree[v.id]) for v in curve.vertices
+        n * (2 - 2 * g - geo.degree[vid]) for vid, n, g in curve.vertices
     )
     assert total == 2 - 2 * g
 
@@ -347,6 +339,20 @@ def test_blowups_preserve_validity_and_genus(curve):
         assert up2.b1() == curve.b1()
 
 
+def test_blown_up_ids_stay_short():
+    """Forty blow-ups, each of the edge from the newest vertex to its newest
+    neighbour, name every vertex in under 8 characters; contracting them
+    all gives back I0."""
+    curve = blow_up_point(good_elliptic(), "o")
+    for _ in range(40):
+        newest = curve.ids[-1]
+        neighbour = max(curve.adjacency()[newest], key=curve._pos.get)
+        curve = blow_up_intersection(curve, curve.edges.index(tuple(sorted((newest, neighbour)))))
+        assert max(map(len, curve.ids)) < 8, max(map(len, curve.ids))
+    assert len(curve.ids) == 42
+    assert contract_minus_one(curve) == good_elliptic()
+
+
 # -- the one edge walk against a per-vertex recomputation ----------------------
 
 
@@ -358,23 +364,23 @@ def valid_and_broken_curves(draw):
     vertices, edges = list(curve.vertices), list(curve.edges)
     if draw(st.booleans()):
         other = draw(curves())
-        vertices += [Vertex("~" + v.id, v.N, v.g) for v in other.vertices]
+        vertices += [("~" + vid, n, g) for vid, n, g in other.vertices]
         edges += [("~" + a, "~" + b) for a, b in other.edges]
     if draw(st.booleans()):
-        sums = [sum(m for _, m in incident(vertices, edges, v)) for v in vertices]
+        sums = [sum(m for _, m in incident(vertices, edges, vid)) for vid, _, _ in vertices]
         bumpable = [i for i, s in enumerate(sums) if s]
         if bumpable:
             i = draw(st.sampled_from(bumpable))
-            v = vertices[i]
-            n = next(n for n in range(v.N + 1, sums[i] + 2) if sums[i] % n)
-            vertices[i] = Vertex(v.id, n, v.g)
+            vid, old, g = vertices[i]
+            n = next(n for n in range(old + 1, sums[i] + 2) if sums[i] % n)
+            vertices[i] = (vid, n, g)
     return SncdCurve(vertices, edges, curve.p)
 
 
-def incident(vertices, edges, v):
-    """``(neighbour, its N)`` once per edge end at ``v``, in edge order."""
-    mult = {w.id: w.N for w in vertices}
-    ends = [b if a == v.id else a for a, b in edges if v.id in (a, b)]
+def incident(vertices, edges, vid):
+    """``(neighbour, its N)`` once per edge end at ``vid``, in edge order."""
+    mult = {w: n for w, n, _ in vertices}
+    ends = [b if a == vid else a for a, b in edges if vid in (a, b)]
     return [(w, mult[w]) for w in ends]
 
 
@@ -384,24 +390,24 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
     vs, es = curve.vertices, curve.edges
     adj = curve.adjacency()
     rows = {}  # vid -> (degree, incident sum)
-    for v in vs:
-        ends = incident(vs, es, v)
+    for vid, _, _ in vs:
+        ends = incident(vs, es, vid)
         order = list(dict.fromkeys(w for w, _ in ends))
-        assert list(adj[v.id]) == order
-        assert adj[v.id] == {w: sum(1 for u, _ in ends if u == w) for w in order}
-        rows[v.id] = (len(ends), sum(m for _, m in ends))
+        assert list(adj[vid]) == order
+        assert adj[vid] == {w: sum(1 for u, _ in ends if u == w) for w in order}
+        rows[vid] = (len(ends), sum(m for _, m in ends))
     graph = nx.MultiGraph()
-    graph.add_nodes_from(v.id for v in vs)
+    graph.add_nodes_from(vid for vid, _, _ in vs)
     graph.add_edges_from(es)
     connected = nx.is_connected(graph)
     assert curve.is_connected() == connected
 
-    nondividing = [(v, rows[v.id][1]) for v in vs if rows[v.id][1] % v.N]
-    euler = sum(v.N * (2 - 2 * v.g - rows[v.id][0]) for v in vs)
-    index = gcd(*(v.N for v in vs))
+    nondividing = [(vid, n, rows[vid][1]) for vid, n, _ in vs if rows[vid][1] % n]
+    euler = sum(n * (2 - 2 * g - rows[vid][0]) for vid, n, g in vs)
+    index = gcd(*(n for _, n, _ in vs))
     problems = [] if connected else ["graph is not connected"]
     problems += ["multiplicity %d of %r does not divide the incident sum %d"
-                 % (v.N, v.id, s) for v, s in nondividing]
+                 % (n, vid, s) for vid, n, s in nondividing]
     if index != 1:
         problems.append("index-one flag fails: gcd of multiplicities is %d" % index)
     if euler % 2 or euler > 2:
@@ -422,26 +428,26 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
         with pytest.raises(MalformedFiber, match=r"^graph is not connected$"):
             geometry(curve)
     elif nondividing:
-        v, s = nondividing[0]
+        vid, n, s = nondividing[0]
         with pytest.raises(MalformedFiber) as exc:
             geometry(curve)
         assert str(exc.value) == (
-            "multiplicity %d of %r does not divide the incident sum %d" % (v.N, v.id, s))
+            "multiplicity %d of %r does not divide the incident sum %d" % (n, vid, s))
     else:
         geo = geometry(curve)
         # dict equality ignores order, so the key order is checked on its own
         assert [list(geo.degree), list(geo.self_int)] == [curve.ids] * 2
-        assert geo.degree == {v.id: rows[v.id][0] for v in vs}
-        assert geo.self_int == {v.id: -rows[v.id][1] // v.N for v in vs}
-        assert (geo.b1, geo.abelian_rank) == (len(es) - len(vs) + 1, sum(v.g for v in vs))
+        assert geo.degree == {vid: rows[vid][0] for vid, _, _ in vs}
+        assert geo.self_int == {vid: -rows[vid][1] // n for vid, n, _ in vs}
+        assert (geo.b1, geo.abelian_rank) == (len(es) - len(vs) + 1, sum(g for _, _, g in vs))
         chi_factors = {}
-        for v in vs:
-            chi = 2 - 2 * v.g - rows[v.id][0]
+        for vid, n, g in vs:
+            chi = 2 - 2 * g - rows[vid][0]
             if chi:
-                chi_factors[v.N] = chi_factors.get(v.N, 0) - chi
+                chi_factors[n] = chi_factors.get(n, 0) - chi
         assert geo.chi_factors == chi_factors
         # principal: positive genus, or meets the rest of the fiber in >= 3 points
-        principal = [v.N for v in vs if v.g > 0 or rows[v.id][0] >= 3]
+        principal = [n for vid, n, g in vs if g > 0 or rows[vid][0] >= 3]
         assert geo.principal == set(principal)
         assert stabilization_index(curve) == (lcm(*principal) if principal else 1)
 
@@ -483,20 +489,19 @@ def transformed_document() -> str:
     return serialize_curve(transform(kodaira_curve("I0*"), 10007)[0])
 
 
-def _vertex_records(monkeypatch, run) -> int:
-    """How many :class:`Vertex` records ``run()`` builds."""
+def _records(monkeypatch, run) -> list[str]:
+    """The class names of the records ``run()`` builds."""
     built = []
     init = Record.__init__
 
     def spy(self, *args, **kwargs):
-        if type(self) is Vertex:
-            built.append(args)
+        built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(Record, "__init__", spy)
         run()
-    return len(built)
+    return built
 
 
 def test_hot_path_builds_no_record_per_vertex(monkeypatch, transformed_document):
@@ -507,14 +512,16 @@ def test_hot_path_builds_no_record_per_vertex(monkeypatch, transformed_document)
         "transform_contract": lambda: contract_minus_one(transform(i5, 2003)[0]),
         "report_laws": lambda: (invariant_report(curve), base_change_laws(i5, 2003)),
     }
-    counts = {name: _vertex_records(monkeypatch, run) for name, run in runs.items()}
-    assert all(n <= 2 for n in counts.values()), counts
+    # records per input edge and per report, none per vertex of the
+    # 10,015-vertex transform or the 20,017-vertex parsed curve
+    built = {name: _records(monkeypatch, run) for name, run in runs.items()}
+    assert built["parse"] == [] and all(len(b) <= 64 for b in built.values()), built
 
 
 def test_nondividing_vertex_builds_no_record(monkeypatch):
     """A cycle with one multiplicity that does not divide its incident sum:
     :func:`validate` and :func:`geometry` name that vertex, with their usual
-    text, and build no :class:`Vertex` record."""
+    text, and build no record per vertex."""
     n = 2000
     ids = ["v%d" % i for i in range(n)]
 
@@ -530,9 +537,9 @@ def test_nondividing_vertex_builds_no_record(monkeypatch):
             geometry(bad_cycle())
         problems.append(str(exc.value))
 
-    counts = [_vertex_records(monkeypatch, lambda: problems.extend(validate(bad_cycle()).problems)),
-              _vertex_records(monkeypatch, check_geometry)]
-    assert counts == [0, 0]
+    built = [_records(monkeypatch, lambda: problems.extend(validate(bad_cycle()).problems)),
+              _records(monkeypatch, check_geometry)]
+    assert built == [["CurveGeometry", "ValidationReport"], ["CurveGeometry"]]
     assert problems == [text, text]
 
 
@@ -630,7 +637,7 @@ def test_parse_matches_the_two_stage_reader_on_valid_documents(curve, flips):
     text = json.dumps(doc)
     parsed = parse_curve(text)
     assert parsed == parse_curve_two_stage(text) == curve
-    assert all(type(v) is Vertex for v in parsed.vertices)
+    assert all(type(v) is tuple for v in parsed.vertices)
 
 
 @given(curves(), st.sampled_from(FAULTS), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -639,7 +646,7 @@ def test_parse_matches_the_two_stage_reader_on_one_fault(curve, fault, k, pos):
     text = planted(curve, [(fault, k, pos)])
     new, old = parse_error(parse_curve, text), parse_error(parse_curve_two_stage, text)
     if fault == "loop":  # the constructor's words, not the reader's
-        vid = curve.vertices[k % len(curve.vertices)].id
+        vid = curve.vertices[k % len(curve.vertices)][0]
         assert new == "loop edge at %r (components are smooth)" % vid
         assert old == "edge %d is a loop at %r" % (pos % (len(curve.edges) + 1), vid)
     else:

@@ -60,7 +60,7 @@ def test_component_group_agrees_with_kernel_route(all_fixture_curves):
     # same quotient computed as ker(multiplicities)/im(intersection matrix)
     for name in ALL_FIXTURES:
         curve = all_fixture_curves[name]
-        beta = [[v.N for v in curve.vertices]]
+        beta = [[n for _, n, _ in curve.vertices]]
         group, rank = smith_quotient(beta, intersection_matrix(curve))
         assert rank == 0
         assert group == component_group(curve)
@@ -114,7 +114,7 @@ def test_root_order_matches_index_on_minimal_fixtures(all_fixture_curves):
 def test_multiple_fiber_is_refused_up_front(scale):
     curve = kodaira_curve("II")
     multiple = SncdCurve(
-        [(v.id, v.N * scale, v.g) for v in curve.vertices], curve.edges
+        [(vid, n * scale, g) for vid, n, g in curve.vertices], curve.edges
     )
     message = "^index-one flag fails: gcd of multiplicities is %d$" % scale
     start = time.perf_counter()

@@ -13,7 +13,7 @@ import os
 import pytest
 
 import neroncalc
-from neroncalc.basechange import base_change_laws, transform
+from neroncalc.basechange import EdgeRecord, base_change_laws, transform
 from neroncalc.conductors import (
     EllipticData,
     KodairaType,
@@ -35,7 +35,7 @@ RECORDS = {
     "EdgeRecord", "EllipticData", "FiniteAbelianGroup", "HJChain",
     "InvariantReport", "JumpSet", "KodairaType", "LocalPointData",
     "RamificationFiltration", "ReductionProvider", "SncdCurve", "ValidationReport",
-    "Vertex", "WildDefectReport",
+    "WildDefectReport",
 }
 # The classes that check or normalize their input in their own ``__init__``;
 # every other record is built by ``Record.__init__`` alone.
@@ -72,7 +72,7 @@ def sample_records() -> list[Record]:
             continue
         curve = load_curve(path)
         report = invariant_report(curve)
-        out += [curve, *curve.vertices, validate(curve), report, report.phi,
+        out += [curve, validate(curve), report, report.phi,
                 report.char_poly, report.zeta]
     for symbol in ("II", "I5"):
         curve = kodaira_curve(symbol)
@@ -138,7 +138,8 @@ def test_records_compare_unequal_across_classes():
     a = neroncalc.FiniteAbelianGroup((2,))
     assert a != CycloProduct({2: 1}) and a != twin_of(type(a))((2,))
     assert neroncalc.ValidationReport((2,)) != a  # equal field tuples
-    assert len({neroncalc.Vertex("a", 1, 0), neroncalc.Vertex("a", 1, 0)}) == 1
+    same = neroncalc.SncdCurve([("a", 1, 0)], []), neroncalc.SncdCurve([["a", 1, 0]], [])
+    assert len(set(same)) == 1
 
 
 def test_only_the_checking_classes_write_an_init():
@@ -181,6 +182,6 @@ def test_record_refuses_a_field_not_given_exactly_once(cls):
 
 def test_record_type_error_names_fields_and_arguments():
     with pytest.raises(TypeError) as info:
-        neroncalc.Vertex("a", 1, N=1)
-    assert str(info.value) == ("Vertex() takes each of ('id', 'N', 'g') once; "
-                               "got 2 positional, keywords ('N',)")
+        EdgeRecord(None, local=None)
+    assert str(info.value) == ("EdgeRecord() takes each of ('local', 'inserted') once; "
+                               "got 1 positional, keywords ('local',)")

@@ -65,24 +65,24 @@ def rescan_contract_minus_one(curve: SncdCurve) -> SncdCurve:
 
 def _find_contractible(curve):
     adj = curve.adjacency()
-    for v in curve.vertices:
-        if v.g != 0:
+    for vid, n, g in curve.vertices:
+        if g != 0:
             continue
-        nbrs = adj[v.id]
+        nbrs = adj[vid]
         d = sum(nbrs.values())
         if d == 0 or d > 2:
             continue
         if d == 2 and len(nbrs) != 2:
             continue
         incident = sum(curve.multiplicity(w) * k for w, k in nbrs.items())
-        if incident == v.N:
-            return v.id
+        if incident == n:
+            return vid
     return None
 
 
 def _contract_vertex(curve, vid):
     neighbours = [w for e in curve.edges for w in e if vid in e and w != vid]
-    vertices = tuple(v for v in curve.vertices if v.id != vid)
+    vertices = tuple(v for v in curve.vertices if v[0] != vid)
     edges = [e for e in curve.edges if vid not in e]
     if len(neighbours) == 2:
         edges.append(tuple(sorted(neighbours)))
@@ -332,7 +332,7 @@ def assert_fold_matches_oracles(curve):
     folded system has at most one row per kept vertex and per run, of the
     curve and of its minimal model."""
     alpha = intersection_matrix(curve)
-    group, rank = smith_quotient([[v.N for v in curve.vertices]], alpha)
+    group, rank = smith_quotient([[n for _, n, _ in curve.vertices]], alpha)
     diag = smith_diagonal(alpha)
     assert rank == 0 and len(alpha) - len(diag) == 1
     assert FiniteAbelianGroup.from_factors(d for d in diag if d > 1) == group
@@ -615,12 +615,12 @@ def test_component_group_scales_near_linearly():
 def unfolded_rows(curve) -> dict[int, dict[int, int]]:
     """One sparse intersection row per vertex, no chain folded."""
     self_int, adj = geometry(curve).self_int, curve.adjacency()
-    pos = {v.id: i for i, v in enumerate(curve.vertices)}
+    pos = {vid: i for i, (vid, _, _) in enumerate(curve.vertices)}
     rows = {}
-    for i, v in enumerate(curve.vertices):
-        rows[i] = row = {pos[w]: k for w, k in adj[v.id].items()}
-        if self_int[v.id]:
-            row[i] = self_int[v.id]
+    for i, (vid, _, _) in enumerate(curve.vertices):
+        rows[i] = row = {pos[w]: k for w, k in adj[vid].items()}
+        if self_int[vid]:
+            row[i] = self_int[vid]
     return rows
 
 

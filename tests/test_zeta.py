@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neroncalc.basechange import transform
-from neroncalc.curves import genus, geometry
+from neroncalc.curves import SncdCurve, genus, geometry
 from neroncalc.errors import (
     InconsistentData,
     ParseError,
@@ -348,6 +348,18 @@ def test_provider_refuses_a_degree(degree, curve, message):
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+@pytest.mark.parametrize("curve, message", [
+    (SncdCurve([("o", 1, 1)], [], 10 ** 5000),
+     "curve for degree 2 has p=10000000000000000000... (5001 characters)"),
+    (SncdCurve([("o", 10 ** 5000, 1)], []),
+     "curve for degree 2 has index 10000000000000000000... (5001 characters), expected 3"),
+], ids=["p_5001_digits", "index_5001_digits"])
+def test_provider_names_a_long_p_or_index_of_a_curve(curve, message):
+    with pytest.raises(InconsistentData) as info:
+        ReductionProvider(fixture_curve("II"), {2: curve})
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("first, second, shown", [
