@@ -274,26 +274,43 @@ def test_constructor_checks_types_before_values():
         SncdCurve([("", 1, 0)], ["ab"])
 
 
-def test_vertices_are_the_checked_triples(all_fixture_curves):
+def test_constructor_keeps_vertex_records_and_builds_the_rest(all_fixture_curves):
     """``vertices`` holds each vertex as a plain tuple: a given tuple as is, a
-    list as its tuple.  Every curve rebuilds from its fields, and equality,
-    hashing and the repr follow the triples."""
+    list as its tuple.  Every fixture rebuilds from its fields."""
     o = ("o", 1, 1)
     curve = SncdCurve([o, ["b", 1, 0]], [["o", "b"]])
     assert curve.vertices == (o, ("b", 1, 0)) and curve.vertices[0] is o
+    assert type(curve.vertices[1]) is tuple
+    assert curve.edges == (("b", "o"),)
     assert repr(curve) == ("SncdCurve(vertices=(('o', 1, 1), ('b', 1, 0)), "
                            "edges=(('b', 'o'),), p=1)")
     assert curve != SncdCurve([o, ("b", 2, 0)], [("o", "b")])
     for c in all_fixture_curves.values():
         assert list(c.vertices) == list(zip(c.ids, c.N, c.g))
-        rebuilt = [SncdCurve(c.vertices, c.edges, c.p),
-                   SncdCurve([list(v) for v in c.vertices], c.edges, c.p),
-                   SncdCurve(**{f: getattr(c, f) for f in SncdCurve._fields})]
-        for same in rebuilt:
-            assert same == c and hash(same) == hash(c) and repr(same) == repr(c)
-            assert list(vars(same))[:3] == ["vertices", "edges", "p"]
-            assert type(same.vertices) is tuple
-            assert all(type(v) is tuple for v in same.vertices)
+        same = SncdCurve(c.vertices, c.edges, c.p)
+        assert same == c and hash(same) == hash(c) and repr(same) == repr(c)
+
+
+@given(curves(), st.integers(0, 2 ** 8))
+@settings(max_examples=120, deadline=None)
+def test_columnar_curve_matches_the_record_built_curve(curve, mask):
+    # the columns and the triples agree, from tuples, lists, a mix of both
+    # and the record fields alike
+    triples = list(curve.vertices)
+    lists = [list(t) for t in triples]
+    mixed = [t if mask >> i & 1 else l for i, (t, l) in enumerate(zip(triples, lists))]
+    built = [SncdCurve(vs, curve.edges, curve.p) for vs in (triples, lists, mixed)]
+    built.append(SncdCurve(**{f: getattr(curve, f) for f in SncdCurve._fields}))
+    for c in built:
+        assert list(vars(c))[:3] == ["vertices", "edges", "p"]
+        assert list(zip(c.ids, c.N, c.g)) == triples
+        assert type(c.vertices) is tuple and c.vertices == tuple(triples)
+        assert all(type(v) is tuple for v in c.vertices)
+        assert c == curve and hash(c) == hash(curve) and repr(c) == repr(curve)
+    by_tuple, _, half, by_fields = built
+    assert all(v is t for v, t in zip(by_tuple.vertices, triples))
+    assert all(v is t for v, t, m in zip(half.vertices, triples, mixed) if m is t)
+    assert all(v is t for v, t in zip(by_fields.vertices, curve.vertices))
 
 
 @given(curves())
