@@ -42,7 +42,6 @@ from .zeta import (
     euler_specialize,
     load_provider,
     motivic_zeta,
-    ord_function,
 )
 from .conductors import (
     EllipticData,

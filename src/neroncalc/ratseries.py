@@ -13,11 +13,14 @@ judge of integrality, stores an integral ``Fraction`` as its numerator and
 refuses any other value with :class:`~neroncalc.errors.NonIntegralAssembly`.
 
 A sum is assembled once (:meth:`RationalSeries.sum`): one common
-denominator, one numerator, one reduction.  Reduction tries each distinct
-factor once, dividing until it fails: the remainder modulo the factor,
-linear in the numerator's terms, rejects it, and an exact quotient is the
-numerator times the factor's geometric series cut off at the quotient's
-T-degree, the product :meth:`RationalSeries.expand` takes too.
+denominator, one numerator, one reduction, which tries each distinct
+factor once, dividing until it fails.  Every operation by a factor ``f = 1 -
+L^a T^b`` is one walk along the orbits ``(n + q b, l + q a, [B])``, ``q`` in
+Z, of ``L^a T^b`` on the numerator's terms.  Multiplying by ``f`` subtracts
+the copy shifted one step along the orbits.  Dividing by ``f`` takes running
+sums along each orbit: cut at ``T^order`` they are the power series that
+:meth:`RationalSeries.expand` returns, and up to each orbit's last term they
+are the exact quotient, which exists exactly when every orbit sums to 0.
 
 A block of arithmetic progressions ``sum_q ((q e + b)/a)^t L^{q w} T^{q e +
 b}`` over many residues ``b``, all multiples of a stride ``a`` dividing
@@ -59,65 +62,41 @@ def _coeff(v) -> int:
     raise NonIntegralAssembly("series coefficient is not an integer: a %s" % type(v).__name__)
 
 
-def _merge_ab(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(x + y))
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (n1, l1, ab1), v1 in a.items():
-        for (n2, l2, ab2), v2 in b.items():
-            k = (n1 + n2, l1 + l2, _merge_ab(ab1, ab2))
-            out[k] = out.get(k, 0) + v1 * v2
+def _times_factor(poly: Poly, a: int, b: int) -> Poly:
+    """``poly (1 - L^a T^b)``: ``poly`` less its copy shifted by ``L^a T^b``."""
+    out = dict(poly)
+    for (n, l, ab), v in poly.items():
+        k = (n + b, l + a, ab)
+        out[k] = out[k] - v if k in out else -v
     return _clean(out)
 
 
-def _factor_poly(a: int, b: int) -> Poly:
-    return {(0, 0, ()): 1, (b, a, ()): -1}
-
-
-def _den_poly(den) -> Poly:
-    out: Poly = {(0, 0, ()): 1}
-    for a, b in den:
-        out = _poly_mul(out, _factor_poly(a, b))
-    return out
-
-
-def _remainder(num: Poly, a: int, b: int) -> Poly:
-    """``num`` modulo ``1 - L^a T^b`` via ``T^b -> L^{-a}``: the unique
-    remainder of T-degree below ``b``, zero exactly when the factor divides."""
-    out: Poly = {}
-    for (n, l, ab), v in num.items():
+def _over_factor(poly: Poly, a: int, b: int, order: int | None = None) -> Poly | None:
+    """``poly / (1 - L^a T^b)`` by running sums along each orbit ``(n + q b,
+    l + q a, [B])`` of ``L^a T^b``: the power series cut at ``T^order``, or,
+    without an order, the exact quotient, None unless every orbit sums to 0."""
+    orbits: dict[Key, dict[int, int]] = {}
+    for (n, l, ab), v in poly.items():
         q, r = divmod(n, b)
-        k = (r, l - a * q, ab)
-        out[k] = out[k] + v if k in out else v
-    return _clean(out)
-
-
-def _times_geometric(poly: Poly, a: int, b: int, order: int) -> Poly:
-    """``poly / (1 - L^a T^b)`` up to ``T^order`` by doubling: ``poly (1 + L^a
-    T^b) (1 + L^{2a} T^{2b}) (1 + L^{4a} T^{4b}) ...``, ``log(order)`` passes."""
-    acc = {k: v for k, v in poly.items() if k[0] <= order}
-    span = order - min((k[0] for k in acc), default=order)
-    while b <= span:
-        for (n, l, ab), v in list(acc.items()):
-            if n + b <= order:
-                key = (n + b, l + a, ab)
-                acc[key] = acc[key] + v if key in acc else v
-        a, b = 2 * a, 2 * b
-    return _clean(acc)
-
-
-def _divide_by_factor(num: Poly, a: int, b: int) -> Poly | None:
-    """Exact quotient ``num / (1 - L^a T^b)`` or None if not divisible.
-
-    A zero remainder means ``num = q (1 - L^a T^b)`` with ``deg_T q =
-    deg_T num - b``: ``q`` is the power series ``num / (1 - L^a T^b)`` cut
-    off there, whatever the lowest T-degree of ``num``."""
-    if _remainder(num, a, b):
-        return None
-    top = max((k[0] for k in num), default=0) - b
-    return _times_geometric(num, a, b, top)
+        key = (r, l - a * q, ab)
+        if key in orbits:
+            orbits[key][q] = v
+        else:
+            orbits[key] = {q: v}
+    out: Poly = {}
+    for (r, l, ab), terms in orbits.items():
+        if order is None:
+            if sum(terms.values()):
+                return None
+            end = max(terms)
+        else:
+            end = (order - r) // b + 1
+        acc = 0
+        for q in range(min(terms), end):
+            acc += terms.get(q, 0)
+            if acc:
+                out[(r + q * b, l + q * a, ab)] = acc
+    return out
 
 
 def _reduce(num: Poly, den: tuple[tuple[int, int], ...]):
@@ -126,7 +105,7 @@ def _reduce(num: Poly, den: tuple[tuple[int, int], ...]):
     left: list[tuple[int, int]] = []
     for f in sorted(set(den)):
         k = den.count(f)
-        while k and (q := _divide_by_factor(num, *f)) is not None:
+        while k and (q := _over_factor(num, *f)) is not None:
             num, k = q, k - 1
         left += [f] * k
     return num, tuple(left)
@@ -178,8 +157,8 @@ class RationalSeries:
         num: Poly = {}
         for part, den in terms:
             missing = common - den
-            if missing:
-                part = _poly_mul(part, _den_poly(missing.elements()))
+            for f in missing.elements():
+                part = _times_factor(part, *f)
             for k, v in part.items():
                 num[k] = num[k] + v if k in num else v
         return cls(num, common.elements())
@@ -187,8 +166,11 @@ class RationalSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSeries):
             return NotImplemented
-        lhs = _poly_mul(dict(self.num), _den_poly(other.den))
-        rhs = _poly_mul(dict(other.num), _den_poly(self.den))
+        lhs, rhs = dict(self.num), dict(other.num)
+        for f in other.den:
+            lhs = _times_factor(lhs, *f)
+        for f in self.den:
+            rhs = _times_factor(rhs, *f)
         return lhs == rhs
 
     def __hash__(self):
@@ -204,7 +186,7 @@ class RationalSeries:
         """Power series coefficients up to and including ``T^order``."""
         out = {k: v for k, v in self.num if k[0] <= order}
         for a, b in self.den:
-            out = _times_geometric(out, a, b, order)
+            out = _over_factor(out, a, b, order)
         return out
 
     def degree(self) -> int:
@@ -213,29 +195,21 @@ class RationalSeries:
             raise PreconditionError("degree of the zero series")
         return max(k[0] for k, _ in self.num) - sum(b for _, b in self.den)
 
-    def _plain_T_coeffs(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (n, l, ab), v in self.num:
-            if l != 0 or ab != ():
-                raise NonReducible("numerator carries L or abelian classes")
-            out[n] = out.get(n, 0) + v
-        return out
-
     def pole_order_at_one(self) -> int:
         """Order of the pole at ``T = 1`` for series with plain Z numerators.
 
         Counts denominator factors ``1 - T^b`` net of the multiplicity of
-        ``T = 1`` as a numerator root (multiplicity found by exact
-        evaluation of successive derivatives).
+        ``T = 1`` as a numerator root: the numerator is divided by ``1 - T``
+        while it can, at most once per such factor.
         """
-        poly = self._plain_T_coeffs()
+        if any(l or ab for (_, l, ab), _ in self.num):
+            raise NonReducible("numerator carries L or abelian classes")
+        num = dict(self.num)
         vanishing = sum(1 for a, _ in self.den if a == 0)
         mult = 0
-        while mult < vanishing:
-            if sum(poly.values()) != 0:
-                break
-            poly = {n - 1: v * n for n, v in poly.items() if n}
-            mult += 1
+        # 1 - T divides num exactly when its coefficients sum to 0
+        while mult < vanishing and not sum(num.values()):
+            num, mult = _over_factor(num, 0, 1), mult + 1
         return vanishing - mult
 
     def unique_pole_slope(self) -> tuple[Fraction, int]:

@@ -1,5 +1,5 @@
-"""Generating series over tame base changes: component series, order
-function, motivic zeta function and its Euler specialization.
+"""Generating series over tame base changes: component series, motivic
+zeta function and its Euler specialization.
 
 Reduction data enters through a :class:`ReductionProvider`: the dual graph
 of the fiber together with one graph per divisor of the stabilization index
@@ -30,7 +30,6 @@ from .cyclo import _divisors
 from .errors import (
     InconsistentData,
     ParseError,
-    PreconditionError,
     ProviderIncomplete,
 )
 from .invariants import component_group, stabilization_index
@@ -79,19 +78,8 @@ class JumpSet(Record):
         return "{" + ", ".join("%s x%d" % (j, m) for j, m in self.jumps) + "}"
 
 
-def ord_function(jumps: JumpSet, d: int) -> int:
-    """``sum_j m_j * floor(d * j)``.
-
-    Periodic against the common denominator ``e`` of the jumps:
-    ``ord(a + q e) = ord(a) + q e c_tame`` holds exactly.
-    """
-    if d < 0:
-        raise PreconditionError("degree must be non-negative")
-    return _ord_values(jumps, (d,))[0]
-
-
 def _ord_values(jumps: JumpSet, degrees) -> list[int]:
-    """:func:`ord_function` at each of ``degrees``, reading each jump once."""
+    """``sum_j m_j floor(d j)`` at each ``d`` of ``degrees``, reading each jump once."""
     terms = [(j.numerator, j.denominator, m) for j, m in jumps.jumps]
     return [sum(m * (d * n // den) for n, den, m in terms) for d in degrees]
 
@@ -106,9 +94,10 @@ class ReductionProvider(Record):
     that is not an ``int`` (``bool`` included), naming it by its type, or
     not such a divisor, a degree-1 curve other than the base, a curve of
     the wrong ``p``, index (``e/a``) or genus, and jumps beyond the genus
-    or not multiples of ``1/e``.  ``p``, ``e``, ``genus``, the stable degrees and the period
-    ``lcm(e, p)`` are kept outside the fields, so ``ReductionProvider(**
-    fields)`` rebuilds an equal provider.
+    or not multiples of ``1/e``.  ``p``, ``e``, ``genus``, ``stable_degrees``
+    (the divisors of ``e`` prime to ``p``, ascending) and the period ``lcm(e,
+    p)`` are kept outside the fields, so ``ReductionProvider(**fields)``
+    rebuilds an equal provider.
     """
 
     base: SncdCurve
@@ -155,14 +144,10 @@ class ReductionProvider(Record):
                     )
         super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
         degrees = tuple(a for a in _divisors(e) if gcd(a, p) == 1)
-        vars(self).update(p=p, e=e, genus=g, _degrees=degrees, _period=lcm(e, p))
-
-    def stable_degrees(self) -> tuple[int, ...]:
-        """Divisors of ``e`` prime to ``p``, ascending."""
-        return self._degrees
+        vars(self).update(p=p, e=e, genus=g, stable_degrees=degrees, _period=lcm(e, p))
 
     def require_complete(self):
-        missing = [a for a in self._degrees if a not in self.curves]
+        missing = [a for a in self.stable_degrees if a not in self.curves]
         if missing:
             shown = str(missing)
             if len(shown) > 40:  # the count and the first few
@@ -181,7 +166,7 @@ def _degree_blocks(provider: ReductionProvider):
     a``, so ``|Phi(d)| = |Phi_a| (d/a)^t`` on their classes modulo ``lcm(e,
     p)``.  The only walk over the tame residues."""
     e, p = provider.e, provider.p
-    for a in provider._degrees:
+    for a in provider.stable_degrees:
         curve = provider.curves[a]
         phi = component_group(curve).order
         degrees = range(a, provider._period + 1, a)

@@ -1,6 +1,12 @@
 """Per-residue assemblies of the three provider series, the series
-operations they use, and the slice division and restart reduction of
-numerators, used only by the tests.
+operations they use, the general product of numerators, the order function
+of a jump set, and the slice division and restart reduction of numerators,
+used only by the tests.
+
+The library multiplies and divides only by single factors ``1 - L^a T^b``;
+:func:`_poly_mul` multiplies two numerators term by term, and
+:func:`_den_poly` expands a product of factors with it.  :func:`ord_function`
+is the floor sum of a jump set at one degree.
 
 The operations act on a series' ``num`` and ``den``: :func:`series_product`,
 :func:`scale`, :func:`subs_T_power` and :func:`geometric_sum`, each built
@@ -24,19 +30,44 @@ leave the same numerator and denominator.
 """
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, floor, gcd, lcm
 
 from neroncalc.curves import geometry
 from neroncalc.errors import InconsistentData
 from neroncalc.invariants import component_group
-from neroncalc.ratseries import (
-    RationalSeries,
-    _clean,
-    _factor_poly,
-    _poly_mul,
-    _progression_sum,
-)
-from neroncalc.zeta import ReductionProvider, ord_function
+from neroncalc.ratseries import RationalSeries, _clean, _progression_sum
+from neroncalc.zeta import ReductionProvider
+
+
+def _merge_ab(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(x + y))
+
+
+def _poly_mul(a, b):
+    """The general product of two numerators, term by term."""
+    out = {}
+    for (n1, l1, ab1), v1 in a.items():
+        for (n2, l2, ab2), v2 in b.items():
+            k = (n1 + n2, l1 + l2, _merge_ab(ab1, ab2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return _clean(out)
+
+
+def _factor_poly(a: int, b: int):
+    return {(0, 0, ()): 1, (b, a, ()): -1}
+
+
+def _den_poly(den):
+    out = {(0, 0, ()): 1}
+    for a, b in den:
+        out = _poly_mul(out, _factor_poly(a, b))
+    return out
+
+
+def ord_function(jumps, d: int) -> int:
+    """``sum_j m_j floor(d j)``, the floor sum that ``zeta._ord_values``
+    computes for many degrees at once."""
+    return sum(m * floor(d * j) for j, m in jumps.jumps)
 
 
 def series_product(x: RationalSeries, y: RationalSeries) -> RationalSeries:
@@ -65,7 +96,7 @@ def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
     provider.require_complete()
     e, p = provider.e, provider.p
     blocks = []
-    for a in provider.stable_degrees():
+    for a in provider.stable_degrees:
         curve = provider.curves[a]
         t = geometry(curve).b1
         phi = component_group(curve).order

@@ -29,7 +29,7 @@ from neroncalc.zeta import (
     component_series,
     euler_specialize,
     motivic_zeta,
-    ord_function,
+    _ord_values,
 )
 
 from conftest import random_curve
@@ -246,6 +246,5 @@ def test_criterion_10_ord_jump_coherence():
             step = e * jumps.c_tame
             assert step.denominator == 1
             for alpha in range(1, e + 1):
-                base = ord_function(jumps, alpha)
-                for q in range(21):
-                    assert ord_function(jumps, alpha + q * e) == base + q * int(step)
+                base, *later = _ord_values(jumps, [alpha + q * e for q in range(21)])
+                assert later == [base + q * int(step) for q in range(1, 21)]

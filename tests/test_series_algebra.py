@@ -13,16 +13,7 @@ from hypothesis import strategies as st
 from neroncalc import zeta
 from neroncalc.cyclo import CycloProduct, _divisors
 from neroncalc.kodaira import kodaira_curve
-from neroncalc.ratseries import (
-    RationalSeries,
-    _clean,
-    _den_poly,
-    _divide_by_factor,
-    _factor_poly,
-    _poly_mul,
-    _reduce,
-    _remainder,
-)
+from neroncalc.ratseries import RationalSeries, _clean, _over_factor, _reduce
 from neroncalc.zeta import (
     JumpSet,
     ReductionProvider,
@@ -36,6 +27,9 @@ from neroncalc.zeta import (
 from cyclo_oracles import phi_basis_as_poly
 from provider_sweep import banana_provider, law_providers, looped_provider, star_provider
 from series_oracles import (
+    _den_poly,
+    _factor_poly,
+    _poly_mul,
     component_series_per_residue,
     divide_by_verified_quotient,
     euler_specialize_per_residue,
@@ -227,7 +221,7 @@ def test_assembly_builds_no_series_per_residue(make, assemblies, monkeypatch):
     """A block of residues is one series: the count follows the stable
     degrees (1, 2 and 4 here), not the residues (150, 41 and 6)."""
     provider = make()
-    degrees = len(provider.stable_degrees())
+    degrees = len(provider.stable_degrees)
     for assembly in assemblies:
         assembly(provider)  # warm the curve caches
         built = _count_series(monkeypatch)
@@ -284,7 +278,7 @@ def test_progression_numerators_hold_ints(make, monkeypatch):
     assert coefficients and all(type(v) is int for v in coefficients), coefficients
 
 
-# -- remainder test for divisibility -------------------------------------------------
+# -- division by one factor ----------------------------------------------------------
 
 
 @given(numerators, st.integers(-3, 3), st.integers(1, 4), st.booleans())
@@ -293,9 +287,18 @@ def test_remainder_agrees_with_verified_quotient(num, a, b, multiply):
     num = _clean(num)
     if multiply:
         num = _poly_mul(num, _factor_poly(a, b))
-    want = divide_by_verified_quotient(num, a, b)
-    assert (not _remainder(num, a, b)) == (want is not None)
-    assert _divide_by_factor(num, a, b) == want
+    assert _over_factor(num, a, b) == divide_by_verified_quotient(num, a, b)
+
+
+@given(numerators, st.sampled_from(FACTORS), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_truncated_quotient_times_the_factor_gives_the_numerator(num, f, order):
+    """``p / f`` expanded up to ``T^order``, times ``f``, is ``p`` at every
+    T-degree up to ``order``."""
+    num = {(n - 2, l, ab): v for (n, l, ab), v in _clean(num).items()}  # T^-2 and up
+    back = _poly_mul(_over_factor(num, *f, order), _factor_poly(*f))
+    assert {k: v for k, v in back.items() if k[0] <= order} == {
+        k: v for k, v in num.items() if k[0] <= order}
 
 
 @given(
@@ -348,3 +351,16 @@ def test_component_series_at_period_near_2310():
     all_d = RationalSeries({(1, 0, ()): 3}, [(0, 1), (0, 1)])
     multiples = RationalSeries({(p, 0, ()): 3 * p}, [(0, p), (0, p)])
     assert s == RationalSeries.sum((all_d, scale(multiples, -1)))
+
+
+def test_dense_sum_at_period_20011_is_one_pass_per_factor():
+    """Reducing ``3T/(1-T)^2 - 3p T^p/(1-T^p)^2`` divides a numerator with
+    about ``2p`` dense T-degrees by ``1 - T`` twice, each time by one
+    running sum over those degrees."""
+    p = 20011
+    all_d = RationalSeries({(1, 0, ()): 3}, [(0, 1), (0, 1)])
+    multiples = RationalSeries({(p, 0, ()): -3 * p}, [(0, p), (0, p)])
+    start = time.perf_counter()
+    s = RationalSeries.sum((all_d, multiples))
+    assert time.perf_counter() - start < 0.15
+    assert s == component_series(ReductionProvider(kodaira_curve("I3", p=p)))
