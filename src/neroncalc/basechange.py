@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .curves import _MULTIPLE, SncdCurve, _shown_number, serialize_curve
+from .curves import _MULTIPLE, SncdCurve, _fiber_pass, _shown_number, serialize_curve
 from .errors import InternalError, PreconditionError
 from .hj import LocalPointData, local_point_data
 from .invariants import char_poly, component_group, stabilization_index
@@ -73,7 +73,7 @@ def _check_preconditions(curve: SncdCurve, d: int) -> None:
         raise PreconditionError(
             "gcd(d, e) = %s != 1 with e = %s" % (_shown_number(gcd(d, e)), _shown_number(e))
         )
-    index = curve.multiplicity_gcd()
+    index = _fiber_pass(curve).index
     if index != 1:
         raise PreconditionError(_MULTIPLE % _shown_number(index))
 
@@ -155,7 +155,7 @@ def base_change_laws(curve: SncdCurve, d: int) -> BaseChangeLaws:
         d=d,
         phi_before=before,
         phi_after=component_group(out).order,
-        factor=d ** curve.b1(),
+        factor=d ** _fiber_pass(curve).b1,
         index_predicted=e // gcd(e, d),
         index_measured=stabilization_index(out),
         charpoly_commutes=char_poly(out) == char_poly(curve).power_d(d),

@@ -46,8 +46,8 @@ class SncdCurve(Record):
     lists in vertex order, and an id's position in them comes from one
     dict.  Callers must not mutate them.
 
-    Derived data (the adjacency, the one fiber pass that :func:`validate`,
-    :func:`geometry` and :func:`genus` read, and
+    Derived data (the one fiber pass, whose record also holds the adjacency
+    that :meth:`adjacency` returns, and
     :func:`~neroncalc.invariants.component_group`) is computed on first use
     and cached in private attributes that are not record fields, so
     equality and hashing see only ``vertices``, ``edges`` and ``p``.
@@ -94,46 +94,16 @@ class SncdCurve(Record):
                 _check_edge(i, e, pos)  # raises, unless subclasses of str, tuple or list
             norm.append((a, b) if a <= b else (b, a))
         vars(self).update(vertices=tuple(triples), edges=tuple(norm), p=p, ids=ids, N=N, g=g,
-                          _pos=pos, _adj=None, _geo=None, _phi=None)
+                          _pos=pos, _geo=None, _phi=None)
 
     def multiplicity(self, vid: str) -> int:
         return self.N[self._pos[vid]]
 
     def adjacency(self) -> dict[str, dict[str, int]]:
-        """Neighbour -> number of edges to it, per vertex.
-
-        Plain dicts in vertex order, each neighbour at its first edge, built
-        in one walk of the edges on first use and cached on the curve;
-        callers must not mutate them.
-        """
-        if self._adj is None:
-            adj: dict[str, dict[str, int]] = {vid: {} for vid in self.ids}
-            for a, b in self.edges:
-                na, nb = adj[a], adj[b]
-                na[b] = na.get(b, 0) + 1
-                nb[a] = nb.get(a, 0) + 1
-            object.__setattr__(self, "_adj", adj)
-        return self._adj
-
-    def multiplicity_gcd(self) -> int:
-        return gcd(*self.N) if self.N else 0
-
-    def b1(self) -> int:
-        """First Betti number of the graph (assumes connectedness)."""
-        return len(self.edges) - len(self.ids) + 1
-
-    def is_connected(self) -> bool:
-        if not self.ids:
-            return False
-        adj = self.adjacency()
-        seen = {self.ids[0]}
-        stack = [self.ids[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.ids)
+        """Neighbour -> number of edges to it, per vertex: the rows of the
+        curve's one fiber pass, in vertex order, each neighbour at its first
+        edge.  Callers must not mutate them."""
+        return _fiber_pass(self).adjacency
 
 
 def _check_edge(i: int, e, pos: dict[str, int]) -> None:
@@ -153,21 +123,27 @@ def _check_edge(i: int, e, pos: dict[str, int]) -> None:
 class CurveGeometry(Record):
     """What one walk of the graph says about the fiber relation.
 
+    ``adjacency`` maps each vertex id, in vertex order, to its row of
+    neighbour -> number of edges, each neighbour at its first edge.
     ``degree`` and ``self_int`` map each vertex id to its value, in vertex
     order; ``self_int`` is exact only when ``nondividing`` is empty, which
-    :func:`geometry` checks.  The open stratum ``E_v^o`` of a vertex has
-    Euler characteristic ``chi_v = 2 - 2 g_v - degree_v``: ``chi_factors``
+    :func:`geometry` checks.  ``b1`` is the first Betti number of the graph
+    when ``connected``, and ``index`` the gcd of the multiplicities (0 for
+    no vertex).  The open stratum ``E_v^o`` of a vertex has Euler
+    characteristic ``chi_v = 2 - 2 g_v - degree_v``: ``chi_factors``
     maps each multiplicity ``N`` to ``-sum chi_v`` over the vertices of
     multiplicity ``N`` with ``chi_v != 0``, the exponents of
     ``prod (t^N - 1)^(-chi)``.  ``principal`` holds the multiplicities of
     the principal vertices, those of positive genus or degree at least 3.
     """
 
+    adjacency: dict[str, dict[str, int]]
     degree: dict[str, int]
     self_int: dict[str, int]
     b1: int
     abelian_rank: int
     connected: bool
+    index: int
     nondividing: tuple[tuple[str, int, int], ...]  # (id, N_v, sum_w N_w E_v.E_w), N_v not dividing
     euler: int                                     # sum_v N_v chi(E_v^o)
     chi_factors: dict[int, int]                    # N -> -sum chi(E_v^o) over N_v = N
@@ -183,20 +159,32 @@ class ValidationReport(Record):
 
 
 def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
-    """The one walk of ``curve`` behind :func:`validate`, :func:`geometry`
-    and :func:`genus`: one loop over the edges adds up each vertex's degree
-    and incident sum ``sum_w N_w``, in O(V + E).  Cached on the curve;
-    never raises."""
+    """The one walk of ``curve`` behind :meth:`SncdCurve.adjacency`,
+    :func:`validate`, :func:`geometry` and :func:`genus`: one loop over the
+    edges fills the adjacency rows and adds up each vertex's degree and
+    incident sum ``sum_w N_w``, and one walk of the rows decides
+    connectivity, in O(V + E).  Cached on the curve, where the adjacency
+    has no slot of its own; never raises."""
     if curve._geo is not None:
         return curve._geo
     ids, N, g, pos = curve.ids, curve.N, curve.g, curve._pos
-    degree, incident = [0] * len(ids), [0] * len(ids)
+    degree, incident, rows = [0] * len(ids), [0] * len(ids), [{} for _ in ids]
     for a, b in curve.edges:
         i, j = pos[a], pos[b]
         degree[i] += 1
         degree[j] += 1
         incident[i] += N[j]
         incident[j] += N[i]
+        ra, rb = rows[i], rows[j]
+        ra[b] = ra.get(b, 0) + 1
+        rb[a] = rb.get(a, 0) + 1
+    adj = dict(zip(ids, rows))
+    seen, stack = set(ids[:1]), ids[:1]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     self_int, nondividing, euler, chi_factors, principal = {}, [], 0, {}, set()
     for i, vid in enumerate(ids):
         n, inc, d = N[i], incident[i], degree[i]
@@ -209,9 +197,9 @@ def _fiber_pass(curve: SncdCurve) -> CurveGeometry:
             chi_factors[n] = chi_factors.get(n, 0) - chi
         if g[i] or d >= 3:
             principal.add(n)
-    geo = CurveGeometry(dict(zip(ids, degree)), self_int, curve.b1(), sum(g),
-                        curve.is_connected(), tuple(nondividing), euler, chi_factors,
-                        frozenset(principal))
+    geo = CurveGeometry(adj, dict(zip(ids, degree)), self_int, len(curve.edges) - len(ids) + 1,
+                        sum(g), 0 < len(seen) == len(ids), gcd(*N), tuple(nondividing), euler,
+                        chi_factors, frozenset(principal))
     object.__setattr__(curve, "_geo", geo)
     return geo
 
@@ -238,9 +226,8 @@ def validate(curve: SncdCurve) -> ValidationReport:
     geo = _fiber_pass(curve)
     problems = [] if geo.connected else [_DISCONNECTED]
     problems += [_nondividing(*v) for v in geo.nondividing]
-    index = curve.multiplicity_gcd()
-    if index != 1:
-        problems.append(_MULTIPLE % _shown_number(index))
+    if geo.index != 1:
+        problems.append(_MULTIPLE % _shown_number(geo.index))
     if geo.euler % 2 or geo.euler > 2:
         problems.append(_EULER % _shown_number(geo.euler))
     return ValidationReport(tuple(problems))
@@ -314,7 +301,7 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
     """
     geo = _fiber_pass(curve)
     ids, pos, g = curve.ids, curve._pos, curve.g
-    adj, degree, self_int = curve.adjacency(), geo.degree, geo.self_int
+    adj, degree, self_int = geo.adjacency, geo.degree, geo.self_int
     nondividing = {vid for vid, _, _ in geo.nondividing}
 
     def exceptional(vid):  # reads the maps as rebound below

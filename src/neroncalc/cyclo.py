@@ -106,9 +106,6 @@ class CycloProduct(Record):
             out[a] = out.get(a, 0) + e
         return CycloProduct(out)
 
-    def __pow__(self, k: int) -> "CycloProduct":
-        return CycloProduct({a: e * k for a, e in self.factors})
-
     @property
     def degree(self) -> int:
         """Formal degree ``sum a * e_a`` (negative allowed)."""

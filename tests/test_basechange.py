@@ -17,6 +17,7 @@ from neroncalc.curves import (
     SncdCurve,
     contract_minus_one,
     genus,
+    geometry,
     serialize_curve,
     validate,
 )
@@ -114,7 +115,7 @@ def test_laws_read_from_one_transform(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
-TREES = [name for name in ALL_FIXTURES if fixture_curve(name).b1() == 0]
+TREES = [name for name in ALL_FIXTURES if geometry(fixture_curve(name)).b1 == 0]
 SWEEP = TREES + ["I%d" % n for n in range(2, 7)]
 
 
@@ -127,7 +128,7 @@ def test_laws_agree_with_the_transform_sweep(name):
             continue
         out, _ = transform(curve, d)
         before, after = component_group(curve).order, component_group(out).order
-        factor = d ** curve.b1()
+        factor = d ** geometry(curve).b1
         commutes = char_poly(out) == char_poly(curve).power_d(d)
         laws = base_change_laws(curve, d)
         assert laws == BaseChangeLaws(
@@ -184,7 +185,7 @@ def test_output_validates_and_preserves_shape(all_fixture_curves):
                 continue
             out, trace = transform(curve, d)
             assert validate(out).ok
-            assert out.b1() == curve.b1()
+            assert geometry(out).b1 == geometry(curve).b1
             assert genus(out) == genus(curve)
             assert stabilization_index(out) == e
             assert len(trace.edge_records) == len(curve.edges)

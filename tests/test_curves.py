@@ -14,6 +14,7 @@ from neroncalc.basechange import base_change_laws, transform
 from neroncalc.curves import (
     CurveWarning,
     SncdCurve,
+    _fiber_pass,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,
@@ -338,7 +339,7 @@ def test_self_intersection_relation_is_exact(curve):
 @settings(max_examples=120, deadline=None)
 def test_contraction_preserves_b1_and_genus_and_is_idempotent(curve):
     out = contract_minus_one(curve)
-    assert out.b1() == curve.b1()
+    assert geometry(out).b1 == geometry(curve).b1
     assert genus(out) == genus(curve)
     assert contract_minus_one(out) == out
 
@@ -353,7 +354,7 @@ def test_blowups_preserve_validity_and_genus(curve):
     if curve.edges:
         up2 = blow_up_intersection(curve, 0)
         assert genus(up2) == g
-        assert up2.b1() == curve.b1()
+        assert geometry(up2).b1 == geometry(curve).b1
 
 
 def test_blown_up_ids_stay_short():
@@ -417,11 +418,11 @@ def test_fiber_pass_matches_a_per_vertex_recomputation(curve):
     graph.add_nodes_from(vid for vid, _, _ in vs)
     graph.add_edges_from(es)
     connected = nx.is_connected(graph)
-    assert curve.is_connected() == connected
+    index = gcd(*(n for _, n, _ in vs))
+    assert (_fiber_pass(curve).connected, _fiber_pass(curve).index) == (connected, index)
 
     nondividing = [(vid, n, rows[vid][1]) for vid, n, _ in vs if rows[vid][1] % n]
     euler = sum(n * (2 - 2 * g - rows[vid][0]) for vid, n, g in vs)
-    index = gcd(*(n for _, n, _ in vs))
     problems = [] if connected else ["graph is not connected"]
     problems += ["multiplicity %d of %r does not divide the incident sum %d"
                  % (n, vid, s) for vid, n, s in nondividing]

@@ -9,6 +9,7 @@ a dense quotient oracle, and the cached curve data with fresh curves.
 import contextlib
 import os
 import random
+import sys
 import time
 from math import gcd
 
@@ -30,6 +31,7 @@ from neroncalc.curves import (
     geometry,
     validate,
 )
+import neroncalc.curves as curves
 import neroncalc.invariants
 from neroncalc.errors import MalformedFiber
 from neroncalc.cyclo import CycloProduct
@@ -55,12 +57,18 @@ from test_linalg import determinantal_divisors
 def rescan_contract_minus_one(curve: SncdCurve) -> SncdCurve:
     """Reference: rescan every vertex, contract the first that qualifies,
     rebuild the whole curve, repeat."""
-    cur = curve
+    return rescan_with_makers(curve)[0]
+
+
+def rescan_with_makers(curve: SncdCurve) -> tuple[SncdCurve, dict]:
+    """The rescan's curve, and each contracted vertex, in contraction order,
+    mapped to the edge its contraction made (``None`` for one edge)."""
+    cur, made = curve, {}
     while True:
         target = _find_contractible(cur)
         if target is None:
-            return cur
-        cur = _contract_vertex(cur, target)
+            return cur, made
+        cur, made[target] = _contract_vertex(cur, target)
 
 
 def _find_contractible(curve):
@@ -84,9 +92,10 @@ def _contract_vertex(curve, vid):
     neighbours = [w for e in curve.edges for w in e if vid in e and w != vid]
     vertices = tuple(v for v in curve.vertices if v[0] != vid)
     edges = [e for e in curve.edges if vid not in e]
-    if len(neighbours) == 2:
-        edges.append(tuple(sorted(neighbours)))
-    return SncdCurve(vertices, edges, curve.p)
+    new = tuple(sorted(neighbours)) if len(neighbours) == 2 else None
+    if new:
+        edges.append(new)
+    return SncdCurve(vertices, edges, curve.p), new
 
 
 @st.composite
@@ -125,7 +134,7 @@ def test_contraction_equals_rescan_on_blowups(curve):
     assert_blow_down_is_the_minimal_model(curve)
 
 
-TREES = [name for name in ALL_FIXTURES if fixture_curve(name).b1() == 0]
+TREES = [name for name in ALL_FIXTURES if geometry(fixture_curve(name)).b1 == 0]
 
 
 @pytest.mark.parametrize("name", TREES)
@@ -389,6 +398,42 @@ def deep_blowups(draw, max_vertices: int = 16):
     return curve
 
 
+@st.composite
+def tree_transforms(draw):
+    """A tree fixture under one of its first six admissible degrees."""
+    curve = fixture_curve(draw(st.sampled_from(TREES)))
+    e = stabilization_index(curve)
+    d = draw(st.sampled_from([d for d in range(2, 60) if gcd(d, e) == 1][:6]))
+    return transform(curve, d)[0]
+
+
+@given(st.one_of(deep_blowups(), tree_transforms()))
+@settings(max_examples=200, deadline=None)
+def test_new_edges_follow_the_largest_position_of_their_component(curve):
+    """The contraction-order law: the surviving input edges in input order,
+    then one new edge per contracted component (a connected set of
+    contracted vertices in the input graph) whose last contraction joined
+    two survivors, by increasing largest input position of the component."""
+    out, made = rescan_with_makers(curve)
+    adj, pos, root = curve.adjacency(), curve._pos, {}
+    for vid in made:  # each contracted vertex -> the first of its component
+        if vid not in root:
+            root[vid], stack = vid, [vid]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in made and w not in root:
+                        root[w] = vid
+                        stack.append(w)
+    last, largest = {}, {}
+    for vid in made:  # in contraction order
+        last[root[vid]] = vid
+        largest[root[vid]] = max(largest.get(root[vid], -1), pos[vid])
+    new = [made[last[r]] for r in sorted(last, key=largest.get) if made[last[r]]]
+    assert all(a in out._pos and b in out._pos for a, b in new)
+    kept = [e for e in curve.edges if e[0] in out._pos and e[1] in out._pos]
+    assert contract_minus_one(curve).edges == tuple(kept + new) == out.edges
+
+
 @given(deep_blowups())
 @settings(max_examples=300, deadline=None)
 def test_cut_matches_oracle_and_minimal_model(curve):
@@ -555,19 +600,33 @@ def test_invalid_curve_raises_on_every_call(curve, message):
     assert problems
 
 
-def test_analyze_walks_the_graph_once(monkeypatch, capsys):
-    calls = []
-    walk = SncdCurve.is_connected
+@pytest.mark.parametrize("argv, passes", [
+    (["analyze", "I3star.json"], 1),
+    (["check", "I5.json", "-d", "7"], 2),
+    (["basechange", "II.json", "-d", "5", "--contract"], 2),
+    (["series", "provider_II.json"], 4),
+    (["zeta", "provider_II.json"], 4),
+], ids=["analyze", "check", "basechange", "series", "zeta"])
+def test_each_command_walks_each_curve_once(argv, passes, monkeypatch, capsys):
+    """One fiber pass per curve a command builds, counted where no cached
+    pass is found; each curve's adjacency is that pass's own rows."""
+    walk, walked = curves._fiber_pass, []
 
     def spy(curve):
-        calls.append(curve)
-        return walk(curve)
+        fresh = curve._geo is None
+        geo = walk(curve)
+        if fresh:
+            walked.append(curve)
+            assert curve.adjacency() is geo.adjacency
+        return geo
 
-    monkeypatch.setattr(SncdCurve, "is_connected", spy)
-    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "I3star.json")
-    assert main(["analyze", fixture]) == 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("neroncalc") and getattr(module, "_fiber_pass", None) is walk:
+            monkeypatch.setattr(module, "_fiber_pass", spy)
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    assert main([argv[0], os.path.join(fixtures, argv[1]), *argv[2:]]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(walked) == passes
 
 
 def test_contraction_leaves_input_adjacency_alone():
