@@ -262,42 +262,27 @@ def geometry(curve: SncdCurve) -> CurveGeometry:
 
 
 def contract_minus_one(curve: SncdCurve) -> SncdCurve:
-    """Contract genus-0 exceptional vertices while staying normal crossings.
+    """The minimal model, by the library's only contraction of (-1)-curves:
+    vertices of genus 0, self-intersection -1, a multiplicity that divides
+    the incident sum, and one or two simple edges to distinct vertices (two
+    to one vertex would give a loop), two neighbours then joined by an edge.
 
-    A vertex is contracted when it has genus 0, self-intersection -1 and
-    one or two simple edges to distinct vertices; in the two-edge case its
-    two neighbours get joined by a new edge.  Repeats until no vertex
-    qualifies, in :func:`_blow_down`'s order.  Surviving labels are
-    untouched, surviving edges keep their input order, followed by the new
-    edges in the order they were made, and one curve is built at the end.
-    A curve with nothing to contract is returned as is.
-    """
-    adj, _, _, new_edges = _blow_down(curve)
-    if len(adj) == len(curve.ids):
-        return curve
-    return SncdCurve(
-        [v for v in curve.vertices if v[0] in adj],
-        [e for e in curve.edges + tuple(new_edges) if e[0] in adj and e[1] in adj],
-        curve.p,
-    )
+    Each step contracts the first such vertex in input order, which raises
+    each neighbour's self-intersection by 1 (its multiplicity is the sum
+    of theirs) and changes no other vertex, so only its neighbours are
+    examined again: a heap of input positions holds the candidates, each
+    checked again when popped, in O((V + E) log V).  The cached pass is
+    never changed: the first contraction copies its outer maps, and a row
+    is copied when first edited.  Surviving edges keep their input order,
+    then come the new edges in the order they were made; one curve is
+    built at the end, and a curve with nothing to contract is returned.
 
-
-def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
-    """The minimal model's ``(adj, degree, self_int, new_edges)``: the
-    adjacency, degrees and self-intersections of :func:`contract_minus_one`'s
-    curve, read off the cached fiber pass, without building it.
-
-    A vertex is a (-1)-curve when it has genus 0, self-intersection -1,
-    one or two simple edges to distinct vertices (two edges to one vertex
-    would contract to a loop), and a multiplicity that divides its
-    incident sum.  Each step contracts the first such vertex in the input's
-    vertex order.  Contracting it raises each neighbour's self-intersection
-    by 1 (its multiplicity is the sum of theirs) and changes no other
-    vertex, so its neighbours alone are examined again: a heap of input
-    positions holds the candidates, and a popped entry is checked again
-    before use, in O((V + E) log V).  The cached maps are never changed:
-    the first contraction copies the outer maps, and an adjacency row is
-    copied when it is first edited.
+    On a valid fiber of genus >= 1 the order does not matter: ``N`` spans
+    the kernel of the intersection form of a connected fiber, so the form
+    is negative semidefinite (Perron-Frobenius); two (-1)-curves ``E``,
+    ``E'`` that met would give ``(E + E')^2 = 0``, so ``E + E'`` would be
+    the whole fiber, of genus 0; contractions that do not meet commute.
+    The genus-0 fiber of two reduced vertices joined once keeps the second.
     """
     geo = _fiber_pass(curve)
     ids, pos, g = curve.ids, curve._pos, curve.g
@@ -309,9 +294,9 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
                 and not g[pos[vid]] and vid not in nondividing)
 
     heap = [i for i, s in enumerate(self_int.values()) if s == -1 and exceptional(ids[i])]
-    new_edges = []
-    if heap:
-        cached, adj, degree, self_int = adj, dict(adj), dict(degree), dict(self_int)
+    if not heap:
+        return curve
+    cached, adj, degree, self_int, new_edges = adj, dict(adj), dict(degree), dict(self_int), []
     while heap:
         vid = ids[heapq.heappop(heap)]
         if vid not in adj or not exceptional(vid):
@@ -333,7 +318,9 @@ def _blow_down(curve: SncdCurve) -> tuple[dict, dict, dict, list]:
         for w in nbrs:
             if exceptional(w):
                 heapq.heappush(heap, pos[w])
-    return adj, degree, self_int, new_edges
+    return SncdCurve([curve.vertices[pos[vid]] for vid in adj],  # adj keeps vertex order
+                     [e for e in curve.edges + tuple(new_edges) if e[0] in adj and e[1] in adj],
+                     curve.p)
 
 
 def blow_up_point(curve: SncdCurve, vid: str) -> SncdCurve:

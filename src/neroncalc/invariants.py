@@ -1,11 +1,12 @@
 """Arithmetic invariants of a degenerating curve read off its dual graph.
 
 Everything here is a pure function of an :class:`~neroncalc.curves.SncdCurve`:
-the component group of the Jacobian, the toric/abelian/unipotent ranks, the
-characteristic polynomial and its prime-to-p companion, the monodromy zeta
-function and the stabilization index.  The products and the index walk no
-vertex: they read the exponents ``chi_factors`` and the multiplicities
-``principal`` that the curve's one fiber pass
+the component group of the Jacobian, read off the minimal model that
+:func:`~neroncalc.curves.contract_minus_one` builds, the toric/abelian/unipotent
+ranks, the characteristic polynomial and its prime-to-p companion, the
+monodromy zeta function and the stabilization index.  The products and the
+index walk no vertex: they read the exponents ``chi_factors`` and the
+multiplicities ``principal`` that the curve's one fiber pass
 (:func:`~neroncalc.curves.geometry`) collects.  :func:`lorenzini_form`
 regroups the vertices by valency as an independent second assembly.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .curves import SncdCurve, _blow_down, genus, geometry, validate
+from .curves import SncdCurve, _fiber_pass, contract_minus_one, genus, geometry, validate
 from .cyclo import CycloProduct
 from .errors import MalformedFiber
 from .linalg import FiniteAbelianGroup, prime_to_part, smith_diagonal_sparse
@@ -32,13 +33,11 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     graph, this quotient is exactly the torsion of ``coker(alpha)``
     (``coker(alpha)`` splits as the quotient times one copy of Z).
 
-    The group is read off the minimal model, since blowing down a
-    (-1)-curve leaves it unchanged (Bosch-Lutkebohmert-Raynaud, *Neron
-    Models*, section 9.6).  :func:`~neroncalc.curves.geometry` refuses an
-    invalid curve, and ``alpha`` is built sparse from the adjacency and
-    self-intersections that :func:`~neroncalc.curves._blow_down` derives
-    from its fiber pass, so the fiber relation holds by construction and
-    no curve is built.
+    The group is read off :func:`~neroncalc.curves.contract_minus_one`'s
+    minimal model, since blowing down a (-1)-curve leaves it unchanged
+    (Bosch-Lutkebohmert-Raynaud, *Neron Models*, section 9.6).  Once
+    :func:`~neroncalc.curves.geometry` refuses an invalid curve, ``alpha``
+    is built sparse from the minimal curve's fiber pass.
 
     The runs between kept vertices, and cycles, are then folded in closed
     form before elimination.  A vertex is foldable when it has one or two
@@ -62,11 +61,10 @@ def component_group(curve: SncdCurve) -> FiniteAbelianGroup:
     if curve._phi is not None:
         return curve._phi
     geometry(curve)  # refuses an invalid curve with its own message
-    adj, degree, self_int, _ = _blow_down(curve)
-    pos = curve._pos
+    geo = _fiber_pass(minimal := contract_minus_one(curve))
+    adj, degree, self_int, pos = geo.adjacency, geo.degree, geo.self_int, minimal._pos
     # the foldable vertices: one or two edges, simple and to distinct neighbours
-    unwalked = {vid for vid, nbrs in adj.items()
-                if len(nbrs) == degree[vid] in (1, 2)}
+    unwalked = {vid for vid, nbrs in adj.items() if len(nbrs) == degree[vid] in (1, 2)}
     kept = [vid for vid in adj if vid not in unwalked] or [next(iter(adj))]
     unwalked.discard(kept[0])
     rows = {}

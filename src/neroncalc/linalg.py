@@ -84,12 +84,6 @@ class FiniteAbelianGroup(Record):
     def order(self) -> int:
         return prod(self.factors)
 
-    def prime_to(self, p: int) -> "FiniteAbelianGroup":
-        """Prime-to-``p`` part: ``p``-power factors stripped from each ``di``."""
-        return FiniteAbelianGroup.from_factors(
-            prime_to_part(d, p) for d in self.factors
-        )
-
     def __str__(self):
         if not self.factors:
             return "1"

@@ -74,7 +74,9 @@ def _times_factor(poly: Poly, a: int, b: int) -> Poly:
 def _over_factor(poly: Poly, a: int, b: int, order: int | None = None) -> Poly | None:
     """``poly / (1 - L^a T^b)`` by running sums along each orbit ``(n + q b,
     l + q a, [B])`` of ``L^a T^b``: the power series cut at ``T^order``, or,
-    without an order, the exact quotient, None unless every orbit sums to 0."""
+    without an order, the exact quotient, None unless every orbit sums to 0.
+    Each stretch from a term to the next is written only where its running
+    sum is nonzero, so a gap between terms costs nothing."""
     orbits: dict[Key, dict[int, int]] = {}
     for (n, l, ab), v in poly.items():
         q, r = divmod(n, b)
@@ -91,11 +93,12 @@ def _over_factor(poly: Poly, a: int, b: int, order: int | None = None) -> Poly |
             end = max(terms)
         else:
             end = (order - r) // b + 1
-        acc = 0
-        for q in range(min(terms), end):
-            acc += terms.get(q, 0)
+        qs, acc = sorted(terms), 0
+        for q, stop in zip(qs, qs[1:] + [end]):  # from each term to the next
+            acc += terms[q]
             if acc:
-                out[(r + q * b, l + q * a, ab)] = acc
+                for k in range(q, min(stop, end)):
+                    out[(r + k * b, l + k * a, ab)] = acc
     return out
 
 

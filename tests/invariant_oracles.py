@@ -5,16 +5,18 @@ that the library made before the fiber pass held its exponents: one factor
 per vertex, with the degrees counted from the edges here.
 
 :func:`trace_identities` checks ``P'(1) = |Phi|' = prod (N'_i)^{d_i-2}`` on
-additive fibers, three routes to one number that no command reports.
+additive fibers, three routes to one number that no command reports;
+:func:`prime_to_order` gives its ``|Phi|'``.
 """
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from neroncalc.curves import SncdCurve, geometry
 from neroncalc.cyclo import CycloProduct
 from neroncalc.invariants import char_poly_prime, component_group
-from neroncalc.linalg import prime_to_part
+from neroncalc.linalg import FiniteAbelianGroup, prime_to_part
 
 
 def chi_product_per_vertex(curve: SncdCurve, p: int) -> CycloProduct:
@@ -30,6 +32,12 @@ def chi_product_per_vertex(curve: SncdCurve, p: int) -> CycloProduct:
         n = prime_to_part(n, p)
         factors[n] = factors.get(n, 0) - (2 - 2 * g - degree[vid])
     return CycloProduct(factors)
+
+
+def prime_to_order(group: FiniteAbelianGroup, p: int) -> int:
+    """Order of the prime-to-``p`` part of ``group``: the product of the
+    prime-to-``p`` parts of its invariant factors (``p = 1`` strips nothing)."""
+    return prod(prime_to_part(d, p) for d in group.factors)
 
 
 class TraceReport(NamedTuple):
@@ -49,7 +57,7 @@ def trace_identities(curve: SncdCurve) -> TraceReport:
     geo = geometry(curve)
     additive = geo.b1 == 0 and geo.abelian_rank == 0
     value = char_poly_prime(curve).value_at_one()
-    phi_prime = component_group(curve).prime_to(curve.p).order
+    phi_prime = prime_to_order(component_group(curve), curve.p)
     prod = Fraction(1)
     for n, degree in zip(curve.N, geo.degree.values()):
         prod *= Fraction(prime_to_part(n, curve.p)) ** (degree - 2)

@@ -437,7 +437,7 @@ def test_load_curve_builds_one_curve(monkeypatch):
 
 @pytest.mark.parametrize("command, curves", [
     (["analyze"], 1),
-    (["check", "-d", "7"], 2),  # the loaded curve and its transform
+    (["check", "-d", "7"], 3),  # the loaded curve, its transform and its minimal model
     (["basechange", "-d", "7"], 2),
 ])
 def test_p_flag_builds_no_second_curve(capsys, monkeypatch, command, curves):

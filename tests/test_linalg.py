@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from neroncalc.errors import PreconditionError
 from neroncalc.linalg import FiniteAbelianGroup, prime_to_part
 
+from invariant_oracles import prime_to_order
 from linalg_oracles import DimensionMismatch, kernel_basis, smith_diagonal, smith_quotient
 
 
@@ -166,10 +167,10 @@ def test_prime_to_part_and_group_reduction():
     assert prime_to_part(12, 1) == 12
     with pytest.raises(PreconditionError, match="prime_to_part of 0 is undefined"):
         prime_to_part(0, 2)
-    g = FiniteAbelianGroup((2, 12))
-    assert g.prime_to(2).factors == (3,)
-    assert g.prime_to(3).factors == (2, 4)
-    assert g.prime_to(1) == g
+    g = FiniteAbelianGroup((2, 12))  # the oracle's |Phi|', from the factors' prime-to-p parts
+    assert prime_to_order(g, 2) == 3
+    assert prime_to_order(g, 3) == 8
+    assert prime_to_order(g, 1) == g.order == 24
 
 
 @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))

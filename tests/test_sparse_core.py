@@ -11,6 +11,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -23,12 +24,12 @@ from neroncalc.basechange import transform
 from neroncalc.cli import main
 from neroncalc.curves import (
     SncdCurve,
-    _blow_down,
     blow_up_intersection,
     blow_up_point,
     contract_minus_one,
     genus,
     geometry,
+    load_curve,
     validate,
 )
 import neroncalc.curves as curves
@@ -48,6 +49,7 @@ from neroncalc.linalg import FiniteAbelianGroup, smith_diagonal_sparse
 from linalg_oracles import intersection_matrix, smith_diagonal, smith_quotient
 from conftest import seed_curves
 from invariant_oracles import chi_product_per_vertex
+from test_cli import _spy_on_curves, fx
 from test_linalg import determinantal_divisors
 
 
@@ -65,13 +67,14 @@ def rescan_with_makers(curve: SncdCurve) -> tuple[SncdCurve, dict]:
     mapped to the edge its contraction made (``None`` for one edge)."""
     cur, made = curve, {}
     while True:
-        target = _find_contractible(cur)
+        target = next(_contractible(cur), None)
         if target is None:
             return cur, made
         cur, made[target] = _contract_vertex(cur, target)
 
 
-def _find_contractible(curve):
+def _contractible(curve):
+    """Every vertex that qualifies, in vertex order."""
     adj = curve.adjacency()
     for vid, n, g in curve.vertices:
         if g != 0:
@@ -84,8 +87,7 @@ def _find_contractible(curve):
             continue
         incident = sum(curve.multiplicity(w) * k for w, k in nbrs.items())
         if incident == n:
-            return vid
-    return None
+            yield vid
 
 
 def _contract_vertex(curve, vid):
@@ -114,16 +116,15 @@ def fixture_blowups(draw, max_vertices: int = 30):
 
 
 def assert_blow_down_is_the_minimal_model(curve):
-    """``_blow_down``'s maps are the adjacency and fiber pass of
-    ``contract_minus_one``'s curve, and the input's caches stay as they were."""
+    """``contract_minus_one`` leaves the input's cached degrees,
+    self-intersections and adjacency as they were, and the minimal curve's
+    pass is that of a fresh curve built from its fields."""
     geo, adj = geometry(curve), curve.adjacency()
     before = (dict(geo.degree), dict(geo.self_int), {v: dict(n) for v, n in adj.items()})
     minimal = contract_minus_one(curve)
-    got_adj, degree, self_int, _ = _blow_down(curve)
-    assert got_adj == minimal.adjacency()
-    assert (degree, self_int) == (geometry(minimal).degree, geometry(minimal).self_int)
-    assert list(degree) == list(self_int) == list(minimal.ids)
     assert (geo.degree, geo.self_int, adj) == before
+    fresh = SncdCurve(minimal.vertices, minimal.edges, minimal.p)
+    assert geometry(minimal) == geometry(fresh)
 
 
 @given(fixture_blowups())
@@ -151,6 +152,33 @@ def test_contraction_equals_rescan_on_transforms(name):
 def test_contraction_returns_input_when_nothing_qualifies():
     curve = fixture_curve("II*")
     assert contract_minus_one(curve) is curve
+
+
+def test_two_reduced_vertices_keep_the_second():
+    """The genus-0 exception to order independence: two (-1)-curves that
+    meet, each the other's whole complement."""
+    ab = SncdCurve([("a", 1, 0), ("b", 1, 0)], [("a", "b")])
+    ba = SncdCurve([("b", 1, 0), ("a", 1, 0)], [("a", "b")])
+    assert genus(ab) == genus(ba) == 0
+    assert contract_minus_one(ab).vertices == (("b", 1, 0),)
+    assert contract_minus_one(ba).vertices == (("a", 1, 0),)
+
+
+@pytest.mark.parametrize("name, built", [("II", 0), ("I5", 0), ("blown-up II", 1)])
+def test_component_group_builds_only_the_minimal_curve(monkeypatch, name, built):
+    """A minimal input builds no curve; a blown-up one builds its minimal
+    model, however many vertices come off."""
+    if name == "II":
+        curve = load_curve(fx("II.json"))
+    elif name == "I5":
+        curve = kodaira_curve("I5")
+    else:
+        curve = blow_up_point(blow_up_intersection(kodaira_curve("II"), 0), "E4")
+        assert len(contract_minus_one(curve).ids) < len(curve.ids) - 1
+        curve = SncdCurve(curve.vertices, curve.edges, curve.p)  # no cached group
+    seen = _spy_on_curves(monkeypatch)
+    assert component_group(curve).order == (5 if name == "I5" else 1)
+    assert len(seen) == built
 
 
 # -- sparse Smith kernel -------------------------------------------------------
@@ -434,6 +462,25 @@ def test_new_edges_follow_the_largest_position_of_their_component(curve):
     assert contract_minus_one(curve).edges == tuple(kept + new) == out.edges
 
 
+def contract_in_random_order(curve: SncdCurve, seed: int) -> SncdCurve:
+    """Contract one qualifying vertex at a time, picked at random."""
+    rng = random.Random(seed)
+    while targets := list(_contractible(curve)):
+        curve = _contract_vertex(curve, rng.choice(targets))[0]
+    return curve
+
+
+@given(st.one_of(deep_blowups(), tree_transforms()).filter(
+    lambda c: validate(c).ok and genus(c) >= 1), st.integers(0, 2 ** 32))
+@settings(max_examples=200, deadline=None)
+def test_minimal_model_does_not_depend_on_the_contraction_order(curve, seed):
+    """At genus >= 1 two (-1)-curves never meet, so contractions commute."""
+    out, minimal = contract_in_random_order(curve, seed), contract_minus_one(curve)
+    assert out.vertices == minimal.vertices
+    assert Counter(out.edges) == Counter(minimal.edges)
+    assert geometry(out).self_int == geometry(minimal).self_int
+
+
 @given(deep_blowups())
 @settings(max_examples=300, deadline=None)
 def test_cut_matches_oracle_and_minimal_model(curve):
@@ -509,8 +556,7 @@ def test_leaf_ended_run_survives_the_blow_down(name, seed):
     the group of the dense oracle, in one row for the whole chain."""
     base = LEAF_RUN_SHAPES[name]
     curve = blowup(base, len(base.ids) + 3 * seed, seed) if seed else base
-    adj, degree, _, _ = _blow_down(curve)
-    assert any(d == 1 for d in degree.values())
+    assert 1 in geometry(contract_minus_one(curve)).degree.values()
     group, rank = smith_quotient([list(curve.N)], intersection_matrix(curve))
     assert rank == 0
     with kernel_row_counts() as seen:
