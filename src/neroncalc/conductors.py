@@ -145,16 +145,11 @@ class EllipticData(Record):
 
 
 def c_elliptic(data: EllipticData) -> Fraction:
-    """Base change conductor from the minimal discriminant.
-
-    ``v(Delta)/12`` with potential good reduction, else
-    ``(v(Delta) + v(j))/12``, which must not be negative.
+    """Base change conductor from the minimal discriminant:
+    ``(v(Delta) - d_pot)/12``, so ``v(Delta)/12`` with potential good
+    reduction and ``(v(Delta) + v(j))/12`` else; it must not be negative.
     """
-    if data.potential == GOOD:
-        return Fraction(data.v_delta, 12)
-    if data.v_j is None:
-        raise MissingField("v_j is required for potential multiplicative reduction")
-    c = Fraction(data.v_delta + data.v_j, 12)
+    c = Fraction(data.v_delta - d_pot(data), 12)
     if c < 0:
         raise NegativeConductor("inputs force c = %s < 0" % c)
     return c

@@ -142,8 +142,6 @@ def char_poly_prime(curve: SncdCurve) -> CycloProduct:
     Divides :func:`char_poly`; they agree exactly on tame fibers.
     """
     P = _T_MINUS_ONE_SQUARED * monodromy_zeta(curve)
-    if not P.is_polynomial:
-        raise MalformedFiber("prime-to-p characteristic product is not a polynomial")
     if not P.divides(_T_MINUS_ONE_SQUARED * _chi_product(curve, 1)):
         raise MalformedFiber("prime-to-p polynomial does not divide the full one")
     return P

@@ -8,7 +8,8 @@ central multiplicity 6.
 
 from __future__ import annotations
 
-from .curves import SncdCurve, _shown
+from .conductors import KodairaType
+from .curves import SncdCurve
 from .errors import PreconditionError
 
 
@@ -73,20 +74,18 @@ _STARS = {
 
 
 def kodaira_curve(name: str, p: int = 1) -> SncdCurve:
-    """Fixture by Kodaira symbol: ``I0``..``In``, ``II``, ``I2*``, ``IV*``, ...
+    """Fixture by Kodaira symbol, read by :meth:`KodairaType.parse`: ``I3``, ``I2*``, ``IV*``, ...
 
     >>> kodaira_curve("I0*").multiplicity("c")
     2
     """
-    name = name.strip()
-    if name in _STARS:
-        center, arms = _STARS[name]
-        return _star(center, arms, p)
-    if name.startswith("I") and name.endswith("*") and name[1:-1].isdigit():
-        return kodaira_Instar(int(name[1:-1]), p)
-    if name.startswith("I") and name[1:].isdigit():
-        return kodaira_In(int(name[1:]), p)
-    raise PreconditionError("unknown Kodaira symbol %s" % _shown(name, repr))
+    kt = KodairaType.parse(name)
+    if kt.kind == "I":
+        return kodaira_In(kt.n, p)
+    if kt.kind == "I*":
+        return kodaira_Instar(kt.n, p)
+    center, arms = _STARS[kt.kind]
+    return _star(center, arms, p)
 
 
 def genus2_additive(p: int = 1) -> SncdCurve:

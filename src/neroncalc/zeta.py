@@ -4,7 +4,8 @@ zeta function and its Euler specialization.
 Reduction data enters through a :class:`ReductionProvider`: the dual graph
 of the fiber together with one graph per divisor of the stabilization index
 (prime to the residue characteristic) and, for the zeta function, the list
-of filtration jumps with multiplicities.  All series are assembled in
+of filtration jumps with multiplicities.  Its constructor refuses a provider
+that lacks the graph of a stable degree.  All series are assembled in
 closed rational form; expansions only appear in tests.
 """
 
@@ -93,8 +94,9 @@ class ReductionProvider(Record):
     The constructor is the only judge of a provider.  It refuses a degree
     that is not an ``int`` (``bool`` included), naming it by its type, or
     not such a divisor, a degree-1 curve other than the base, a curve of
-    the wrong ``p``, index (``e/a``) or genus, and jumps beyond the genus
-    or not multiples of ``1/e``.  ``p``, ``e``, ``genus``, ``stable_degrees``
+    the wrong ``p``, index (``e/a``) or genus, jumps beyond the genus or
+    not multiples of ``1/e``, and, after those, a missing stable degree
+    (:class:`ProviderIncomplete`).  ``p``, ``e``, ``genus``, ``stable_degrees``
     (the divisors of ``e`` prime to ``p``, ascending) and the period ``lcm(e,
     p)`` are kept outside the fields, so ``ReductionProvider(**fields)``
     rebuilds an equal provider.
@@ -142,17 +144,15 @@ class ReductionProvider(Record):
                         "jump %s is not a multiple of 1/e with e=%s"
                         % (_shown_number(j), _shown_number(e))
                     )
-        super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
         degrees = tuple(a for a in _divisors(e) if gcd(a, p) == 1)
-        vars(self).update(p=p, e=e, genus=g, stable_degrees=degrees, _period=lcm(e, p))
-
-    def require_complete(self):
-        missing = [a for a in self.stable_degrees if a not in self.curves]
+        missing = [a for a in degrees if a not in checked]
         if missing:
             shown = str(missing)
             if len(shown) > 40:  # the count and the first few
                 shown = "%s, ...] (%d degrees)" % (str(missing[:5])[:-1], len(missing))
             raise ProviderIncomplete("missing reduction data for degrees %s" % shown)
+        super().__init__(base, MappingProxyType(dict(sorted(checked.items()))), jumps)
+        vars(self).update(p=p, e=e, genus=g, stable_degrees=degrees, _period=lcm(e, p))
 
     def require_jumps(self) -> JumpSet:
         if self.jumps is None:
@@ -181,7 +181,6 @@ def component_series(provider: ReductionProvider) -> RationalSeries:
     numerator over ``(1 - T^{lcm(e, p)})^{t_a + 1}``, built with stride ``a``
     since the start degrees and the period are multiples of ``a``.
     """
-    provider.require_complete()
     blocks = [
         _progression_sum({(d, 0, ()): phi for d in degrees}, provider._period,
                          geometry(curve).b1, 0, a)
@@ -201,7 +200,6 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
     progression numerator over ``(1 - L^w T^{lcm(e, p)})^{t+1}`` with stride
     ``a``, whose start holds the torus class ``(L - 1)^t``: only in ``L``.
     """
-    provider.require_complete()
     jumps = provider.require_jumps()
     period = provider._period
     w = int(period * jumps.c_tame)  # an integer: every jump is a multiple of 1/e
@@ -220,7 +218,6 @@ def motivic_zeta(provider: ReductionProvider) -> RationalSeries:
 def euler_specialize(provider: ReductionProvider) -> RationalSeries:
     """Integer series whose ``T^d`` coefficient, for ``d`` prime to ``p``, is
     ``|Phi(d)|`` on degrees of additive reduction and 0 elsewhere."""
-    provider.require_complete()
     num = {}
     for curve, _, phi, degrees in _degree_blocks(provider):
         geo = geometry(curve)

@@ -93,7 +93,6 @@ def geometric_sum(e: int, b: int, t: int, w: int) -> RationalSeries:
 
 
 def component_series_per_residue(provider: ReductionProvider) -> RationalSeries:
-    provider.require_complete()
     e, p = provider.e, provider.p
     blocks = []
     for a in provider.stable_degrees:
@@ -122,7 +121,6 @@ def _residues(provider: ReductionProvider):
 
 
 def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
-    provider.require_complete()
     jumps = provider.require_jumps()
     period = lcm(provider.e, provider.p)
     g = provider.genus
@@ -147,7 +145,6 @@ def motivic_zeta_per_residue(provider: ReductionProvider) -> RationalSeries:
 
 
 def euler_specialize_per_residue(provider: ReductionProvider) -> RationalSeries:
-    provider.require_complete()
     period = lcm(provider.e, provider.p)
     terms = []
     for alpha, _, curve in _residues(provider):

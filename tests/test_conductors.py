@@ -133,6 +133,29 @@ def test_artin_conductor_is_minus_v_delta(data):
     assert art == -data.v_delta and type(art) is int
 
 
+def _law_cases():
+    """Every Kodaira kind with good potential, and ``I_n`` and ``I_n*`` with
+    multiplicative potential as well, over a few ``v(Delta)`` and ``v(j)``."""
+    for kind in KodairaType._KINDS:
+        kt = KodairaType(kind, 3 if kind in ("I", "I*") else None)
+        base = STANDARD_VDELTA[kind](kt.n)
+        for extra in (0, 1, 12):
+            good = EllipticData(kt, base + extra, "good")
+            yield pytest.param(good, id="%s_good_%d" % (kt, extra))
+            if kt.n:
+                for v_j in (-1, -base - extra):
+                    yield pytest.param(
+                        EllipticData(kt, base + extra, "multiplicative", v_j=v_j),
+                        id="%s_multiplicative_%d_vj%d" % (kt, extra, v_j))
+
+
+@pytest.mark.parametrize("data", list(_law_cases()))
+def test_c_elliptic_is_v_delta_minus_d_pot_over_12(data):
+    c = c_elliptic(data)
+    assert c == Fraction(data.v_delta - d_pot(data), 12)
+    assert artin_relation(data) == (-data.v_delta, c)
+
+
 def test_negative_discriminant_valuation_is_refused():
     for potential, v_j in (("good", None), ("multiplicative", -2)):
         with pytest.raises(InconsistentData, match=r"v\(Delta_min\) = -6 < 0"):

@@ -145,14 +145,32 @@ def test_kodaira_constructors_refuse_bad_input():
     for build in (kodaira_In, kodaira_Instar):
         with pytest.raises(PreconditionError, match=r"^n must be >= 0$"):
             build(-1)
-    with pytest.raises(PreconditionError, match=r"^unknown Kodaira symbol 'V'$"):
+    with pytest.raises(PreconditionError, match=r"^unknown reduction type 'V'$"):
         kodaira_curve(" V ")
 
 
 def test_kodaira_curve_shortens_a_long_unknown_symbol():
     with pytest.raises(PreconditionError) as info:
         kodaira_curve("V" * 5000)
-    assert str(info.value) == "unknown Kodaira symbol 'VVVVVVVVVVVVVVVVVVVV'... (5000 characters)"
+    assert str(info.value) == "unknown reduction type 'VVVVVVVVVVVVVVVVVVVV'... (5000 characters)"
+
+
+@pytest.mark.parametrize("symbol", ["I" + "9" * 5000, "I" + "9" * 5000 + "*"],
+                         ids=["In", "In_star"])
+def test_kodaira_curve_names_an_index_past_the_digit_limit(symbol):
+    with pytest.raises(PreconditionError) as info:
+        kodaira_curve(symbol)
+    assert str(info.value) == "index %s... has too many digits (5000)" % ("9" * 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="I*V 0123456789", max_size=4))
+def test_kodaira_curve_builds_or_refuses_any_short_symbol(symbol):
+    try:
+        curve = kodaira_curve(symbol)
+    except PreconditionError:
+        return
+    assert genus(curve) == 1
 
 
 def test_contract_fixed_points(all_fixture_curves):

@@ -74,9 +74,25 @@ def provider_II():
 
 def test_provider_takes_a_degree_dividing_the_index():
     # II at d = 2 is IV; transform refuses d = 2 | e, the provider checks e / 2
-    provider = ReductionProvider(fixture_curve("II"), {2: fixture_curve("IV")})
+    provider = ReductionProvider(
+        fixture_curve("II"),
+        {2: fixture_curve("IV"), 3: fixture_curve("I0*"), 6: good_elliptic()},
+    )
     assert provider.e == 6
     assert stabilization_index(provider.curves[2]) == 3
+
+
+def test_provider_refuses_a_missing_degree_at_construction():
+    with pytest.raises(ProviderIncomplete) as info:
+        ReductionProvider(fixture_curve("II"), {2: fixture_curve("IV")})
+    assert str(info.value) == "missing reduction data for degrees [3, 6]"
+
+
+def test_provider_names_a_bad_jump_before_a_missing_degree():
+    with pytest.raises(InconsistentData) as info:
+        ReductionProvider(fixture_curve("II"), {2: fixture_curve("IV")},
+                          JumpSet([(Fraction(1, 4), 1)]))
+    assert str(info.value) == "jump 1/4 is not a multiple of 1/e with e=6"
 
 
 def provider_good():
